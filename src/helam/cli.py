@@ -2,7 +2,8 @@
 metatheory test driver.
 
 Exit codes: 0 on success, 1 on a language-level rejection (type error,
-stuck program, deadlock, failing property), 2 on usage or I/O errors.
+stuck program, deadlock, failing property), 2 on usage or I/O errors, 3 when
+an exhaustive exploration hit its budget before finding a deadlock.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import network
 from .metatheory import check_metatheory
 from .network import Network, SimulationFault, format_trace, simulate
 from .projection import EmptyRoles, project, project_all
@@ -87,6 +87,8 @@ def cmd_simulate(args) -> int:
         print(f"terminal networks: {len(result.terminals)}")
         if result.deadlocks:
             return _fail(str(result.deadlocks[0]), 1)
+        if not result.complete:
+            return _fail("exploration incomplete: raise --budget", 3)
         return 0
     outcome = simulate(net, seed=args.seed)
     if args.trace:
@@ -178,7 +180,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ParseError, DesugarError, TypeErr, StuckError, FuelExhausted,
-            network.FuelExhausted, EmptyRoles, SimulationFault) as err:
+            EmptyRoles, SimulationFault) as err:
         if isinstance(err, TypeErr):
             return _fail(err.record(), 1)
         return _fail(str(err), 1)

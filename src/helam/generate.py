@@ -17,7 +17,7 @@ from .masking import mask_type
 from .syntax import (
     App, Case, ChorExpr, ChorType, ChorValue, Com, DProd, DSum, DUnit,
     DataTy, DataType, Fst, FunTy, Inl, Inr, Lam, Lookup, Pair, PartySet,
-    Snd, TupleTy, Unit, Val, Var, Vec,
+    Snd, TupleTy, Unit, Val, Var, Vec, type_parties,
 )
 from .typecheck import TypeEnv, TypeErr, synth, typecheck
 
@@ -230,7 +230,7 @@ class ExprGen:
 
     def _gen_case(self, env: TypeEnv, target: ChorType, depth: int):
         rng = self.rng
-        base = _type_parties(target)
+        base = PartySet(type_parties(target))
         guards = _grow(rng, base, env.theta)
         scrut_owners = _grow(rng, guards, env.theta)
         dl = gen_data(rng, 1)
@@ -273,24 +273,6 @@ class ExprGen:
         return App(Val(Lam(x, arg_ty, body, env.theta)), bound)
 
 
-def _type_parties(t: ChorType) -> PartySet:
-    found: set[str] = set()
-
-    def walk(node):
-        match node:
-            case DataTy(_, owners) | FunTy(_, _, owners):
-                found.update(owners)
-                if isinstance(node, FunTy):
-                    walk(node.arg)
-                    walk(node.ret)
-            case TupleTy(elems):
-                for e in elems:
-                    walk(e)
-
-    walk(t)
-    return PartySet(found)
-
-
 def _grow(rng: random.Random, base: PartySet, theta: PartySet) -> PartySet:
     extra = [p for p in theta if p not in base and rng.random() < 0.4]
     return PartySet(base.members + tuple(extra))
@@ -300,7 +282,7 @@ def gen_well_typed(cfg: GenConfig, theta: PartySet, target: ChorType,
                    rng: Optional[random.Random] = None,
                    env: Optional[TypeEnv] = None) -> ChorExpr:
     """A closed expression that checks at the target type under theta."""
-    if not _type_parties(target).issubset(theta):
+    if not type_parties(target) <= set(theta):
         raise ValueError("the target type mentions parties outside theta")
     rng = rng or random.Random(cfg.seed)
     gen = ExprGen(rng, cfg)

@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .projection import floor, local_subst
+from .semantics import FuelExhausted
 from .syntax import (
     BApp, BCase, BVal, Behavior, Bottom, LFst, LInl, LInr, LLam, LLookup,
     LPair, LSnd, LUnit, LVec, LocalValue, Recv, Send, SendSelf, StepLabel,
@@ -24,10 +25,6 @@ from .syntax import (
 
 class SimulationFault(RuntimeError):
     """A payload outside the data fragment reached a send."""
-
-
-class FuelExhausted(RuntimeError):
-    pass
 
 
 def is_data_local(l: LocalValue) -> bool:

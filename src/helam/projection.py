@@ -15,7 +15,7 @@ from .syntax import (
     App, BApp, BCase, BOT, BOTTOM, BVal, Behavior, Bottom, Case, ChorExpr,
     ChorValue, Com, Fst, Inl, Inr, LFst, LInl, LInr, LLam, LLookup, LPair,
     LSnd, LUnit, LVar, LVec, Lam, LocalValue, Lookup, Pair, PartySet, Recv,
-    Send, SendSelf, Snd, Unit, Val, Var, Vec,
+    Send, SendSelf, Snd, Unit, Val, Var, Vec, nodes, type_parties,
 )
 
 
@@ -26,61 +26,21 @@ class EmptyRoles(ValueError):
 def roles(e: ChorExpr) -> PartySet:
     """Every party named anywhere in the expression, annotations included."""
     found: set[str] = set()
-    _roles_expr(e, found)
+    for node in nodes(e):
+        match node:
+            case Case():
+                found.update(node.guards)
+            case Unit() | Fst() | Snd() | Lookup():
+                found.update(node.owners)
+            case Lam():
+                found.update(node.owners)
+                found.update(type_parties(node.param_type))
+            case Com():
+                found.add(node.sender)
+                found.update(node.recipients)
     if not found:
         raise EmptyRoles("expression names no parties")
     return PartySet(found)
-
-
-def _roles_expr(e: ChorExpr, out: set[str]) -> None:
-    match e:
-        case Val(v):
-            _roles_value(v, out)
-        case App(fn, arg):
-            _roles_expr(fn, out)
-            _roles_expr(arg, out)
-        case Case(guards, scrut, _, ml, _, mr):
-            out.update(guards)
-            _roles_expr(scrut, out)
-            _roles_expr(ml, out)
-            _roles_expr(mr, out)
-
-
-def _roles_value(v: ChorValue, out: set[str]) -> None:
-    match v:
-        case Var():
-            pass
-        case Unit(owners) | Fst(owners) | Snd(owners) | Lookup(_, owners):
-            out.update(owners)
-        case Lam(_, ptype, body, owners):
-            out.update(owners)
-            _roles_type(ptype, out)
-            _roles_expr(body, out)
-        case Com(sender, recipients):
-            out.add(sender)
-            out.update(recipients)
-        case Inl(inner) | Inr(inner):
-            _roles_value(inner, out)
-        case Pair(a, b):
-            _roles_value(a, out)
-            _roles_value(b, out)
-        case Vec(elems):
-            for elem in elems:
-                _roles_value(elem, out)
-
-
-def _roles_type(t, out: set[str]) -> None:
-    from .syntax import DataTy, FunTy, TupleTy
-    match t:
-        case DataTy(_, owners):
-            out.update(owners)
-        case FunTy(arg, ret, owners):
-            out.update(owners)
-            _roles_type(arg, out)
-            _roles_type(ret, out)
-        case TupleTy(elems):
-            for elem in elems:
-                _roles_type(elem, out)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ class StuckError(RuntimeError):
 
 
 class FuelExhausted(RuntimeError):
-    pass
+    """A central run or a network simulation did not end within its fuel."""
 
 
 # ---------------------------------------------------------------------------

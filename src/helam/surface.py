@@ -18,7 +18,7 @@ from .masking import mask_type
 from .syntax import (
     App, Case, ChorExpr, ChorType, ChorValue, Com, DProd, DSum, DUnit,
     DataTy, DataType, Fst, FunTy, Inl, Inr, Lam, Lookup, Pair, PartySet,
-    Snd, Span, TupleTy, Unit, Val, Var, Vec,
+    Snd, Span, TupleTy, Unit, Val, Var, Vec, nodes, type_parties,
 )
 from .typecheck import AMBIGUOUS_SUM, TypeEnv, TypeErr, synth
 
@@ -598,18 +598,6 @@ def desugar(sp: SurfaceProgram,
 def _surface_roles(s: SurfaceExpr) -> PartySet:
     found: set[str] = set()
 
-    def walk_type(t) -> None:
-        match t:
-            case DataTy(_, owners):
-                found.update(owners)
-            case FunTy(arg, ret, owners):
-                found.update(owners)
-                walk_type(arg)
-                walk_type(ret)
-            case TupleTy(elems):
-                for e in elems:
-                    walk_type(e)
-
     def walk(node: SurfaceExpr) -> None:
         match node:
             case SVar():
@@ -618,7 +606,7 @@ def _surface_roles(s: SurfaceExpr) -> PartySet:
                 found.update(owners)
             case SLam(_, ptype, body, owners, _):
                 found.update(owners)
-                walk_type(ptype)
+                found.update(type_parties(ptype))
                 walk(body)
             case SApp(fn, arg, _):
                 walk(fn)
@@ -644,7 +632,7 @@ def _surface_roles(s: SurfaceExpr) -> PartySet:
                 walk(rb)
             case SLet(_, annot, bound, body, _):
                 if annot is not None:
-                    walk_type(annot)
+                    found.update(type_parties(annot))
                 walk(bound)
                 walk(body)
 
@@ -718,40 +706,14 @@ def uniquify(e: ChorExpr) -> ChorExpr:
 
 def _all_names(e: ChorExpr) -> set[str]:
     names: set[str] = set()
-
-    def walk(node) -> None:
+    for node in nodes(e):
         match node:
-            case Val(v):
-                walk_value(v)
-            case App(fn, arg):
-                walk(fn)
-                walk(arg)
-            case Case(_, scrut, xl, ml, xr, mr):
-                names.add(xl)
-                names.add(xr)
-                walk(scrut)
-                walk(ml)
-                walk(mr)
-
-    def walk_value(v) -> None:
-        match v:
-            case Var(name):
-                names.add(name)
-            case Lam(param, _, body, _):
-                names.add(param)
-                walk(body)
-            case Inl(inner) | Inr(inner):
-                walk_value(inner)
-            case Pair(a, b):
-                walk_value(a)
-                walk_value(b)
-            case Vec(elems):
-                for x in elems:
-                    walk_value(x)
-            case _:
-                pass
-
-    walk(e)
+            case Var():
+                names.add(node.name)
+            case Lam():
+                names.add(node.param)
+            case Case():
+                names.update((node.left_var, node.right_var))
     return names
 
 

@@ -64,19 +64,30 @@ class PartySet:
         return "[" + ", ".join(self.members) + "]"
 
     def issubset(self, other: "PartySet") -> bool:
-        return set(self.members) <= set(other.members)
+        for name in self.members:
+            if name not in other.members:
+                return False
+        return True
 
     def union(self, other: "PartySet") -> "PartySet":
-        return PartySet(self.members + other.members)
+        return _checked(tuple(sorted(set(self.members + other.members))))
 
     def intersect(self, other: "PartySet") -> Optional["PartySet"]:
         """Intersection, or None when it would be empty."""
-        common = set(self.members) & set(other.members)
-        return PartySet(common) if common else None
+        common = tuple(m for m in self.members if m in other.members)
+        return _checked(common) if common else None
 
     def without(self, name: str) -> tuple[str, ...]:
         """Members minus one party; may be empty, so a plain tuple."""
         return tuple(m for m in self.members if m != name)
+
+
+def _checked(members: tuple[str, ...]) -> PartySet:
+    """A party set of members already sorted, distinct and valid; union and
+    intersection build theirs this way, without the checks in __init__."""
+    ps = object.__new__(PartySet)
+    object.__setattr__(ps, "members", members)
+    return ps
 
 
 def parties(*names: str) -> PartySet:
@@ -121,25 +132,16 @@ class DProd:
     right: "DataType"
 
 
+@dataclass(frozen=True)
 class DAny:
-    """Wildcard shape, equal to every data shape.
+    """A hole: a data shape the type checker left unconstrained.
 
-    Never written by programs: the checker introduces it for the sum sides
-    that reduction leaves unconstrained (a bare injection stepping into a
-    case scrutinee, say), so that every reduct of a well-typed program still
-    checks at its original type.
+    Never written by programs.  The checker puts one on the side of a sum
+    that a bare injection does not determine (a bare injection stepping into
+    a case scrutinee, say), and it compares shapes so that a hole matches
+    any shape.  A hole can reach a synthesized type: a branch that returns
+    such a side types as `_`.
     """
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, (DUnit, DSum, DProd, DAny))
-
-    def __hash__(self):
-        return hash(())
-
-    def __repr__(self):
-        return "DAny()"
 
 
 DataType = Union[DUnit, DSum, DProd, DAny]
@@ -284,10 +286,6 @@ class Case:
 
 
 ChorExpr = Union[Val, App, Case]
-
-
-def val(v: ChorValue, span: Optional[Span] = None) -> Val:
-    return Val(v, span)
 
 
 # ---------------------------------------------------------------------------
@@ -449,29 +447,42 @@ def free_vars_value(v: ChorValue) -> frozenset[str]:
     raise TypeError(f"not a value: {v!r}")
 
 
+def type_parties(t: ChorType) -> frozenset[str]:
+    """Every party named in a type, at any depth."""
+    match t:
+        case DataTy(_, owners):
+            return frozenset(owners)
+        case FunTy(arg, ret, owners):
+            return frozenset(owners) | type_parties(arg) | type_parties(ret)
+        case TupleTy(elems):
+            return frozenset().union(*(type_parties(e) for e in elems))
+    raise TypeError(f"not a type: {t!r}")
+
+
+def nodes(e: ChorExpr) -> Iterator:
+    """Every expression and value node in e.  Iterative, so a deep term
+    cannot exhaust the recursion limit."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        match node:
+            case Val() | Inl() | Inr():
+                stack.append(node.value)
+            case App():
+                stack += (node.fn, node.arg)
+            case Case():
+                stack += (node.scrutinee, node.left_body, node.right_body)
+            case Lam():
+                stack.append(node.body)
+            case Pair():
+                stack += (node.first, node.second)
+            case Vec():
+                stack += node.elems
+
+
 def node_count(e: ChorExpr) -> int:
-    match e:
-        case Val(v):
-            return 1 + _value_nodes(v)
-        case App(fn, arg):
-            return 1 + node_count(fn) + node_count(arg)
-        case Case(_, scrut, _, ml, _, mr):
-            return 1 + node_count(scrut) + node_count(ml) + node_count(mr)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _value_nodes(v: ChorValue) -> int:
-    match v:
-        case Lam(_, _, body, _):
-            return 1 + node_count(body)
-        case Inl(inner) | Inr(inner):
-            return 1 + _value_nodes(inner)
-        case Pair(a, b):
-            return 1 + _value_nodes(a) + _value_nodes(b)
-        case Vec(elems):
-            return 1 + sum(_value_nodes(x) for x in elems)
-        case _:
-            return 1
+    return sum(1 for _ in nodes(e))
 
 
 # ---------------------------------------------------------------------------

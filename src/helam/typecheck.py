@@ -1,10 +1,20 @@
 """Bidirectional type checker for choreographies.
 
-Most expressions synthesize a type.  Injections and the keyword functions
-are flexible about parts of their types, so they are checked against an
-expected type pushed inward from an application, annotation, or case branch;
-com/fst/snd/lookup in head position instead recover the missing pieces from
-the argument's synthesized type.
+One recursive walk, `_walk`, types expressions and values alike.  The
+context pushes in a partial expectation (`Want`) and the walk returns the
+witness type it found.  An expectation is one of:
+
+- nothing: the node synthesizes its type;
+- an exact type (annotations, lambda bodies, case branches);
+- a type under a mask set: the witness masked to that set must be the type
+  (a function argument against its parameter);
+- a data shape whose owners are unknown: the walk reports who owns the data
+  (the payload of `com`, the pair under `fst`/`snd`).
+
+Shapes may contain holes (`DAny`) where the context leaves them open, and
+`_same` lets a hole match any shape.  Injections and the keyword functions
+cannot synthesize; where the context could also offer a synthesized type,
+the walk synthesizes first and pushes the expectation in only on ambiguity.
 """
 
 from __future__ import annotations
@@ -12,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .masking import is_noop, mask_type
+from .masking import is_noop, mask_type, mask_value
 from .syntax import (
     App, Case, ChorExpr, ChorType, ChorValue, Com, DAny, DProd, DSum, DUnit,
     DataTy, Fst, FunTy, Inl, Inr, Lam, Lookup, Pair, PartySet, Snd, Span,
-    TupleTy, Unit, Val, Var, Vec, print_type,
+    TupleTy, Unit, Val, Var, Vec, print_data, print_type,
 )
 
 # diagnostic kinds
@@ -77,29 +87,40 @@ class TypeEnv:
         raise TypeErr(UNBOUND_VAR, f"unbound variable {name}", span)
 
 
-def _sum_sides(shape):
-    """Left/right of a sum shape, treating the wildcard as a wild sum."""
-    if isinstance(shape, DSum):
-        return shape.left, shape.right
-    if isinstance(shape, DAny):
-        return DAny(), DAny()
-    return None
+class Want:
+    """A partial expectation; never changed once made.
+
+    With `mask` None the witness must equal `type`; otherwise the witness
+    masked to `mask` must.  Without a type it is `open`: data of `shape`,
+    whoever owns it.  In data, an owner error (a unit outside theta, a pair
+    whose components share no owner) leaves the owners None until the whole
+    value's shape has passed; with `owners_first` it is raised at once.
+    """
+
+    __slots__ = ("type", "mask", "shape", "owners_first", "open", "exact")
+
+    def __init__(self, type: Optional[ChorType],
+                 mask: Optional[PartySet] = None, shape=None,
+                 owners_first: bool = False):
+        self.type = type
+        self.mask = mask
+        self.shape = type.shape if isinstance(type, DataTy) else shape
+        self.owners_first = owners_first
+        self.open = type is None
+        self.exact = mask is None and type is not None
 
 
-def _prod_sides(shape):
-    if isinstance(shape, DProd):
-        return shape.left, shape.right
-    if isinstance(shape, DAny):
-        return DAny(), DAny()
-    return None
+def _data(shape, owners_first: bool = False) -> Want:
+    return Want(None, None, shape, owners_first)
 
 
 # rule coverage accounting, used by the generator's coverage test
 _rule_counts: dict[str, int] = {}
 
 
-def _note(rule: str) -> None:
-    _rule_counts[rule] = _rule_counts.get(rule, 0) + 1
+def _note(*rules: str) -> None:
+    for rule in rules:
+        _rule_counts[rule] = _rule_counts.get(rule, 0) + 1
 
 
 def rule_coverage_reset() -> None:
@@ -111,7 +132,7 @@ def rule_coverage() -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# entry point
+# entry points
 
 def typecheck(theta: PartySet, e: ChorExpr,
               expected: Optional[ChorType] = None) -> ChorType:
@@ -128,802 +149,490 @@ def typecheck(theta: PartySet, e: ChorExpr,
     return expected
 
 
-# ---------------------------------------------------------------------------
-# synthesis
-
 def synth(env: TypeEnv, e: ChorExpr) -> ChorType:
-    match e:
-        case Val(v):
-            return synth_value(env, v, e.span)
-        case App(fn, arg):
-            return _synth_app(env, fn, arg, e.span)
-        case Case():
-            return _synth_case(env, e)
-    raise TypeError(f"not an expression: {e!r}")
+    return _walk(env, e, None)
 
-
-def synth_value(env: TypeEnv, v: ChorValue,
-                span: Optional[Span] = None) -> ChorType:
-    match v:
-        case Var(name):
-            t = env.lookup(name, span or v.span)
-            masked = mask_type(t, env.theta)
-            if masked is None:
-                raise TypeErr(
-                    MASK_UNDEFINED,
-                    f"{name}: {print_type(t)} has no owner in {env.theta}",
-                    span or v.span)
-            _note("TVAR")
-            return masked
-        case Unit(owners):
-            _require_subset(owners, env.theta, span or v.span)
-            _note("TUNIT")
-            return DataTy(DUnit(), owners)
-        case Lam(param, ptype, body, owners):
-            _require_subset(owners, env.theta, span or v.span)
-            if not is_noop(ptype, owners):
-                raise TypeErr(
-                    NOOP_VIOLATION,
-                    f"parameter type {print_type(ptype)} is not fixed by "
-                    f"masking to {owners}",
-                    span or v.span)
-            ret = synth(env.with_theta(owners).bind(param, ptype), body)
-            _note("TLAMBDA")
-            return FunTy(ptype, ret, owners)
-        case Pair(a, b):
-            ta = _require_data(synth_value(env, a, span), "pair component", span)
-            tb = _require_data(synth_value(env, b, span), "pair component", span)
-            inter = ta.owners.intersect(tb.owners)
-            if inter is None:
-                raise TypeErr(
-                    PAIR_COMPONENTS_DISJOINT,
-                    f"pair components share no owner: {ta.owners} vs {tb.owners}",
-                    span)
-            _note("TPAIR")
-            return DataTy(DProd(ta.shape, tb.shape), inter)
-        case Vec(elems):
-            ts = tuple(synth_value(env, x, span) for x in elems)
-            _note("TVEC")
-            return TupleTy(ts)
-        case Inl() | Inr():
-            raise TypeErr(
-                AMBIGUOUS_SUM,
-                "injection needs an expected type; add an annotation",
-                span or v.span)
-        case Fst() | Snd() | Lookup():
-            raise TypeErr(
-                AMBIGUOUS_SUM,
-                "projection keyword needs an expected type or an argument",
-                span or v.span)
-        case Com(sender, recipients):
-            # a bare com defaults to sending a unit owned by the sender alone
-            full = recipients.union(PartySet([sender]))
-            _require_subset(full, env.theta, span or v.span)
-            _note("TCOM")
-            return FunTy(DataTy(DUnit(), PartySet([sender])),
-                         DataTy(DUnit(), recipients), full)
-    raise TypeError(f"not a value: {v!r}")
-
-
-def _synth_app(env: TypeEnv, fn: ChorExpr, arg: ChorExpr,
-               span: Optional[Span]) -> ChorType:
-    if isinstance(fn, Val):
-        head = fn.value
-        if isinstance(head, Com):
-            return _synth_com_app(env, head, arg, span)
-        if isinstance(head, (Fst, Snd)):
-            return _synth_proj_app(env, head, arg, span)
-        if isinstance(head, Lookup):
-            return _synth_lookup_app(env, head, arg, span)
-        if isinstance(head, (Unit, Inl, Inr, Pair, Vec)):
-            raise TypeErr(NOT_A_FUNCTION, "applied a non-function value", span)
-    tf = synth(env, fn)
-    if not isinstance(tf, FunTy):
-        raise TypeErr(NOT_A_FUNCTION,
-                      f"applied expression of type {print_type(tf)}", span)
-    check_arg(env, arg, tf.arg, tf.owners)
-    _note("TAPP")
-    return tf.ret
-
-
-def _synth_com_app(env: TypeEnv, com: Com, arg: ChorExpr,
-                   span: Optional[Span]) -> ChorType:
-    full = com.recipients.union(PartySet([com.sender]))
-    _require_subset(full, env.theta, span)
-    ta = _require_data(synth(env, arg), "com argument", span)
-    if com.sender not in ta.owners:
-        raise TypeErr(SENDER_NOT_OWNER,
-                      f"sender {com.sender} does not own the argument "
-                      f"({print_type(ta)})", span)
-    _note("TCOM")
-    _note("TAPP")
-    return DataTy(ta.shape, com.recipients)
-
-
-def _synth_proj_app(env: TypeEnv, proj, arg: ChorExpr,
-                    span: Optional[Span]) -> ChorType:
-    owners = proj.owners
-    _require_subset(owners, env.theta, span)
-    ta = _require_data(synth(env, arg), "projection argument", span)
-    sides = _prod_sides(ta.shape)
-    if sides is None:
-        raise TypeErr(ARG_MISMATCH,
-                      f"fst/snd needs a product, got {print_type(ta)}", span)
-    masked = mask_type(ta, owners)
-    if masked != DataTy(ta.shape, owners):
-        raise TypeErr(ARG_MISMATCH,
-                      f"{print_type(ta)} does not mask to owners {owners}",
-                      span)
-    if isinstance(proj, Fst):
-        _note("TPROJ1")
-        side = sides[0]
-    else:
-        _note("TPROJ2")
-        side = sides[1]
-    _note("TAPP")
-    return DataTy(side, owners)
-
-
-def _synth_lookup_app(env: TypeEnv, lk: Lookup, arg: ChorExpr,
-                      span: Optional[Span]) -> ChorType:
-    _require_subset(lk.owners, env.theta, span)
-    ta = synth(env, arg)
-    if not isinstance(ta, TupleTy):
-        raise TypeErr(ARG_MISMATCH,
-                      f"lookup needs a tuple, got {print_type(ta)}", span)
-    if lk.index > len(ta.elems):
-        raise TypeErr(INDEX_OUT_OF_RANGE,
-                      f"lookup[{lk.index}] into a {len(ta.elems)}-tuple", span)
-    masked = mask_type(ta, lk.owners)
-    if masked is None:
-        raise TypeErr(MASK_UNDEFINED,
-                      f"{print_type(ta)} does not mask to {lk.owners}", span)
-    _note("TPROJN")
-    _note("TAPP")
-    return masked.elems[lk.index - 1]
-
-
-def _synth_case(env: TypeEnv, e: Case) -> ChorType:
-    dl, dr, env_l, env_r = _case_prelude(env, e)
-    try:
-        tl = synth(env_l, e.left_body)
-    except TypeErr as err:
-        if err.kind != AMBIGUOUS_SUM:
-            raise
-        tr = synth(env_r, e.right_body)  # ambiguity here propagates
-        check(env_l, e.left_body, tr)
-        _note("TCASE")
-        return tr
-    try:
-        tr = synth(env_r, e.right_body)
-    except TypeErr as err:
-        if err.kind != AMBIGUOUS_SUM:
-            raise
-        check(env_r, e.right_body, tl)
-        _note("TCASE")
-        return tl
-    if tl != tr:
-        raise TypeErr(BRANCH_MISMATCH,
-                      f"branches disagree: {print_type(tl)} vs {print_type(tr)}",
-                      e.span)
-    _note("TCASE")
-    return tl
-
-
-def _case_prelude(env: TypeEnv, e: Case):
-    """Shared guard checks; returns branch payload shapes and environments."""
-    _require_subset(e.guards, env.theta, e.span)
-    try:
-        tn = synth(env, e.scrutinee)
-    except TypeErr as err:
-        if err.kind != AMBIGUOUS_SUM or not isinstance(e.scrutinee, Val):
-            raise
-        # a flexible injection still has a definite owner set and a definite
-        # shape on the side it actually carries; the other side stays wild
-        owners = _data_owners(env, e.scrutinee.value, e.span)
-        if owners.intersect(e.guards) != e.guards:
-            raise TypeErr(
-                MASK_UNDEFINED,
-                f"guard owned by {owners} is not located at all "
-                f"branching parties {e.guards}", e.span) from err
-        tn = DataTy(_value_shape(env, e.scrutinee.value, e.span), owners)
-    masked = mask_type(tn, e.guards)
-    if masked is None:
-        raise TypeErr(MASK_UNDEFINED,
-                      f"guard of type {print_type(tn)} has no owner among "
-                      f"{e.guards}", e.span)
-    sides = _sum_sides(masked.shape) if isinstance(masked, DataTy) else None
-    if sides is None:
-        raise TypeErr(GUARD_NOT_SUM,
-                      f"guard must be a located sum, got {print_type(tn)}",
-                      e.span)
-    if masked.owners != e.guards:
-        raise TypeErr(MASK_UNDEFINED,
-                      f"guard of type {print_type(tn)} is not located at all "
-                      f"branching parties {e.guards}", e.span)
-    dl, dr = sides
-    env_l = env.with_theta(e.guards).bind(e.left_var, DataTy(dl, e.guards))
-    env_r = env.with_theta(e.guards).bind(e.right_var, DataTy(dr, e.guards))
-    return dl, dr, env_l, env_r
-
-
-def _value_shape(env: TypeEnv, v: ChorValue, span: Optional[Span]):
-    """The data shape of a value, with wildcards for unconstrained sum sides."""
-    match v:
-        case Unit():
-            return DUnit()
-        case Inl(inner):
-            return DSum(_value_shape(env, inner, span), DAny())
-        case Inr(inner):
-            return DSum(DAny(), _value_shape(env, inner, span))
-        case Pair(a, b):
-            return DProd(_value_shape(env, a, span),
-                         _value_shape(env, b, span))
-        case Var():
-            got = _require_data(synth_value(env, v, span), "variable", span)
-            return got.shape
-    raise TypeErr(ARG_MISMATCH, "not a data value", span)
-
-
-# ---------------------------------------------------------------------------
-# checking against an expected type
 
 def check(env: TypeEnv, e: ChorExpr, expected: ChorType) -> None:
-    match e:
-        case Val(v):
-            check_value(env, v, expected, e.span)
-            return
-        case App(Val(Lam() as lam), arg):
-            _lam_preconditions(env, lam, e.span)
-            check_arg(env, arg, lam.param_type, lam.owners)
-            inner = env.with_theta(lam.owners).bind(lam.param, lam.param_type)
-            check(inner, lam.body, expected)
-            _note("TLAMBDA")
-            _note("TAPP")
-            return
-        case App(Val(Com() as com), arg):
-            _check_com_app(env, com, arg, expected, e.span)
-            return
-        case App():
-            try:
-                got = synth(env, e)
-            except TypeErr as err:
-                if err.kind != AMBIGUOUS_SUM:
-                    raise
-                # a flexible application (projection of a substituted-in
-                # literal, say) checks exactly when it masks to the
-                # expectation under the full party set, a no-op here
-                _flex(env, e, expected, env.theta)
-                return
-            _expect_equal(got, expected, e.span)
-            return
-        case Case():
-            _, _, env_l, env_r = _case_prelude(env, e)
-            check(env_l, e.left_body, expected)
-            check(env_r, e.right_body, expected)
-            _note("TCASE")
-            return
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _check_com_app(env: TypeEnv, com: Com, arg: ChorExpr,
-                   expected: ChorType, span: Optional[Span]) -> None:
-    if not (isinstance(expected, DataTy) and expected.owners == com.recipients):
-        got = synth_value(env, com, span)  # may raise PartiesNotSubset
-        raise TypeErr(ARG_MISMATCH,
-                      f"com to {com.recipients} cannot produce "
-                      f"{print_type(expected)} (got {print_type(got)})", span)
-    full = com.recipients.union(PartySet([com.sender]))
-    _require_subset(full, env.theta, span)
-    try:
-        ta = _require_data(synth(env, arg), "com argument", span)
-        owners = ta.owners
-        if ta.shape != expected.shape:
-            raise TypeErr(ARG_MISMATCH,
-                          f"com argument has shape {print_type(ta)}, expected "
-                          f"{print_type(expected)}", span)
-    except TypeErr as err:
-        if err.kind != AMBIGUOUS_SUM:
-            raise
-        owners = _flex_data(env, arg, expected.shape, span)
-    if com.sender not in owners:
-        raise TypeErr(SENDER_NOT_OWNER,
-                      f"sender {com.sender} does not own the argument", span)
-    _note("TCOM")
-    _note("TAPP")
-
-
-def check_value(env: TypeEnv, v: ChorValue, expected: ChorType,
-                span: Optional[Span] = None) -> None:
-    match v:
-        case Var() | Unit() | Pair() | Vec() if isinstance(expected, DataTy):
-            # pairs and tuples recurse structurally so that flexible leaves
-            # (injections) inside them still check
-            if isinstance(v, (Var, Unit)):
-                _expect_equal(synth_value(env, v, span), expected, span)
-                return
-            _check_data_value(env, v, expected.shape, expected.owners, span)
-            return
-        case Inl(inner):
-            owners, left, _ = _as_sum(expected, span)
-            _check_data_value(env, inner, left, owners, span)
-            _note("TINL")
-            return
-        case Inr(inner):
-            owners, _, right = _as_sum(expected, span)
-            _check_data_value(env, inner, right, owners, span)
-            _note("TINR")
-            return
-        case Lam(param, ptype, body, owners) if isinstance(expected, FunTy):
-            if owners != expected.owners or ptype != expected.arg:
-                raise TypeErr(ARG_MISMATCH,
-                              f"function literal does not fit "
-                              f"{print_type(expected)}", span)
-            _lam_preconditions(env, v, span)
-            check(env.with_theta(owners).bind(param, ptype), body, expected.ret)
-            _note("TLAMBDA")
-            return
-        case Vec(elems) if isinstance(expected, TupleTy):
-            if len(elems) != len(expected.elems):
-                raise TypeErr(ARG_MISMATCH,
-                              f"tuple of {len(elems)} checked against "
-                              f"{print_type(expected)}", span)
-            for elem, t in zip(elems, expected.elems):
-                check_value(env, elem, t, span)
-            _note("TVEC")
-            return
-        case Fst(owners) if isinstance(expected, FunTy):
-            want = _proj_type(expected, owners, left=True, span=span)
-            _require_subset(owners, env.theta, span)
-            _expect_equal(want, expected, span)
-            _note("TPROJ1")
-            return
-        case Snd(owners) if isinstance(expected, FunTy):
-            want = _proj_type(expected, owners, left=False, span=span)
-            _require_subset(owners, env.theta, span)
-            _expect_equal(want, expected, span)
-            _note("TPROJ2")
-            return
-        case Lookup(index, owners) if isinstance(expected, FunTy):
-            _require_subset(owners, env.theta, span)
-            dom = expected.arg
-            if not isinstance(dom, TupleTy) or index > len(dom.elems):
-                raise TypeErr(ARG_MISMATCH,
-                              f"lookup[{index}] does not fit "
-                              f"{print_type(expected)}", span)
-            if not is_noop(dom, owners):
-                raise TypeErr(NOOP_VIOLATION,
-                              f"{print_type(dom)} is not fixed by masking to "
-                              f"{owners}", span)
-            if expected.ret != dom.elems[index - 1] or expected.owners != owners:
-                raise TypeErr(ARG_MISMATCH,
-                              f"lookup[{index}]{owners} does not fit "
-                              f"{print_type(expected)}", span)
-            _note("TPROJN")
-            return
-        case Com(sender, recipients) if isinstance(expected, FunTy):
-            full = recipients.union(PartySet([sender]))
-            ok = (isinstance(expected.arg, DataTy)
-                  and isinstance(expected.ret, DataTy)
-                  and expected.arg.shape == expected.ret.shape
-                  and expected.ret.owners == recipients
-                  and sender in expected.arg.owners
-                  and expected.owners == full)
-            if not ok:
-                raise TypeErr(ARG_MISMATCH,
-                              f"com[{sender}]{recipients} does not fit "
-                              f"{print_type(expected)}", span)
-            _require_subset(expected.arg.owners.union(recipients), env.theta,
-                            span)
-            _note("TCOM")
-            return
-    # fall through: synthesize and compare exactly
-    _expect_equal(synth_value(env, v, span), expected, span)
-
-
-def _proj_type(expected: FunTy, owners: PartySet, left: bool,
-               span: Optional[Span]) -> FunTy:
-    dom = expected.arg
-    sides = _prod_sides(dom.shape) if isinstance(dom, DataTy) else None
-    if sides is None:
-        raise TypeErr(ARG_MISMATCH,
-                      f"fst/snd does not fit {print_type(expected)}", span)
-    side = sides[0] if left else sides[1]
-    return FunTy(DataTy(dom.shape, owners), DataTy(side, owners), owners)
-
-
-def _as_sum(expected: ChorType, span: Optional[Span]) -> tuple:
-    sides = (_sum_sides(expected.shape)
-             if isinstance(expected, DataTy) else None)
-    if sides is None:
-        raise TypeErr(ARG_MISMATCH,
-                      f"injection checked against {print_type(expected)}",
-                      span)
-    return expected.owners, sides[0], sides[1]
-
-
-def _lam_preconditions(env: TypeEnv, lam: Lam, span: Optional[Span]) -> None:
-    _require_subset(lam.owners, env.theta, span)
-    if not is_noop(lam.param_type, lam.owners):
-        raise TypeErr(NOOP_VIOLATION,
-                      f"parameter type {print_type(lam.param_type)} is not "
-                      f"fixed by masking to {lam.owners}", span)
-
-
-# ---------------------------------------------------------------------------
-# argument checking: exists Ta' with  arg : Ta'  and  Ta' masked to the
-# function's owners equal to the parameter type
-
-_FLEX_VALUES = (Inl, Inr, Fst, Snd, Lookup, Com)
+    _walk(env, e, Want(expected))
 
 
 def check_arg(env: TypeEnv, arg: ChorExpr, param: ChorType,
-              fn_owners: PartySet) -> None:
-    if isinstance(arg, Val) and isinstance(arg.value, _FLEX_VALUES):
-        _flex(env, arg, param, fn_owners)
-        return
+              fn_owners: PartySet) -> ChorType:
+    """Check arg against param, masked to fn_owners; returns the witness."""
+    want = Want(param, fn_owners)
+    # values that cannot synthesize, or (com) only to a default unit type
+    if isinstance(arg, Val) and isinstance(
+            arg.value, (Inl, Inr, Fst, Snd, Lookup, Com)):
+        return _walk(env, arg, want)
+    return _synth_first(env, arg, want, arg.span)
+
+
+def _synth_first(env: TypeEnv, e: ChorExpr, want: Want,
+                 span: Optional[Span], fallback: Optional[Want] = None):
+    """Synthesize and compare; push the expectation in only on ambiguity."""
+    got = _try_synth(env, e)
+    if got is None:
+        return _walk(env, e, fallback or want, span)
+    return _fit(got, want, span)
+
+
+def _try_synth(env: TypeEnv, e) -> Optional[ChorType]:
+    """The synthesized type, or None when synthesis is ambiguous."""
     try:
-        got = synth(env, arg)
+        return _walk(env, e, None)
     except TypeErr as err:
         if err.kind != AMBIGUOUS_SUM:
             raise
-        _flex(env, arg, param, fn_owners)
-        return
-    masked = mask_type(got, fn_owners)
-    if masked != param:
-        raise TypeErr(ARG_MISMATCH,
-                      f"argument of type {print_type(got)} does not mask to "
-                      f"parameter type {print_type(param)} at {fn_owners}",
-                      arg.span)
-
-
-def _flex(env: TypeEnv, e: ChorExpr, param: ChorType,
-          mask_set: PartySet) -> ChorType:
-    """Check a flexible expression; returns the witness type it types at."""
-    match e:
-        case Val(v):
-            return _flex_value(env, v, param, mask_set, e.span)
-        case App(Val(Lam() as lam), bound):
-            _lam_preconditions(env, lam, e.span)
-            check_arg(env, bound, lam.param_type, lam.owners)
-            inner = env.with_theta(lam.owners).bind(lam.param, lam.param_type)
-            witness = _flex(inner, lam.body, param, mask_set)
-            _note("TLAMBDA")
-            _note("TAPP")
-            return witness
-        case App(Val(Com() as com), inner):
-            if not isinstance(param, DataTy):
-                raise TypeErr(ARG_MISMATCH,
-                              f"com cannot produce {print_type(param)}",
-                              e.span)
-            got = com.recipients.intersect(mask_set)
-            if got != param.owners:
-                raise TypeErr(ARG_MISMATCH,
-                              f"com to {com.recipients} masks to "
-                              f"{got if got else '{}'}, expected "
-                              f"{param.owners}", e.span)
-            full = com.recipients.union(PartySet([com.sender]))
-            _require_subset(full, env.theta, e.span)
-            payload_owners = _flex_data(env, inner, param.shape, e.span)
-            if com.sender not in payload_owners:
-                raise TypeErr(SENDER_NOT_OWNER,
-                              f"sender {com.sender} does not own the "
-                              f"argument", e.span)
-            _note("TCOM")
-            _note("TAPP")
-            return DataTy(param.shape, com.recipients)
-        case App(Val(Fst() as kw), inner) | App(Val(Snd() as kw), inner):
-            if not isinstance(param, DataTy):
-                raise TypeErr(ARG_MISMATCH,
-                              f"fst/snd cannot produce {print_type(param)}",
-                              e.span)
-            if kw.owners.intersect(mask_set) != param.owners:
-                raise TypeErr(ARG_MISMATCH,
-                              f"projection at {kw.owners} cannot mask to "
-                              f"{param.owners}", e.span)
-            _require_subset(kw.owners, env.theta, e.span)
-            if isinstance(kw, Fst):
-                pair_shape = DProd(param.shape, DAny())
-                _note("TPROJ1")
-            else:
-                pair_shape = DProd(DAny(), param.shape)
-                _note("TPROJ2")
-            pv = _flex_data(env, inner, pair_shape, e.span)
-            if not kw.owners.issubset(pv):
-                raise TypeErr(ARG_MISMATCH,
-                              f"pair owned by {pv} does not cover the "
-                              f"projection at {kw.owners}", e.span)
-            _note("TAPP")
-            return DataTy(param.shape, kw.owners)
-        case App(Val(Lookup() as kw), Val(Vec() as vec)):
-            return _flex_lookup(env, kw, vec, param, mask_set, e.span)
-        case Case():
-            _, _, env_l, env_r = _case_prelude(env, e)
-            wl = _flex(env_l, e.left_body, param, mask_set)
-            wr = _flex(env_r, e.right_body, param, mask_set)
-            if wl != wr:
-                raise TypeErr(BRANCH_MISMATCH,
-                              f"branches disagree: {print_type(wl)} vs "
-                              f"{print_type(wr)}", e.span)
-            _note("TCASE")
-            return wl
-    raise TypeErr(AMBIGUOUS_SUM,
-                  "cannot determine the type of this expression; annotate it",
-                  e.span)
-
-
-def _flex_lookup(env: TypeEnv, kw: Lookup, vec: Vec, param: ChorType,
-                 mask_set: PartySet, span: Optional[Span]) -> ChorType:
-    """Lookup into a tuple literal whose elements may be flexible."""
-    _require_subset(kw.owners, env.theta, span)
-    if kw.index > len(vec.elems):
-        raise TypeErr(INDEX_OUT_OF_RANGE,
-                      f"lookup[{kw.index}] into a {len(vec.elems)}-tuple",
-                      span)
-    effective = kw.owners.intersect(mask_set)
-    if effective is None:
-        raise TypeErr(ARG_MISMATCH,
-                      f"lookup at {kw.owners} cannot mask to "
-                      f"{print_type(param)}", span)
-    wanted = vec.elems[kw.index - 1]
-    witness_elem = _flex_value_or_synth(env, wanted, param, effective, span)
-    for n, elem in enumerate(vec.elems, start=1):
-        if n != kw.index and not _element_masks(env, elem, kw.owners):
-            raise TypeErr(MASK_UNDEFINED,
-                          f"tuple element {n} does not mask to {kw.owners}",
-                          span)
-    result = mask_type(witness_elem, kw.owners)
-    if result is None or mask_type(result, mask_set) != param:
-        raise TypeErr(ARG_MISMATCH,
-                      f"lookup result does not fit {print_type(param)}", span)
-    _note("TPROJN")
-    _note("TAPP")
-    return result
-
-
-def _flex_value_or_synth(env: TypeEnv, v: ChorValue, param: ChorType,
-                         mask_set: PartySet,
-                         span: Optional[Span]) -> ChorType:
-    try:
-        got = synth_value(env, v, span)
-    except TypeErr as err:
-        if err.kind != AMBIGUOUS_SUM:
-            raise
-        return _flex_value(env, v, param, mask_set, span)
-    if mask_type(got, mask_set) != param:
-        raise TypeErr(ARG_MISMATCH,
-                      f"value of type {print_type(got)} does not mask to "
-                      f"{print_type(param)} at {mask_set}", span)
-    return got
-
-
-def _element_masks(env: TypeEnv, v: ChorValue, theta: PartySet) -> bool:
-    """Whether some type of v masks under theta; lenient for unused tuple
-    slots whose exact type cannot be recovered from the value alone."""
-    try:
-        got = synth_value(env, v, None)
-        return mask_type(got, theta) is not None
-    except TypeErr as err:
-        if err.kind != AMBIGUOUS_SUM:
-            return False
-    match v:
-        case Inl() | Inr() | Pair() | Unit():
-            try:
-                owners = _data_owners(env, v, None)
-            except TypeErr:
-                return False
-            return owners.intersect(theta) is not None
-        case Lam(_, _, _, owners):
-            return owners.issubset(theta)
-        case Vec(elems):
-            return all(_element_masks(env, e, theta) for e in elems)
-        case Fst(owners) | Snd(owners) | Lookup(_, owners):
-            return owners.issubset(theta)
-        case Com(sender, recipients):
-            return sender in theta and recipients.issubset(theta)
-    return False
-
-
-def _flex_value(env: TypeEnv, v: ChorValue, param: ChorType,
-                mask_set: PartySet, span: Optional[Span]) -> ChorType:
-    if isinstance(param, DataTy):
-        _check_data_shape(env, v, param.shape, span)
-        owners = _data_owners(env, v, span)
-        inter = owners.intersect(mask_set)
-        if inter != param.owners:
-            raise TypeErr(ARG_MISMATCH,
-                          f"data value owned by {owners} masks to "
-                          f"{inter if inter else '{}'} at {mask_set}, "
-                          f"expected {param.owners}", span)
-        return DataTy(param.shape, owners)
-    if isinstance(param, FunTy):
-        # function types only mask to themselves
-        if not param.owners.issubset(mask_set):
-            raise TypeErr(ARG_MISMATCH,
-                          f"{print_type(param)} cannot be masked to "
-                          f"{mask_set}", span)
-        check_value(env, v, param, span)
-        return param
-    if isinstance(param, TupleTy):
-        if not isinstance(v, Vec) or len(v.elems) != len(param.elems):
-            raise TypeErr(ARG_MISMATCH,
-                          f"tuple value expected for {print_type(param)}",
-                          span)
-        witnesses = []
-        for elem, t in zip(v.elems, param.elems):
-            if isinstance(elem, _FLEX_VALUES):
-                witnesses.append(_flex_value(env, elem, t, mask_set, span))
-                continue
-            try:
-                got = synth_value(env, elem, span)
-            except TypeErr as err:
-                if err.kind != AMBIGUOUS_SUM:
-                    raise
-                witnesses.append(_flex_value(env, elem, t, mask_set, span))
-                continue
-            if mask_type(got, mask_set) != t:
-                raise TypeErr(ARG_MISMATCH,
-                              f"tuple element of type {print_type(got)} "
-                              f"does not mask to {print_type(t)}", span)
-            witnesses.append(got)
-        _note("TVEC")
-        return TupleTy(tuple(witnesses))
-    raise TypeError(f"not a type: {param!r}")
+        return None
 
 
 # ---------------------------------------------------------------------------
-# the data fragment: shapes and owner sets are recoverable even when the
-# full type of an injection is not
+# the walk
 
-def _check_data_value(env: TypeEnv, v: ChorValue, shape, owners: PartySet,
-                      span: Optional[Span]) -> None:
-    _check_data_shape(env, v, shape, span)
-    got = _data_owners(env, v, span)
-    if got != owners:
-        raise TypeErr(ARG_MISMATCH,
-                      f"data value owned by {got}, expected {owners}", span)
-
-
-def _check_data_shape(env: TypeEnv, v: ChorValue, shape,
-                      span: Optional[Span]) -> None:
-    match v:
-        case Unit():
-            if not isinstance(shape, (DUnit, DAny)):
-                raise TypeErr(ARG_MISMATCH,
-                              f"unit value checked against "
-                              f"{canonical_shape(shape)}", span)
-        case Inl(inner):
-            sides = _sum_sides(shape)
-            if sides is None:
-                raise TypeErr(ARG_MISMATCH,
-                              f"Inl checked against {canonical_shape(shape)}",
-                              span)
-            _check_data_shape(env, inner, sides[0], span)
-            _note("TINL")
-        case Inr(inner):
-            sides = _sum_sides(shape)
-            if sides is None:
-                raise TypeErr(ARG_MISMATCH,
-                              f"Inr checked against {canonical_shape(shape)}",
-                              span)
-            _check_data_shape(env, inner, sides[1], span)
-            _note("TINR")
-        case Pair(a, b):
-            sides = _prod_sides(shape)
-            if sides is None:
-                raise TypeErr(ARG_MISMATCH,
-                              f"Pair checked against {canonical_shape(shape)}",
-                              span)
-            _check_data_shape(env, a, sides[0], span)
-            _check_data_shape(env, b, sides[1], span)
-            _note("TPAIR")
-        case Var():
-            got = _require_data(synth_value(env, v, span), "variable", span)
-            if got.shape != shape:
-                raise TypeErr(ARG_MISMATCH,
-                              f"{print_type(got)} has shape "
-                              f"{canonical_shape(got.shape)}, expected "
-                              f"{canonical_shape(shape)}", span)
-        case _:
-            raise TypeErr(ARG_MISMATCH, "not a data value", span)
-
-
-def _data_owners(env: TypeEnv, v: ChorValue,
-                 span: Optional[Span]) -> PartySet:
-    match v:
-        case Unit(owners):
-            _require_subset(owners, env.theta, span)
-            _note("TUNIT")
-            return owners
-        case Inl(inner) | Inr(inner):
-            return _data_owners(env, inner, span)
-        case Pair(a, b):
-            inter = _data_owners(env, a, span).intersect(
-                _data_owners(env, b, span))
-            if inter is None:
-                raise TypeErr(PAIR_COMPONENTS_DISJOINT,
-                              "pair components share no owner", span)
-            return inter
-        case Var():
-            got = _require_data(synth_value(env, v, span), "variable", span)
-            return got.owners
-    raise TypeErr(ARG_MISMATCH, "not a data value", span)
-
-
-def _flex_data(env: TypeEnv, e: ChorExpr, shape,
-               span: Optional[Span]) -> PartySet:
-    """Owner set of a flexible data expression of a known shape."""
-    match e:
-        case Val(v):
-            _check_data_shape(env, v, shape, span)
-            return _data_owners(env, v, span)
-        case App(Val(Lam() as lam), bound):
-            _lam_preconditions(env, lam, e.span)
-            check_arg(env, bound, lam.param_type, lam.owners)
-            inner = env.with_theta(lam.owners).bind(lam.param, lam.param_type)
-            return _flex_data(inner, lam.body, shape, e.span)
-        case App(Val(Com() as com), inner):
-            full = com.recipients.union(PartySet([com.sender]))
-            _require_subset(full, env.theta, e.span)
-            payload_owners = _flex_data(env, inner, shape, e.span)
-            if com.sender not in payload_owners:
-                raise TypeErr(SENDER_NOT_OWNER,
-                              f"sender {com.sender} does not own the "
-                              f"argument", e.span)
-            _note("TCOM")
+def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
+          span: Optional[Span] = None) -> ChorType:
+    """Type an expression or value against a partial expectation.  `span`
+    is the enclosing node's: a value without a span reports there, and so
+    does data asked for by com, fst, snd or lookup."""
+    here = span or node.span
+    match node:
+        case Val() if want is None:
+            return _walk(env, node.value, None, node.span)
+        case Val():
+            return _walk_val(env, node, want, span)
+        case App():
+            fn, arg = node.fn, node.arg
+            head = fn.value if isinstance(fn, Val) else None
+            if isinstance(head, Com):
+                return _com_app(env, head, arg, want, node.span)
+            if want is not None and isinstance(head, Lam):
+                inner = _lam_body_env(env, head, node.span)
+                check_arg(env, arg, head.param_type, head.owners)
+                _note("TLAMBDA", "TAPP")
+                return _walk(inner, head.body, want, node.span)
+            if want is not None and want.exact:
+                _synth_first(env, node, want, node.span,
+                             Want(want.type, env.theta))
+                return want.type
+            if isinstance(head, (Fst, Snd)):
+                return _proj_app(env, head, arg, want, node.span)
+            if isinstance(head, Lookup) and (want is None or (
+                    isinstance(arg, Val) and isinstance(arg.value, Vec))):
+                return _lookup_app(env, head, arg, want, node.span)
+            if want is not None:
+                raise TypeErr(AMBIGUOUS_SUM, "cannot determine the type; "
+                              "annotate it", span if want.open else node.span)
+            if isinstance(head, (Unit, Inl, Inr, Pair, Vec)):
+                raise TypeErr(NOT_A_FUNCTION, "applied a non-function value",
+                              node.span)
+            tf = _walk(env, fn, None)
+            if not isinstance(tf, FunTy):
+                raise TypeErr(NOT_A_FUNCTION, "applied expression of type "
+                              f"{print_type(tf)}", node.span)
+            check_arg(env, arg, tf.arg, tf.owners)
             _note("TAPP")
-            return com.recipients
-        case App(Val(Fst() as kw), inner) | App(Val(Snd() as kw), inner):
-            _require_subset(kw.owners, env.theta, e.span)
-            pair_shape = (DProd(shape, DAny()) if isinstance(kw, Fst)
-                          else DProd(DAny(), shape))
-            pv = _flex_data(env, inner, pair_shape, e.span)
-            if not kw.owners.issubset(pv):
-                raise TypeErr(ARG_MISMATCH,
-                              f"pair owned by {pv} does not cover the "
-                              f"projection at {kw.owners}", e.span)
-            _note("TPROJ1" if isinstance(kw, Fst) else "TPROJ2")
-            _note("TAPP")
-            return kw.owners
-        case App(Val(Lookup() as kw), Val(Vec() as vec)):
-            _require_subset(kw.owners, env.theta, e.span)
-            if kw.index > len(vec.elems):
-                raise TypeErr(INDEX_OUT_OF_RANGE,
-                              f"lookup[{kw.index}] into a "
-                              f"{len(vec.elems)}-tuple", e.span)
-            elem_owners = _flex_data(env, Val(vec.elems[kw.index - 1]),
-                                     shape, e.span)
-            for n, elem in enumerate(vec.elems, start=1):
-                if n != kw.index and not _element_masks(env, elem, kw.owners):
-                    raise TypeErr(MASK_UNDEFINED,
-                                  f"tuple element {n} does not mask to "
-                                  f"{kw.owners}", e.span)
-            inter = elem_owners.intersect(kw.owners)
-            if inter is None:
-                raise TypeErr(MASK_UNDEFINED,
-                              f"element owned by {elem_owners} does not mask "
-                              f"to {kw.owners}", e.span)
-            _note("TPROJN")
-            _note("TAPP")
-            return inter
+            return tf.ret
         case Case():
-            _, _, env_l, env_r = _case_prelude(env, e)
-            wl = _flex_data(env_l, e.left_body, shape, e.span)
-            wr = _flex_data(env_r, e.right_body, shape, e.span)
-            if wl != wr:
-                raise TypeErr(BRANCH_MISMATCH,
-                              "branches disagree on the owner set", e.span)
+            return _case(env, node, want)
+
+        # values
+        case Var():
+            t = env.lookup(node.name, here)
+            masked = mask_type(t, env.theta)
+            if masked is None:
+                raise TypeErr(MASK_UNDEFINED, f"{node.name}: {print_type(t)} "
+                              f"has no owner in {env.theta}", here)
+            _note("TVAR")
+            return masked if want is None else _fit(masked, want, here)
+        case Unit():
+            owners = node.owners
+            _note("TUNIT")
+            data = want is not None and not want.exact
+            if data and not isinstance(want.shape, (DUnit, DAny)):
+                raise TypeErr(ARG_MISMATCH, "unit value checked against "
+                              f"{print_data(want.shape)}", here)
+            if not owners.issubset(env.theta):
+                if not data or want.owners_first:
+                    _require_subset(owners, env.theta, here)
+                owners = None
+            shape = want.shape if data else None
+            t = DataTy(shape if isinstance(shape, DUnit) else DUnit(), owners)
+            return t if want is None or data else _fit(t, want, here)
+        case Inl() | Inr():
+            if want is None:
+                raise TypeErr(AMBIGUOUS_SUM, "injection needs an expected "
+                              "type; add an annotation", here)
+            left = isinstance(node, Inl)
+            sides = _sides(want.shape, DSum)
+            if sides is None:
+                raise TypeErr(ARG_MISMATCH, "injection checked against a "
+                              "type that is not a sum", here)
+            side = sides[0] if left else sides[1]
+            got = _walk(env, node.value, _data(side, want.owners_first), here)
+            _note("TINL" if left else "TINR")
+            if got.shape is side:
+                return DataTy(want.shape, got.owners)
+            # a hole took the value's shape
+            return DataTy(DSum(got.shape, sides[1]) if left
+                          else DSum(sides[0], got.shape), got.owners)
+        case Pair():
+            data = want is not None and want.shape is not None
+            sides = _sides(want.shape, DProd) if data else (None, None)
+            if sides is None:
+                raise TypeErr(ARG_MISMATCH, "pair checked against "
+                              f"{print_data(want.shape)}", here)
+            parts = []
+            for x, side in zip((node.first, node.second), sides):
+                t = _walk(env, x, _data(side, want.owners_first) if data
+                          else None, here)
+                parts.append(t if data else _require_data(t, "pair component",
+                                                          here))
+            ta, tb = parts
+            owners = (None if ta.owners is None or tb.owners is None
+                      else ta.owners.intersect(tb.owners))
+            if owners is None and (not data or want.owners_first):
+                raise TypeErr(PAIR_COMPONENTS_DISJOINT, "pair components "
+                              f"share no owner: {ta.owners} vs {tb.owners}",
+                              here)
+            _note("TPAIR")
+            if data and ta.shape is sides[0] and tb.shape is sides[1]:
+                return DataTy(want.shape, owners)
+            t = DataTy(DProd(ta.shape, tb.shape), owners)
+            return t if want is None or data else _fit(t, want, here)
+        case Vec() | Lam() | Fst() | Snd() | Lookup() | Com() if (
+                want is not None and want.shape is not None
+                and (isinstance(node, Vec) or not want.exact)):
+            raise TypeErr(ARG_MISMATCH, "not a data value", here)
+        case Vec():
+            elems = node.elems
+            _note("TVEC")
+            if want is not None and isinstance(want.type, TupleTy):
+                if len(elems) != len(want.type.elems):
+                    raise TypeErr(ARG_MISMATCH, "tuple does not fit "
+                                  f"{print_type(want.type)}", here)
+                for x, t in zip(elems, want.type.elems):
+                    _walk(env, Val(x, here), Want(t))
+                return want.type
+            t = TupleTy(tuple(_walk(env, x, None, here) for x in elems))
+            return t if want is None else _fit(t, want, here)
+        case Lam():
+            expected = want.type if want is not None else None
+            checking = isinstance(expected, FunTy)
+            if checking and (node.owners != expected.owners
+                             or not _same(node.param_type, expected.arg)):
+                raise TypeErr(ARG_MISMATCH, "function literal does not fit "
+                              f"{print_type(expected)}", here)
+            inner = _lam_body_env(env, node, here)
+            _note("TLAMBDA")
+            if checking:
+                _walk(inner, node.body, Want(expected.ret))
+                return expected
+            t = FunTy(node.param_type, _walk(inner, node.body, None),
+                      node.owners)
+            return t if want is None else _fit(t, want, here)
+        case Fst() | Snd() | Lookup() if (
+                want is None or not isinstance(want.type, FunTy)):
+            raise TypeErr(AMBIGUOUS_SUM, "projection keyword needs an "
+                          "expected type or an argument", here)
+        case Fst() | Snd():
+            owners = node.owners
+            dom = want.type.arg
+            sides = _sides(dom, DProd)
+            if sides is None:
+                raise TypeErr(ARG_MISMATCH, "fst/snd does not fit "
+                              f"{print_type(want.type)}", here)
+            _require_subset(owners, env.theta, here)
+            left = isinstance(node, Fst)
+            _note("TPROJ1" if left else "TPROJ2")
+            side = sides[0] if left else sides[1]
+            return _fit(FunTy(DataTy(dom.shape, owners), DataTy(side, owners),
+                              owners), want, here)
+        case Lookup():
+            index, owners = node.index, node.owners
+            expected = want.type
+            _require_subset(owners, env.theta, here)
+            dom = expected.arg
+            if not isinstance(dom, TupleTy) or index > len(dom.elems):
+                raise TypeErr(ARG_MISMATCH, f"lookup[{index}] does not fit "
+                              f"{print_type(expected)}", here)
+            if not is_noop(dom, owners):
+                raise TypeErr(NOOP_VIOLATION, f"{print_type(dom)} is not "
+                              f"fixed by masking to {owners}", here)
+            _note("TPROJN")
+            return _fit(FunTy(dom, dom.elems[index - 1], owners), want, here)
+        case Com():
+            sender, recipients = node.sender, node.recipients
+            expected = want.type if want is not None else None
+            full = recipients.union(PartySet([sender]))
+            _note("TCOM")
+            if isinstance(expected, FunTy):
+                arg = expected.arg
+                if not (isinstance(arg, DataTy) and sender in arg.owners):
+                    raise TypeErr(ARG_MISMATCH, f"com[{sender}]{recipients} "
+                                  f"does not fit {print_type(expected)}", here)
+                _fit(FunTy(arg, DataTy(arg.shape, recipients), full), want,
+                     here)
+                _require_subset(arg.owners.union(recipients), env.theta, here)
+                return expected
+            _require_subset(full, env.theta, here)
+            t = FunTy(DataTy(DUnit(), PartySet([sender])),
+                      DataTy(DUnit(), recipients), full)
+            return t if want is None else _fit(t, want, here)
+    raise TypeError(f"not an expression: {node!r}")
+
+
+def _walk_val(env: TypeEnv, node: Val, want: Want,
+              span: Optional[Span]) -> ChorType:
+    """A value in expression position.  Under a mask a function type only
+    masks to itself and a tuple type checks by components.  A data value
+    raises its owner error here, then its owners meet the expectation."""
+    v, expected = node.value, want.type
+    if want.mask is not None:
+        if isinstance(expected, FunTy):
+            if not expected.owners.issubset(want.mask):
+                raise TypeErr(ARG_MISMATCH, f"{print_type(expected)} cannot "
+                              f"be masked to {want.mask}", node.span)
+            want = Want(expected)
+        elif isinstance(expected, TupleTy):
+            if not isinstance(v, Vec) or len(v.elems) != len(expected.elems):
+                raise TypeErr(ARG_MISMATCH, "tuple value expected for "
+                              f"{print_type(expected)}", node.span)
+            _note("TVEC")
+            return TupleTy(tuple(
+                check_arg(env, Val(x, node.span), t, want.mask)
+                for x, t in zip(v.elems, expected.elems)))
+    here = span if want.open else node.span
+    t = _walk(env, v, want, here)
+    if want.shape is None:
+        return t
+    if t.owners is None:  # find the owner error, shape no longer matters
+        _walk(env, v, _data(want.shape, True), here)
+    got = t.owners if want.mask is None else t.owners.intersect(want.mask)
+    if not want.open and got != expected.owners:
+        raise TypeErr(ARG_MISMATCH, f"data value owned by {t.owners} does "
+                      f"not fit {print_type(expected)}", node.span)
+    if want.exact:
+        return expected
+    return t if t.shape is want.shape else DataTy(want.shape, t.owners)
+
+
+def _com_app(env: TypeEnv, com: Com, arg: ChorExpr, want: Optional[Want],
+             span: Optional[Span]) -> ChorType:
+    full = com.recipients.union(PartySet([com.sender]))
+    if want is None:
+        _require_subset(full, env.theta, span)
+        got = _require_data(_walk(env, arg, None), "com argument", span)
+        payload = got.shape
+    else:
+        owners = (com.recipients if want.mask is None
+                  else com.recipients.intersect(want.mask))
+        if want.shape is None or not want.open and want.type.owners != owners:
+            if want.mask is None:
+                _require_subset(full, env.theta, span)
+            raise TypeErr(ARG_MISMATCH, f"com to {com.recipients} cannot "
+                          f"produce {print_type(want.type)}", span)
+        _require_subset(full, env.theta, span)
+        payload = want.shape
+        walk = _synth_first if want.exact else _walk
+        got = walk(env, arg, _data(payload), span)
+    if com.sender not in got.owners:
+        raise TypeErr(SENDER_NOT_OWNER, f"sender {com.sender} does not own "
+                      "the argument", span)
+    _note("TCOM", "TAPP")
+    return DataTy(payload, com.recipients)
+
+
+def _proj_app(env: TypeEnv, kw: Fst | Snd, arg: ChorExpr,
+              want: Optional[Want], span: Optional[Span]) -> ChorType:
+    left = isinstance(kw, Fst)
+    _note("TPROJ1" if left else "TPROJ2", "TAPP")
+    if want is not None and want.mask is not None and not (
+            isinstance(want.type, DataTy)
+            and kw.owners.intersect(want.mask) == want.type.owners):
+        raise TypeErr(ARG_MISMATCH, f"projection at {kw.owners} cannot "
+                      f"produce {print_type(want.type)}", span)
+    _require_subset(kw.owners, env.theta, span)
+    if want is None:
+        pair = _require_data(_walk(env, arg, None), "argument", span)
+        sides = _sides(pair.shape, DProd)
+        if sides is None:
+            raise TypeErr(ARG_MISMATCH, "fst/snd needs a product, got "
+                          f"{print_type(pair)}", span)
+        shape = sides[0] if left else sides[1]
+    else:
+        shape = want.shape
+        pair = _walk(env, arg, _data(DProd(shape, DAny()) if left
+                                     else DProd(DAny(), shape)), span)
+    if not kw.owners.issubset(pair.owners):
+        raise TypeErr(ARG_MISMATCH, f"pair owned by {pair.owners} does not "
+                      f"cover the projection at {kw.owners}", span)
+    return DataTy(shape, kw.owners)
+
+
+def _lookup_app(env: TypeEnv, kw: Lookup, arg: ChorExpr,
+                want: Optional[Want], span: Optional[Span]) -> ChorType:
+    """Synthesized from a tuple type, or checked on a tuple literal."""
+    _require_subset(kw.owners, env.theta, span)
+    _note("TPROJN", "TAPP")
+    if want is None:
+        tup = _walk(env, arg, None)
+        if not isinstance(tup, TupleTy):
+            raise TypeErr(ARG_MISMATCH, "lookup needs a tuple, got "
+                          f"{print_type(tup)}", span)
+        _require_index(kw, len(tup.elems), span)
+        masked = mask_type(tup, kw.owners)
+        if masked is None:
+            raise TypeErr(MASK_UNDEFINED, f"{print_type(tup)} does not mask "
+                          f"to {kw.owners}", span)
+        return masked.elems[kw.index - 1]
+    elems = arg.value.elems
+    _require_index(kw, len(elems), span)
+    picked = Val(elems[kw.index - 1], span)
+    if want.open:
+        got = _walk(env, picked, want, span)
+    else:
+        narrowed = kw.owners.intersect(want.mask)
+        if narrowed is None:
+            raise TypeErr(ARG_MISMATCH, f"lookup at {kw.owners} cannot mask "
+                          f"to {print_type(want.type)}", span)
+        got = _synth_first(env, picked, Want(want.type, narrowed), span)
+    for n, elem in enumerate(elems, start=1):
+        if n != kw.index and not _masks(env, elem, kw.owners):
+            raise TypeErr(MASK_UNDEFINED, f"tuple element {n} does not mask "
+                          f"to {kw.owners}", span)
+    result = mask_type(got, kw.owners)
+    if want.open and result is None:
+        raise TypeErr(MASK_UNDEFINED, f"element owned by {got.owners} does "
+                      f"not mask to {kw.owners}", span)
+    if not want.open and (result is None or not _same(
+            mask_type(result, want.mask), want.type)):
+        raise TypeErr(ARG_MISMATCH, "lookup result does not fit "
+                      f"{print_type(want.type)}", span)
+    return result
+
+
+def _masks(env: TypeEnv, v: ChorValue, theta: PartySet) -> bool:
+    """Whether some type of v masks under theta.  Lenient for the unused
+    slots of a tuple literal, whose exact types nothing pins down."""
+    try:
+        t = _try_synth(env, v)
+        if t is None and isinstance(v, (Inl, Inr, Pair)):
+            t = _walk(env, Val(v), _data(DAny()))  # only its owners matter
+    except TypeErr:
+        return False
+    if t is not None:
+        return mask_type(t, theta) is not None
+    if isinstance(v, Vec):
+        return all(_masks(env, x, theta) for x in v.elems)
+    return mask_value(v, theta) is not None
+
+
+def _case(env: TypeEnv, e: Case, want: Optional[Want]) -> ChorType:
+    _require_subset(e.guards, env.theta, e.span)
+    try:
+        tn = _walk(env, e.scrutinee, None)
+    except TypeErr as err:
+        if err.kind != AMBIGUOUS_SUM or not isinstance(e.scrutinee, Val):
+            raise
+        # a bare injection still has definite owners and a definite shape on
+        # the side it carries; the other side stays a hole
+        tn = _walk(env, e.scrutinee.value, _data(DAny(), True), e.span)
+        if tn.owners.intersect(e.guards) != e.guards:
+            raise TypeErr(MASK_UNDEFINED, f"guard owned by {tn.owners} misses "
+                          f"branching parties of {e.guards}", e.span) from err
+    masked = mask_type(tn, e.guards)
+    if masked is None:
+        raise TypeErr(MASK_UNDEFINED, f"guard of type {print_type(tn)} has no "
+                      f"owner among {e.guards}", e.span)
+    sides = _sides(masked, DSum)
+    if sides is None:
+        raise TypeErr(GUARD_NOT_SUM, "guard must be a located sum, got "
+                      f"{print_type(tn)}", e.span)
+    if masked.owners != e.guards:
+        raise TypeErr(MASK_UNDEFINED, f"guard of type {print_type(tn)} is not "
+                      f"located at all branching parties {e.guards}", e.span)
+    inner = env.with_theta(e.guards)
+    env_l = inner.bind(e.left_var, DataTy(sides[0], e.guards))
+    env_r = inner.bind(e.right_var, DataTy(sides[1], e.guards))
+    _note("TCASE")
+    if want is not None:
+        wl = _walk(env_l, e.left_body, want, e.span)
+        wr = _walk(env_r, e.right_body, want, e.span)
+    else:
+        # a branch that cannot synthesize checks against the other one
+        wl = _try_synth(env_l, e.left_body)
+        if wl is None:
+            wr = _walk(env_r, e.right_body, None)
+            _walk(env_l, e.left_body, Want(wr))
+            return wr
+        wr = _try_synth(env_r, e.right_body)
+        if wr is None:
+            _walk(env_r, e.right_body, Want(wl))
             return wl
-    raise TypeErr(AMBIGUOUS_SUM,
-                  "cannot determine the owners of this expression", span)
+    if not _same(wl, wr):
+        raise TypeErr(BRANCH_MISMATCH, f"branches disagree: {print_type(wl)} "
+                      f"vs {print_type(wr)}", e.span)
+    return wl
 
 
 # ---------------------------------------------------------------------------
 # small shared helpers
 
-def canonical_shape(shape) -> str:
-    from .syntax import print_data
-    return print_data(shape)
+def _fit(got: ChorType, want: Want, span: Optional[Span]) -> ChorType:
+    """Compare a synthesized type with an expectation."""
+    expected = want.type
+    if want.mask is not None:
+        ok = _same(mask_type(got, want.mask), expected)
+    elif want.open:
+        ok = isinstance(got, DataTy) and _same(got.shape, want.shape)
+    else:
+        ok = _same(got, expected)
+    if not ok:
+        wanted = print_data(want.shape) if want.open else print_type(expected)
+        raise TypeErr(ARG_MISMATCH, f"expected {wanted}, got "
+                      f"{print_type(got)}", span)
+    return expected if want.exact else got
+
+
+def _same(a, b) -> bool:
+    """Structural equality of types in which a hole matches any shape."""
+    if a == b:
+        return True
+    if isinstance(a, DAny) or isinstance(b, DAny):
+        shapes = (DUnit, DSum, DProd, DAny)
+        return isinstance(a, shapes) and isinstance(b, shapes)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return (type(a) is type(b)
+            and isinstance(a, (DSum, DProd, DataTy, FunTy, TupleTy))
+            and all(map(_same, vars(a).values(), vars(b).values())))
+
+
+def _sides(shape, cls):
+    """Sides of a sum or product shape or data type; a hole has holes."""
+    if isinstance(shape, DataTy):
+        shape = shape.shape
+    if isinstance(shape, cls):
+        return shape.left, shape.right
+    if isinstance(shape, DAny):
+        return DAny(), DAny()
+    return None
+
+
+def _lam_body_env(env: TypeEnv, lam: Lam, span: Optional[Span]) -> TypeEnv:
+    """Check a lambda's owners and parameter type; its body's environment."""
+    _require_subset(lam.owners, env.theta, span)
+    if not is_noop(lam.param_type, lam.owners):
+        raise TypeErr(NOOP_VIOLATION, f"{print_type(lam.param_type)} is not "
+                      f"fixed by masking to {lam.owners}", span)
+    return env.with_theta(lam.owners).bind(lam.param, lam.param_type)
+
+
+def _require_index(kw: Lookup, length: int, span: Optional[Span]) -> None:
+    if kw.index > length:
+        raise TypeErr(INDEX_OUT_OF_RANGE,
+                      f"lookup[{kw.index}] into a {length}-tuple", span)
 
 
 def _require_subset(owners: PartySet, theta: PartySet,
@@ -938,11 +647,3 @@ def _require_data(t: ChorType, what: str, span: Optional[Span]) -> DataTy:
         raise TypeErr(ARG_MISMATCH,
                       f"{what} must be data, got {print_type(t)}", span)
     return t
-
-
-def _expect_equal(got: ChorType, expected: ChorType,
-                  span: Optional[Span]) -> None:
-    if got != expected:
-        raise TypeErr(ARG_MISMATCH,
-                      f"expected {print_type(expected)}, got "
-                      f"{print_type(got)}", span)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from helam.cli import main
 from helam.network import Network, explore, format_trace, simulate
 from helam.projection import floor, project, project_all, roles
 from helam.semantics import run
@@ -217,6 +218,19 @@ class TestCli:
                               "--exhaustive")
         assert result.returncode == 0
         assert "terminal networks: 1" in result.stdout
+
+    def test_exhaustive_budget_hit_is_not_success(self, corpus_dir, capsys):
+        code = main(["simulate", str(corpus_dir / "kvs_put.hll"),
+                     "--exhaustive", "--budget", "5"])
+        out = capsys.readouterr().out
+        assert "states explored: 5 (budget hit)" in out
+        assert code == 3
+
+    def test_exhaustive_complete_exits_zero(self, corpus_dir, capsys):
+        code = main(["simulate", str(corpus_dir / "kvs_put.hll"),
+                     "--exhaustive"])
+        assert "(budget hit)" not in capsys.readouterr().out
+        assert code == 0
 
     def test_missing_file_is_a_usage_error(self):
         result = self.run_cli("check", "no/such/file.hll")

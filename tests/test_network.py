@@ -2,6 +2,7 @@
 
 import pytest
 
+import helam
 from helam.network import (
     DeadlockReport, Network, SimulationFault, enumerate_net_steps, explore,
     format_trace, local_step, receive_step, replay, simulate,
@@ -130,6 +131,11 @@ class TestSimulate:
         out = simulate(Network({"p": BVal(LUnit())}), seed=0)
         assert out.trace == []
         assert format_trace(out.trace) == ""
+
+    def test_running_out_of_fuel_raises_the_package_error(self, corpus):
+        net = Network(project_all(corpus("kvs_put").core))
+        with pytest.raises(helam.FuelExhausted):
+            simulate(net, fuel=0)
 
 
 def test_recipient_already_owning_the_value_still_rendezvouses():

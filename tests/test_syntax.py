@@ -9,6 +9,7 @@ from helam.syntax import (
     App, Case, Com, DProd, DSum, DUnit, DataTy, EmptyPartySet, Fst, FunTy,
     Inl, Inr, Lam, Lookup, Pair, PartySet, Snd, TupleTy, Unit, Val, Var, Vec,
     canonical_print, free_vars, node_count, parties, print_expr, print_type,
+    type_parties,
 )
 
 P = parties("p")
@@ -55,6 +56,14 @@ class TestFreeVars:
     def test_case_binders(self):
         e = Case(P, Val(Var("s")), "a", Val(Var("a")), "b", Val(Var("c")))
         assert free_vars(e) == {"s", "c"}
+
+
+def test_type_parties_reaches_nested_components():
+    t = FunTy(TupleTy((DataTy(DUnit(), parties("a")),
+                       FunTy(DataTy(DUnit(), parties("b")),
+                             DataTy(DUnit(), parties("c")), parties("d")))),
+              DataTy(DSum(DUnit(), DUnit()), parties("e", "a")), parties("f"))
+    assert type_parties(t) == {"a", "b", "c", "d", "e", "f"}
 
 
 class TestPrinting:

@@ -5,12 +5,13 @@ import pytest
 from helam.surface import compile_text
 from helam.syntax import (
     App, Case, Com, DProd, DSum, DUnit, DataTy, Fst, FunTy, Inl, Inr, Lam,
-    Lookup, Pair, TupleTy, Unit, Val, Var, Vec, parties,
+    Lookup, Pair, Snd, TupleTy, Unit, Val, Var, Vec, parties, print_type,
 )
 from helam.typecheck import (
-    AMBIGUOUS_SUM, ARG_MISMATCH, MASK_UNDEFINED, NOOP_VIOLATION,
-    NOT_A_FUNCTION, PAIR_COMPONENTS_DISJOINT, PARTIES_NOT_SUBSET,
-    SENDER_NOT_OWNER, UNBOUND_VAR, TypeEnv, TypeErr, synth, typecheck,
+    AMBIGUOUS_SUM, ARG_MISMATCH, GUARD_NOT_SUM, INDEX_OUT_OF_RANGE,
+    MASK_UNDEFINED, NOOP_VIOLATION, NOT_A_FUNCTION, PAIR_COMPONENTS_DISJOINT,
+    PARTIES_NOT_SUBSET, SENDER_NOT_OWNER, UNBOUND_VAR, TypeEnv, TypeErr,
+    synth, typecheck,
 )
 
 P = parties("p")
@@ -173,6 +174,122 @@ class TestBidirectional:
 
     def test_check_rejects_wrong_type(self):
         expect_kind(ARG_MISMATCH, PQ, Val(Unit(P)), unit_t(PQ))
+
+
+# ---------------------------------------------------------------------------
+# flexible forms: the keyword functions and bare injections, which cannot
+# synthesize a type on their own, in each position an expectation reaches
+# them from, accepted and rejected (TestBidirectional accepts bare fst and
+# an injection as a com argument)
+
+FST_T = FunTy(DataTy(DProd(UNIT, BOOL), P), unit_t(P), P)
+SND_T = FunTy(DataTy(DProd(UNIT, BOOL), P), DataTy(BOOL, P), P)
+LOOKUP_T = FunTy(TupleTy((unit_t(P), DataTy(BOOL, P))), DataTy(BOOL, P), P)
+COM_T = FunTy(DataTy(BOOL, P), DataTy(BOOL, Q), PQ)
+INL_P = Inl(Unit(P))
+
+
+def flex_com(sender, recipients, payload):
+    return App(Val(Com(sender, recipients)), Val(payload))
+
+
+def apply_lam(t, owners, arg):
+    """(fn f: t. f)@owners applied to arg: arg is checked against t."""
+    return App(Val(Lam("f", t, Val(Var("f")), owners)), arg)
+
+
+def bare_case(guards, scrut, left, right):
+    return Case(guards, Val(scrut), "x", left, "y", right)
+
+
+FLEX_ACCEPT = [
+    ("snd-against-fun", PQ, Val(Snd(P)), SND_T, SND_T),
+    ("lookup-against-fun", PQ, Val(Lookup(2, P)), LOOKUP_T, LOOKUP_T),
+    ("com-against-fun", PQ, Val(Com("p", Q)), COM_T, COM_T),
+    ("fst-as-argument", PQ, apply_lam(FST_T, P, Val(Fst(P))), None, FST_T),
+    ("com-as-argument", PQ, apply_lam(COM_T, PQ, Val(Com("p", Q))), None,
+     COM_T),
+    ("lookup-literal-with-injection", PQ,
+     App(Val(Lookup(1, P)), Val(Vec((INL_P, Unit(PQ))))),
+     DataTy(BOOL, P), DataTy(BOOL, P)),
+    ("lookup-literal-under-com", PQ,
+     App(Val(Com("p", Q)), App(Val(Lookup(1, P)), Val(Vec((INL_P, Unit(P)))))),
+     DataTy(BOOL, Q), DataTy(BOOL, Q)),
+    ("com-of-injection-as-argument", PQ,
+     apply_lam(DataTy(BOOL, Q), PQ, flex_com("p", Q, INL_P)), None,
+     DataTy(BOOL, Q)),
+    ("injection-in-projected-pair", PQ,
+     App(Val(Fst(P)), Val(Pair(INL_P, Unit(PQ)))),
+     DataTy(BOOL, P), DataTy(BOOL, P)),
+    ("injection-in-snd-pair-under-com", PQ,
+     App(Val(Com("p", Q)), App(Val(Snd(P)), Val(Pair(Unit(P), INL_P)))),
+     DataTy(BOOL, Q), DataTy(BOOL, Q)),
+    ("case-on-bare-injection", P,
+     bare_case(P, INL_P, Val(Unit(P)), Val(Unit(P))), None, unit_t(P)),
+    # the unconstrained sum side stays a hole in the witness type
+    ("case-on-bare-injection-binds-a-hole", P,
+     bare_case(P, Inr(Unit(P)), Val(Var("x")), Val(Var("y"))), None,
+     "(_)@[p]"),
+]
+
+FLEX_REJECT = [
+    ("fst-against-non-product", PQ, Val(Fst(P)),
+     FunTy(unit_t(P), unit_t(P), P), ARG_MISMATCH),
+    ("snd-against-wrong-owners", PQ, Val(Snd(P)),
+     FunTy(DataTy(DProd(UNIT, BOOL), P), DataTy(BOOL, P), PQ), ARG_MISMATCH),
+    ("lookup-against-unmasked-domain", PQ, Val(Lookup(1, P)),
+     FunTy(TupleTy((unit_t(PQ),)), unit_t(PQ), P), NOOP_VIOLATION),
+    ("com-against-wrong-recipients", PQ, Val(Com("p", Q)),
+     FunTy(DataTy(BOOL, P), DataTy(BOOL, P), PQ), ARG_MISMATCH),
+    ("fst-as-argument-wrong-type", PQ,
+     apply_lam(FST_T, P, Val(Snd(P))), None, ARG_MISMATCH),
+    ("com-against-fun-absent-party", PQ, Val(Com("p", parties("r"))),
+     FunTy(DataTy(BOOL, P), DataTy(BOOL, parties("r")), parties("p", "r")),
+     PARTIES_NOT_SUBSET),
+    ("com-as-argument-wrong-sender", PQ,
+     apply_lam(COM_T, PQ, Val(Com("q", Q))), None, ARG_MISMATCH),
+    ("lookup-literal-unmasked-element", PQ,
+     App(Val(Lookup(1, P)), Val(Vec((INL_P, Unit(Q))))),
+     DataTy(BOOL, P), MASK_UNDEFINED),
+    ("lookup-literal-under-com-out-of-range", PQ,
+     App(Val(Com("p", Q)), App(Val(Lookup(3, P)), Val(Vec((INL_P, Unit(P)))))),
+     DataTy(BOOL, Q), INDEX_OUT_OF_RANGE),
+    ("injection-as-com-argument-wrong-sender", PQ, flex_com("q", Q, INL_P),
+     DataTy(BOOL, Q), SENDER_NOT_OWNER),
+    ("com-of-injection-as-argument-wrong-owners", PQ,
+     apply_lam(DataTy(BOOL, P), PQ, flex_com("p", Q, INL_P)), None,
+     ARG_MISMATCH),
+    ("injection-in-projected-pair-not-covered", PQ,
+     App(Val(Fst(PQ)), Val(Pair(INL_P, Unit(PQ)))),
+     DataTy(BOOL, PQ), ARG_MISMATCH),
+    ("injection-in-snd-pair-under-com-wrong-shape", PQ,
+     App(Val(Com("p", Q)), App(Val(Snd(P)), Val(Pair(Unit(P), INL_P)))),
+     DataTy(DSum(BOOL, UNIT), Q), ARG_MISMATCH),
+    ("case-on-bare-pair", P,
+     bare_case(P, Pair(INL_P, Unit(P)), Val(Unit(P)), Val(Unit(P))), None,
+     GUARD_NOT_SUM),
+    ("case-on-bare-injection-disjoint-pair", PQ,
+     bare_case(P, Inl(Pair(Unit(P), Unit(Q))), Val(Unit(P)), Val(Unit(P))),
+     None, PAIR_COMPONENTS_DISJOINT),
+]
+
+
+@pytest.mark.parametrize("theta, expr, expected, witness",
+                         [case[1:] for case in FLEX_ACCEPT],
+                         ids=[case[0] for case in FLEX_ACCEPT])
+def test_flexible_form_accepted(theta, expr, expected, witness):
+    got = typecheck(theta, expr, expected)
+    if isinstance(witness, str):
+        assert print_type(got) == witness
+    else:
+        assert got == witness
+
+
+@pytest.mark.parametrize("theta, expr, expected, kind",
+                         [case[1:] for case in FLEX_REJECT],
+                         ids=[case[0] for case in FLEX_REJECT])
+def test_flexible_form_rejected(theta, expr, expected, kind):
+    expect_kind(kind, theta, expr, expected)
 
 
 class TestCorpusAcceptance:
