@@ -4,7 +4,8 @@ Each behavior has at most one pending action (the scheduler only ever
 chooses *which party* moves), and a multicast only fires when every listed
 recipient is ready to receive, all in one atomic network step.  Receives are
 never materialized on their own: their value is a free parameter fixed by
-the matching send.
+the matching send.  Every step builds its result floor-normal (see
+`projection`), so a behavior is floored only where it enters, in `Network`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .projection import floor, local_subst
+from .projection import bapp, bcase, floor, local_subst
 from .semantics import FuelExhausted
 from .syntax import (
     BApp, BCase, BVal, Behavior, Bottom, LFst, LInl, LInr, LLam, LLookup,
@@ -78,26 +79,21 @@ def next_action(b: Behavior) -> Optional[Action]:
         case BApp(fn, arg):
             if not isinstance(fn, BVal):
                 inner = next_action(fn)
-                return _wrap(inner, lambda f2: floor(BApp(f2, arg)),
-                             "LAPP2")
+                return _wrap(inner, lambda f2: bapp(f2, arg), "LAPP2")
             if not isinstance(arg, BVal):
                 inner = next_action(arg)
-                return _wrap(inner, lambda a2: floor(BApp(fn, a2)),
-                             "LAPP1")
+                return _wrap(inner, lambda a2: bapp(fn, a2), "LAPP1")
             return _redex_action(fn.value, arg.value)
         case BCase(scrut, xl, bl, xr, br):
             if not isinstance(scrut, BVal):
                 inner = next_action(scrut)
-                return _wrap(inner,
-                             lambda s2: floor(BCase(s2, xl, bl, xr, br)),
+                return _wrap(inner, lambda s2: bcase(s2, xl, bl, xr, br),
                              "LCASE")
             match scrut.value:
                 case LInl(payload):
-                    return Silent(floor(local_subst(bl, xl, payload)),
-                                  "LCASEL")
+                    return Silent(local_subst(bl, xl, payload), "LCASEL")
                 case LInr(payload):
-                    return Silent(floor(local_subst(br, xr, payload)),
-                                  "LCASER")
+                    return Silent(local_subst(br, xr, payload), "LCASER")
                 case _:
                     return None
     raise TypeError(f"not a behavior: {b!r}")
@@ -105,8 +101,9 @@ def next_action(b: Behavior) -> Optional[Action]:
 
 def _wrap(inner: Optional[Action], ctx: Callable[[Behavior], Behavior],
           rule: str) -> Optional[Action]:
-    # congruence: the send/receive label is inherited, the result refloored,
-    # and the step is named for the outermost rule applied
+    # congruence: the send/receive label is inherited, the result rebuilt
+    # through a smart constructor, and the step is named for the outermost
+    # rule applied
     match inner:
         case None:
             return None
@@ -122,7 +119,7 @@ def _wrap(inner: Optional[Action], ctx: Callable[[Behavior], Behavior],
 def _redex_action(fn: LocalValue, arg: LocalValue) -> Optional[Action]:
     match fn:
         case LLam(param, body):
-            return Silent(floor(local_subst(body, param, arg)), "LABSAPP")
+            return Silent(local_subst(body, param, arg), "LABSAPP")
         case LFst():
             if isinstance(arg, LPair):
                 return Silent(BVal(arg.first), "LPROJ1")
@@ -190,14 +187,19 @@ def receive_step(b: Behavior, sender: str,
 # networks
 
 class Network:
-    """Map from party to its (floor-normal) behavior."""
+    """Map from party to its floor-normal behavior.
+
+    The constructor floors the behaviors it is given, since they may come
+    from anywhere.  Local steps build their results through projection's
+    smart constructors, so the networks that steps reach skip that pass.
+    """
 
     __slots__ = ("procs", "_hash")
 
     def __init__(self, procs: dict[str, Behavior], _normal: bool = False):
         if not procs:
             raise ValueError("a network needs at least one party")
-        if _normal:  # internal fast path: behaviors already floor-normal
+        if _normal:  # built by a local step, so already floor-normal
             object.__setattr__(self, "procs", procs)
         else:
             object.__setattr__(self, "procs",
@@ -214,7 +216,7 @@ class Network:
         return tuple(sorted(self.procs))
 
     def replace(self, updates: dict[str, Behavior]) -> "Network":
-        # step results come out of the local stepper already floored
+        # step results come out of the local stepper already floor-normal
         procs = dict(self.procs)
         procs.update(updates)
         return Network(procs, _normal=True)

@@ -1,10 +1,17 @@
-"""Endpoint projection to per-party behaviors and the bottom-normalizer.
+"""Endpoint projection to per-party behaviors, built floor-normal.
 
 A party's projection keeps the parts of the choreography it takes part in
-and replaces everything else with the missing-value marker.  The floor
-function collapses composite terms that are missing everywhere (a pair of
-missing halves, an application of a missing function to a value) so that
-"not my problem" is always represented by the single marker.
+and replaces everything else with the missing-value marker.  Composite terms
+that are missing everywhere (a pair of missing halves, an application of a
+missing function to a value) collapse to that single marker, so "not my
+problem" has one representation.
+
+The collapse rules live in the smart constructors `bapp`, `bcase`, `linl`,
+`linr`, `lpair` and `lvec`: each applies the one rule for the node it builds,
+because its children are already normal.  Projection, substitution and the
+network's steps build through them, so every behavior they produce is
+floor-normal.  `floor` rebuilds a term bottom-up through the same
+constructors; it only normalizes input built elsewhere.
 """
 
 from __future__ import annotations
@@ -44,49 +51,67 @@ def roles(e: ChorExpr) -> PartySet:
 
 
 # ---------------------------------------------------------------------------
-# floor
+# smart constructors: one collapse rule each, for normal children
+
+def bapp(fn: Behavior, arg: Behavior) -> Behavior:
+    # an application of a missing function to a finished argument is itself
+    # missing; a pending argument still has work to do
+    if fn == BOT and isinstance(arg, BVal):
+        return BOT
+    return BApp(fn, arg)
+
+
+def bcase(scrut: Behavior, xl: str, bl: Behavior, xr: str,
+          br: Behavior) -> Behavior:
+    if scrut == BOT and bl == BOT and br == BOT:
+        return BOT
+    return BCase(scrut, xl, bl, xr, br)
+
+
+def linl(inner: LocalValue) -> LocalValue:
+    return BOTTOM if isinstance(inner, Bottom) else LInl(inner)
+
+
+def linr(inner: LocalValue) -> LocalValue:
+    return BOTTOM if isinstance(inner, Bottom) else LInr(inner)
+
+
+def lpair(a: LocalValue, b: LocalValue) -> LocalValue:
+    if isinstance(a, Bottom) and isinstance(b, Bottom):
+        return BOTTOM
+    return LPair(a, b)
+
+
+def lvec(elems: tuple[LocalValue, ...]) -> LocalValue:
+    if all(isinstance(e, Bottom) for e in elems):
+        return BOTTOM
+    return LVec(elems)
+
+
+# ---------------------------------------------------------------------------
+# floor: the normal form of a behavior built elsewhere
 
 def floor(b: Behavior) -> Behavior:
     match b:
         case BVal(l):
             return BVal(floor_value(l))
         case BApp(fn, arg):
-            f = floor(fn)
-            a = floor(arg)
-            # an application of a missing function to a finished argument is
-            # itself missing; a pending argument still has work to do
-            if f == BOT and isinstance(a, BVal):
-                return BOT
-            return BApp(f, a)
+            return bapp(floor(fn), floor(arg))
         case BCase(scrut, xl, bl, xr, br):
-            s = floor(scrut)
-            l = floor(bl)
-            r = floor(br)
-            if s == BOT and l == BOT and r == BOT:
-                return BOT
-            return BCase(s, xl, l, xr, r)
+            return bcase(floor(scrut), xl, floor(bl), xr, floor(br))
     raise TypeError(f"not a behavior: {b!r}")
 
 
 def floor_value(l: LocalValue) -> LocalValue:
     match l:
         case LInl(inner):
-            f = floor_value(inner)
-            return BOTTOM if isinstance(f, Bottom) else LInl(f)
+            return linl(floor_value(inner))
         case LInr(inner):
-            f = floor_value(inner)
-            return BOTTOM if isinstance(f, Bottom) else LInr(f)
+            return linr(floor_value(inner))
         case LPair(a, b):
-            fa = floor_value(a)
-            fb = floor_value(b)
-            if isinstance(fa, Bottom) and isinstance(fb, Bottom):
-                return BOTTOM
-            return LPair(fa, fb)
+            return lpair(floor_value(a), floor_value(b))
         case LVec(elems):
-            fs = tuple(floor_value(e) for e in elems)
-            if all(isinstance(f, Bottom) for f in fs):
-                return BOTTOM
-            return LVec(fs)
+            return lvec(tuple(floor_value(e) for e in elems))
         case LLam(param, body):
             return LLam(param, floor(body))
         case _:
@@ -101,14 +126,14 @@ def project(e: ChorExpr, p: str) -> Behavior:
         case Val(v):
             return BVal(project_value(v, p))
         case App(fn, arg):
-            return floor(BApp(project(fn, p), project(arg, p)))
+            return bapp(project(fn, p), project(arg, p))
         case Case(guards, scrut, xl, ml, xr, mr):
             if p in guards:
-                return floor(BCase(project(scrut, p), xl, project(ml, p),
-                                   xr, project(mr, p)))
+                return bcase(project(scrut, p), xl, project(ml, p),
+                             xr, project(mr, p))
             # a bystander only helps compute the guard; the branches cannot
             # mention it, so they are dropped outright
-            return floor(BCase(project(scrut, p), xl, BOT, xr, BOT))
+            return bcase(project(scrut, p), xl, BOT, xr, BOT)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -137,15 +162,13 @@ def project_value(v: ChorValue, p: str) -> LocalValue:
                 return Recv(sender)
             return BOTTOM
         case Inl(inner):
-            return floor_value(LInl(project_value(inner, p)))
+            return linl(project_value(inner, p))
         case Inr(inner):
-            return floor_value(LInr(project_value(inner, p)))
+            return linr(project_value(inner, p))
         case Pair(a, b):
-            return floor_value(LPair(project_value(a, p),
-                                     project_value(b, p)))
+            return lpair(project_value(a, p), project_value(b, p))
         case Vec(elems):
-            return floor_value(LVec(tuple(project_value(x, p)
-                                          for x in elems)))
+            return lvec(tuple(project_value(x, p) for x in elems))
     raise TypeError(f"not a value: {v!r}")
 
 
@@ -162,13 +185,14 @@ def project_all(e: ChorExpr,
 # substitution in the local language (no masking; locations are gone)
 
 def local_subst(b: Behavior, x: str, l: LocalValue) -> Behavior:
+    """b with l for x; floor-normal when b and l are."""
     match b:
         case BVal(inner):
             return BVal(local_subst_value(inner, x, l))
         case BApp(fn, arg):
-            return BApp(local_subst(fn, x, l), local_subst(arg, x, l))
+            return bapp(local_subst(fn, x, l), local_subst(arg, x, l))
         case BCase(scrut, xl, bl, xr, br):
-            return BCase(
+            return bcase(
                 local_subst(scrut, x, l),
                 xl, bl if xl == x else local_subst(bl, x, l),
                 xr, br if xr == x else local_subst(br, x, l))
@@ -184,13 +208,13 @@ def local_subst_value(w: LocalValue, x: str, l: LocalValue) -> LocalValue:
                 return w
             return LLam(param, local_subst(body, x, l))
         case LInl(inner):
-            return LInl(local_subst_value(inner, x, l))
+            return linl(local_subst_value(inner, x, l))
         case LInr(inner):
-            return LInr(local_subst_value(inner, x, l))
+            return linr(local_subst_value(inner, x, l))
         case LPair(a, b):
-            return LPair(local_subst_value(a, x, l),
+            return lpair(local_subst_value(a, x, l),
                          local_subst_value(b, x, l))
         case LVec(elems):
-            return LVec(tuple(local_subst_value(e, x, l) for e in elems))
+            return lvec(tuple(local_subst_value(e, x, l) for e in elems))
         case _:
             return w

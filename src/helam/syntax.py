@@ -8,7 +8,7 @@ package (and the test suite) treats as the one true syntax.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -139,8 +139,9 @@ class DAny:
     Never written by programs.  The checker puts one on the side of a sum
     that a bare injection does not determine (a bare injection stepping into
     a case scrutinee, say), and it compares shapes so that a hole matches
-    any shape.  A hole can reach a synthesized type: a branch that returns
-    such a side types as `_`.
+    any shape.  A case fills a hole in one branch's type from the other
+    branch's; a hole that neither branch fills reaches the synthesized type
+    and prints as `_`.
     """
 
 
@@ -291,38 +292,72 @@ ChorExpr = Union[Val, App, Case]
 # ---------------------------------------------------------------------------
 # local process language
 
+def _hash_with_class(cls):
+    """Hash a local value together with its class name.  The dataclass hash
+    covers the fields alone, so `LInl(v)` and `LInr(v)`, `Send(ps)` and
+    `SendSelf(ps)`, or `LUnit()` and `Bottom()` would collide, and in the
+    network's caches each collision compares two whole networks."""
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self):
+        return hash((cls.__name__, *[getattr(self, n) for n in names]))
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_with_class
 @dataclass(frozen=True)
 class LVar:
     name: str
 
 
+@_hash_with_class
 @dataclass(frozen=True)
 class LUnit:
     pass
 
 
-@dataclass(frozen=True)
+def _cached_hash(self) -> int:
+    return self._hash
+
+
+# Behaviors and the functions inside them compute their hash once, when they
+# are built, from their children's hashes: the network's caches and state
+# sets hash whole terms on every lookup.  Equality is the dataclass's.
+
+@dataclass(frozen=True, slots=True)
 class LLam:
     param: str
     body: "Behavior"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.param, self.body)))
+
+    __hash__ = _cached_hash
 
 
+@_hash_with_class
 @dataclass(frozen=True)
 class LInl:
     value: "LocalValue"
 
 
+@_hash_with_class
 @dataclass(frozen=True)
 class LInr:
     value: "LocalValue"
 
 
+@_hash_with_class
 @dataclass(frozen=True)
 class LPair:
     first: "LocalValue"
     second: "LocalValue"
 
 
+@_hash_with_class
 @dataclass(frozen=True)
 class LVec:
     elems: tuple["LocalValue", ...]
@@ -332,36 +367,43 @@ class LVec:
             raise ValueError("tuples need at least one element")
 
 
+@_hash_with_class
 @dataclass(frozen=True)
 class LFst:
     pass
 
 
+@_hash_with_class
 @dataclass(frozen=True)
 class LSnd:
     pass
 
 
+@_hash_with_class
 @dataclass(frozen=True)
 class LLookup:
     index: int
 
 
+@_hash_with_class
 @dataclass(frozen=True)
 class Recv:
     sender: str
 
 
+@_hash_with_class
 @dataclass(frozen=True)
 class Send:
     recipients: tuple[str, ...]  # may be empty; never contains the runner
 
 
+@_hash_with_class
 @dataclass(frozen=True)
 class SendSelf:
     recipients: tuple[str, ...]  # ditto; the sent value is also kept locally
 
 
+@_hash_with_class
 @dataclass(frozen=True)
 class Bottom:
     pass
@@ -375,24 +417,44 @@ LocalValue = Union[
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BVal:
     value: LocalValue
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    __hash__ = _cached_hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BApp:
     fn: "Behavior"
     arg: "Behavior"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.fn, self.arg)))
+
+    __hash__ = _cached_hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BCase:
     scrutinee: "Behavior"
     left_var: str
     left_body: "Behavior"
     right_var: str
     right_body: "Behavior"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((
+            self.scrutinee, self.left_var, self.left_body, self.right_var,
+            self.right_body)))
+
+    __hash__ = _cached_hash
 
 
 Behavior = Union[BVal, BApp, BCase]

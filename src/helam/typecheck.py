@@ -12,7 +12,8 @@ witness type it found.  An expectation is one of:
   (the payload of `com`, the pair under `fst`/`snd`).
 
 Shapes may contain holes (`DAny`) where the context leaves them open, and
-`_same` lets a hole match any shape.  Injections and the keyword functions
+`_same` lets a hole match any shape; a case fills a hole in one branch's type
+from the other branch's (`_fill`).  Injections and the keyword functions
 cannot synthesize; where the context could also offer a synthesized type,
 the walk synthesizes first and pushes the expectation in only on ambiguity.
 """
@@ -26,7 +27,7 @@ from .masking import is_noop, mask_type, mask_value
 from .syntax import (
     App, Case, ChorExpr, ChorType, ChorValue, Com, DAny, DProd, DSum, DUnit,
     DataTy, Fst, FunTy, Inl, Inr, Lam, Lookup, Pair, PartySet, Snd, Span,
-    TupleTy, Unit, Val, Var, Vec, print_data, print_type,
+    TupleTy, Unit, Val, Var, Vec, free_vars_value, print_data, print_type,
 )
 
 # diagnostic kinds
@@ -498,7 +499,7 @@ def _lookup_app(env: TypeEnv, kw: Lookup, arg: ChorExpr,
                           f"to {print_type(want.type)}", span)
         got = _synth_first(env, picked, Want(want.type, narrowed), span)
     for n, elem in enumerate(elems, start=1):
-        if n != kw.index and not _masks(env, elem, kw.owners):
+        if n != kw.index and not _masks(env, elem, kw.owners, span):
             raise TypeErr(MASK_UNDEFINED, f"tuple element {n} does not mask "
                           f"to {kw.owners}", span)
     result = mask_type(got, kw.owners)
@@ -512,9 +513,11 @@ def _lookup_app(env: TypeEnv, kw: Lookup, arg: ChorExpr,
     return result
 
 
-def _masks(env: TypeEnv, v: ChorValue, theta: PartySet) -> bool:
+def _masks(env: TypeEnv, v: ChorValue, theta: PartySet,
+           span: Optional[Span]) -> bool:
     """Whether some type of v masks under theta.  Lenient for the unused
-    slots of a tuple literal, whose exact types nothing pins down."""
+    slots of a tuple literal, whose exact types nothing pins down, but not
+    about their variables: each must be bound."""
     try:
         t = _try_synth(env, v)
         if t is None and isinstance(v, (Inl, Inr, Pair)):
@@ -524,7 +527,9 @@ def _masks(env: TypeEnv, v: ChorValue, theta: PartySet) -> bool:
     if t is not None:
         return mask_type(t, theta) is not None
     if isinstance(v, Vec):
-        return all(_masks(env, x, theta) for x in v.elems)
+        return all(_masks(env, x, theta, span) for x in v.elems)
+    for name in sorted(free_vars_value(v)):
+        env.lookup(name, span)
     return mask_value(v, theta) is not None
 
 
@@ -573,7 +578,7 @@ def _case(env: TypeEnv, e: Case, want: Optional[Want]) -> ChorType:
     if not _same(wl, wr):
         raise TypeErr(BRANCH_MISMATCH, f"branches disagree: {print_type(wl)} "
                       f"vs {print_type(wr)}", e.span)
-    return wl
+    return _fill(wl, wr)
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +612,18 @@ def _same(a, b) -> bool:
     return (type(a) is type(b)
             and isinstance(a, (DSum, DProd, DataTy, FunTy, TupleTy))
             and all(map(_same, vars(a).values(), vars(b).values())))
+
+
+def _fill(a, b):
+    """a with each hole filled from the same place in b, where `_same(a, b)`;
+    a hole that b leaves open too stays."""
+    if isinstance(a, DAny):
+        return b
+    if a == b or isinstance(b, DAny):
+        return a
+    if isinstance(a, tuple):
+        return tuple(map(_fill, a, b))
+    return type(a)(*map(_fill, vars(a).values(), vars(b).values()))
 
 
 def _sides(shape, cls):

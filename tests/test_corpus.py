@@ -232,6 +232,20 @@ class TestCli:
         assert "(budget hit)" not in capsys.readouterr().out
         assert code == 0
 
+    def test_case_holes_are_filled_before_fmt(self, tmp_path, capsys):
+        # the let's type comes from a case whose left branch binds a hole;
+        # fmt writes that type into the program, which must check again
+        source = tmp_path / "hole.hll"
+        source.write_text("let z = case[p] Inr ()@[p] of "
+                          "Inl x => x; Inr y => y;\nz\n")
+        assert main(["check", str(source)]) == 0
+        assert capsys.readouterr().out.strip() == "()@[p]"
+        assert main(["fmt", str(source)]) == 0
+        printed = tmp_path / "printed.hll"
+        printed.write_text(capsys.readouterr().out)
+        assert main(["check", str(printed)]) == 0
+        assert capsys.readouterr().out.strip() == "()@[p]"
+
     def test_missing_file_is_a_usage_error(self):
         result = self.run_cli("check", "no/such/file.hll")
         assert result.returncode == 2

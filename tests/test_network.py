@@ -3,11 +3,14 @@
 import pytest
 
 import helam
+from helam.generate import GenConfig, gen_instance
 from helam.network import (
-    DeadlockReport, Network, SimulationFault, enumerate_net_steps, explore,
-    format_trace, local_step, receive_step, replay, simulate,
+    DeadlockReport, Network, SimulationFault, _enumerate_cached,
+    enumerate_net_steps, explore, format_trace, local_step, next_action,
+    receive_step, replay, simulate,
 )
-from helam.projection import project_all
+from helam.projection import floor, project, project_all, roles
+from helam.semantics import run
 from helam.syntax import (
     App, BApp, BOT, BVal, Com, LInl, LLam, LPair, LUnit, LVar, Recv, Send,
     SendSelf, StepLabel, Unit, Val, parties,
@@ -172,3 +175,48 @@ class TestNetworkType:
     def test_nonempty_domain_required(self):
         with pytest.raises(ValueError):
             Network({})
+
+
+class TestBuiltNormal:
+    """Projection and every local step build floor-normal behaviors, so
+    `floor` only normalizes what enters a `Network` from outside."""
+
+    def test_projections_and_reachable_states_are_floor_normal(self):
+        cfg = GenConfig(max_parties=4, max_depth=6)
+        for seed in range(50):
+            procs = project_all(gen_instance(cfg, seed).expr)
+            for b in procs.values():
+                assert floor(b) == b
+            start = Network(procs)
+            seen, frontier = {start}, [start]
+            while frontier and len(seen) < 300:
+                for nxt, _ in enumerate_net_steps(frontier.pop()):
+                    if nxt in seen:
+                        continue
+                    seen.add(nxt)
+                    frontier.append(nxt)
+                    for p in nxt.parties():
+                        assert floor(nxt[p]) == nxt[p], (seed, p)
+
+    def test_floor_is_not_called_after_construction(self, corpus,
+                                                    monkeypatch):
+        core = corpus("kvs_put").core
+        members = roles(core)
+        goal = Network({p: project(Val(run(core)), p) for p in members})
+        net = Network(project_all(core, members))
+        # cached steps from other tests would hide a call
+        next_action.cache_clear()
+        _enumerate_cached.cache_clear()
+
+        def refuse(*args):
+            raise AssertionError("floor called on a built behavior")
+
+        for name in ("helam.projection.floor", "helam.projection.floor_value",
+                     "helam.network.floor"):
+            monkeypatch.setattr(name, refuse)
+        out = simulate(net, seed=0)
+        assert out.deadlock is None
+        assert out.network == goal
+        result = explore(net)
+        assert result.complete and not result.deadlocks
+        assert result.terminals == {goal}

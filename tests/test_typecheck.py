@@ -226,10 +226,10 @@ FLEX_ACCEPT = [
      DataTy(BOOL, Q), DataTy(BOOL, Q)),
     ("case-on-bare-injection", P,
      bare_case(P, INL_P, Val(Unit(P)), Val(Unit(P))), None, unit_t(P)),
-    # the unconstrained sum side stays a hole in the witness type
+    # the unconstrained sum side binds a hole, filled from the other branch
     ("case-on-bare-injection-binds-a-hole", P,
      bare_case(P, Inr(Unit(P)), Val(Var("x")), Val(Var("y"))), None,
-     "(_)@[p]"),
+     "()@[p]"),
 ]
 
 FLEX_REJECT = [
@@ -251,6 +251,10 @@ FLEX_REJECT = [
     ("lookup-literal-unmasked-element", PQ,
      App(Val(Lookup(1, P)), Val(Vec((INL_P, Unit(Q))))),
      DataTy(BOOL, P), MASK_UNDEFINED),
+    ("lookup-literal-unused-slot-unbound-var", PQ,
+     App(Val(Com("p", Q)), App(Val(Lookup(1, P)), Val(Vec((
+         INL_P, Lam("x", unit_t(P), Val(Inl(Var("nope"))), P)))))),
+     DataTy(BOOL, Q), UNBOUND_VAR),
     ("lookup-literal-under-com-out-of-range", PQ,
      App(Val(Com("p", Q)), App(Val(Lookup(3, P)), Val(Vec((INL_P, Unit(P)))))),
      DataTy(BOOL, Q), INDEX_OUT_OF_RANGE),
