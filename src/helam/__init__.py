@@ -10,7 +10,7 @@ deadlock-free under any scheduling.
 from .masking import mask_type, mask_value
 from .network import (
     DeadlockReport, Network, enumerate_net_steps, explore, format_trace,
-    local_step, receive_step, simulate,
+    simulate,
 )
 from .projection import floor, local_subst, project, project_all, roles
 from .semantics import FuelExhausted, StuckError, run, step, subst
@@ -28,8 +28,7 @@ __all__ = [
     "DeadlockReport", "DesugarError", "FuelExhausted", "Network",
     "ParseError", "PartySet", "StuckError", "TypeEnv", "TypeErr",
     "canonical_print", "compile_text", "enumerate_net_steps", "explore",
-    "floor", "format_trace", "free_vars", "local_step", "local_subst",
-    "mask_type", "mask_value", "parse", "parties", "project", "project_all",
-    "receive_step", "roles", "run", "simulate", "step", "subst", "typecheck",
-    "uniquify",
+    "floor", "format_trace", "free_vars", "local_subst", "mask_type",
+    "mask_value", "parse", "parties", "project", "project_all", "roles", "run",
+    "simulate", "step", "subst", "typecheck", "uniquify",
 ]

@@ -27,8 +27,11 @@ def _load(path: str, theta=None) -> CompiledProgram:
     return compile_text(text, theta)
 
 
-def _theta(arg) -> PartySet | None:
-    return PartySet(arg.split(",")) if arg else None
+def _theta(arg: str) -> PartySet:
+    try:
+        return PartySet(arg.split(","))
+    except ValueError as err:  # an empty or invalid party name
+        raise argparse.ArgumentTypeError(str(err)) from err
 
 
 def _fail(message: str, code: int) -> int:
@@ -37,14 +40,14 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_check(args) -> int:
-    prog = _load(args.file, _theta(args.theta))
+    prog = _load(args.file, args.theta)
     t = typecheck(prog.theta, prog.core)
     print(print_type(t))
     return 0
 
 
 def cmd_run(args) -> int:
-    prog = _load(args.file, _theta(args.theta))
+    prog = _load(args.file, args.theta)
     typecheck(prog.theta, prog.core)
     trace = [] if args.trace else None
     value = run(prog.core, trace=trace)
@@ -56,7 +59,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_project(args) -> int:
-    prog = _load(args.file, _theta(args.theta))
+    prog = _load(args.file, args.theta)
     typecheck(prog.theta, prog.core)
     if args.party:
         print(print_behavior(project(prog.core, args.party)))
@@ -76,7 +79,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    prog = _load(args.file, _theta(args.theta))
+    prog = _load(args.file, args.theta)
     typecheck(prog.theta, prog.core)
     net = Network(project_all(prog.core))
     if args.exhaustive:
@@ -103,7 +106,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    prog = _load(args.file, _theta(args.theta))
+    prog = _load(args.file, args.theta)
     print(print_expr(prog.core))
     return 0
 
@@ -133,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("file")
-        p.add_argument("--theta", help="comma-separated party set override")
+        p.add_argument("--theta", type=_theta,
+                       help="comma-separated party set override")
 
     p = sub.add_parser("check", help="type-check a choreography")
     common(p)

@@ -19,7 +19,7 @@ from .syntax import (
     DataTy, DataType, Fst, FunTy, Inl, Inr, Lam, Lookup, Pair, PartySet,
     Snd, TupleTy, Unit, Val, Var, Vec, type_parties,
 )
-from .typecheck import TypeEnv, TypeErr, synth, typecheck
+from .typecheck import TypeEnv, TypeErr, case_scopes, synth, typecheck
 
 
 class GenerationExhausted(RuntimeError):
@@ -351,21 +351,16 @@ def _subterm_candidates(node: ChorExpr, env: TypeEnv, rebuild):
                 scrut, env,
                 lambda n: rebuild(Case(guards, n, xl, ml, xr, mr)))
             try:
-                tn = synth(env, scrut)
-                masked = mask_type(tn, guards)
+                env_l, env_r = case_scopes(env, guards, scrut, xl, xr,
+                                           node.span)
             except TypeErr:
-                masked = None
-            if isinstance(masked, DataTy) and isinstance(masked.shape, DSum):
-                env_l = env.with_theta(guards).bind(
-                    xl, DataTy(masked.shape.left, guards))
-                env_r = env.with_theta(guards).bind(
-                    xr, DataTy(masked.shape.right, guards))
-                yield from _subterm_candidates(
-                    ml, env_l,
-                    lambda n: rebuild(Case(guards, scrut, xl, n, xr, mr)))
-                yield from _subterm_candidates(
-                    mr, env_r,
-                    lambda n: rebuild(Case(guards, scrut, xl, ml, xr, n)))
+                return  # an ill-typed case stays so, whatever its branches hold
+            yield from _subterm_candidates(
+                ml, env_l,
+                lambda n: rebuild(Case(guards, scrut, xl, n, xr, mr)))
+            yield from _subterm_candidates(
+                mr, env_r,
+                lambda n: rebuild(Case(guards, scrut, xl, ml, xr, n)))
         case Val(Lam(param, ptype, body, owners)):
             inner = env.with_theta(owners).bind(param, ptype)
             yield from _subterm_candidates(

@@ -19,8 +19,8 @@ from .projection import bapp, bcase, floor, local_subst
 from .semantics import FuelExhausted
 from .syntax import (
     BApp, BCase, BVal, Behavior, Bottom, LFst, LInl, LInr, LLam, LLookup,
-    LPair, LSnd, LUnit, LVec, LocalValue, Recv, Send, SendSelf, StepLabel,
-    print_behavior, print_local,
+    LPair, LSnd, LUnit, LVec, LocalValue, Recv, Send, SendSelf, print_behavior,
+    print_local,
 )
 
 
@@ -157,32 +157,6 @@ def _redex_action(fn: LocalValue, arg: LocalValue) -> Optional[Action]:
             return None
 
 
-def local_step(b: Behavior) -> list[tuple[Behavior, StepLabel]]:
-    """Silent and send steps of b.  Receive steps are symbolic (the value is
-    chosen by the matching send), so they are instantiated separately by
-    receive_step."""
-    act = next_action(b)
-    match act:
-        case None | RecvAction():
-            return []
-        case Silent(result, _):
-            return [(result, StepLabel())]
-        case SendAction(recipients, payload, result, _):
-            sends = frozenset((q, payload) for q in recipients)
-            return [(result, StepLabel(sends=sends))]
-    raise TypeError(act)
-
-
-def receive_step(b: Behavior, sender: str,
-                 payload: LocalValue) -> Optional[tuple[Behavior, StepLabel]]:
-    """Instantiate b's pending receive from sender with a concrete value."""
-    act = next_action(b)
-    if isinstance(act, RecvAction) and act.sender == sender:
-        label = StepLabel(receives=frozenset({(sender, payload)}))
-        return act.resolve(payload), label
-    return None
-
-
 # ---------------------------------------------------------------------------
 # networks
 
@@ -287,10 +261,10 @@ def _enumerate(net: Network) -> list[tuple[Network, NetStep]]:
                     continue
                 updates = {p: result}
                 for r in recipients:
-                    got = receive_step(net[r], p, payload)
-                    if got is None:
+                    recv = next_action(net[r])
+                    if not (isinstance(recv, RecvAction) and recv.sender == p):
                         break
-                    updates[r] = got[0]
+                    updates[r] = recv.resolve(payload)
                 else:
                     steps.append((net.replace(updates),
                                   NetStep(p, "NCOM", recipients, payload)))

@@ -2,32 +2,40 @@
 
 The surface language adds to the core: `let x (: T)? = M; M` sugar, named
 finite-sum aliases, expressions in value positions (pulled out to fresh
-temporaries), and `#` line comments.  Desugaring needs a light pre-typing
-pass to infer the types of unannotated let bindings, so it threads a typing
-environment; the let-lambda itself is annotated with the ambient party set
-so the continuation keeps every participant in scope.
+temporaries), and `#` line comments.  Its AST has six node kinds: a leaf
+that already holds its core value (a variable, a unit, or a keyword), a
+constructor that holds its parts and the core constructor to build (Inl,
+Inr, Pair, tuples), and lambda, application, case and let.  The parser
+records every party name it reads; they form the default party set.
+Desugaring synthesizes the types of unannotated let bindings, so it
+threads a typing environment, and it takes a case branch's environment
+from `typecheck.case_scopes`, the checker's own rule.  The let-lambda is
+annotated with the ambient party set so the continuation keeps every
+participant in scope.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from .masking import mask_type
 from .syntax import (
     App, Case, ChorExpr, ChorType, ChorValue, Com, DProd, DSum, DUnit,
     DataTy, DataType, Fst, FunTy, Inl, Inr, Lam, Lookup, Pair, PartySet,
-    Snd, Span, TupleTy, Unit, Val, Var, Vec, nodes, type_parties,
+    Snd, Span, TupleTy, Unit, Val, Var, Vec, nodes,
 )
-from .typecheck import AMBIGUOUS_SUM, TypeEnv, TypeErr, synth
+from .typecheck import (
+    AMBIGUOUS_SUM, TypeEnv, TypeErr, case_scopes, has_hole, synth,
+)
 
 
 class ParseError(Exception):
     def __init__(self, message: str, span: Optional[Span] = None,
-                 expected: tuple[str, ...] = ()):
+                 expected: tuple[str, ...] = (), fatal: bool = False):
         self.span = span
         self.expected = expected
+        self.fatal = fatal  # no other parse of the same tokens can succeed
         where = f" at {span}" if span else ""
         super().__init__(f"{message}{where}")
 
@@ -91,14 +99,17 @@ def tokenize(text: str) -> list[Token]:
 # surface AST
 
 @dataclass
-class SVar:
-    name: str
+class SLeaf:
+    value: ChorValue  # a variable, a unit, or fst/snd/lookup/com
     span: Span
 
 
 @dataclass
-class SUnit:
-    owners: PartySet
+class SCons:
+    """Inl, Inr, Pair or a tuple: its parts, which may be expressions, and
+    the core constructor that builds it from their values."""
+    parts: list["SurfaceExpr"]
+    build: Callable[..., ChorValue]  # build(*values, span=span)
     span: Span
 
 
@@ -115,37 +126,6 @@ class SLam:
 class SApp:
     fn: "SurfaceExpr"
     arg: "SurfaceExpr"
-    span: Span
-
-
-@dataclass
-class SInl:
-    inner: "SurfaceExpr"
-    span: Span
-
-
-@dataclass
-class SInr:
-    inner: "SurfaceExpr"
-    span: Span
-
-
-@dataclass
-class SPair:
-    first: "SurfaceExpr"
-    second: "SurfaceExpr"
-    span: Span
-
-
-@dataclass
-class STuple:
-    elems: list["SurfaceExpr"]
-    span: Span
-
-
-@dataclass
-class SKeyword:
-    value: ChorValue  # fst/snd/lookup/com, fully formed
     span: Span
 
 
@@ -169,8 +149,11 @@ class SLet:
     span: Span
 
 
-SurfaceExpr = Union[SVar, SUnit, SLam, SApp, SInl, SInr, SPair, STuple,
-                    SKeyword, SCase, SLet]
+SurfaceExpr = Union[SLeaf, SCons, SLam, SApp, SCase, SLet]
+
+
+def _vec(*elems: ChorValue, span: Span) -> Vec:
+    return Vec(elems, span=span)
 
 
 @dataclass
@@ -178,6 +161,7 @@ class SurfaceProgram:
     aliases: dict[str, DataType]
     body: SurfaceExpr
     source: str
+    parties: list[str]  # every party name the program mentions
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +175,7 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.aliases = aliases
+        self.parties: list[str] = []
 
     # -- token plumbing ----------------------------------------------------
 
@@ -212,18 +197,12 @@ class Parser:
             self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str, text: Optional[str] = None) -> Token:
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'eof'!r}",
-                             tok.span, (kind,))
-        return self.next()
-
-    def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if not self.at_kw(word):
-            raise ParseError(f"expected {word!r}, found {tok.text or 'eof'!r}",
-                             tok.span, (word,))
+        if tok.kind != kind or text is not None and tok.text != text:
+            want = text or kind
+            raise ParseError(f"expected {want!r}, found {tok.text or 'eof'!r}",
+                             tok.span, (want,))
         return self.next()
 
     def name(self) -> str:
@@ -234,12 +213,22 @@ class Parser:
 
     # -- parties -----------------------------------------------------------
 
+    def party(self) -> str:
+        tok = self.peek()
+        name = self.name()
+        # identifiers may hold `$` (the uniquifier's renames); parties may not
+        if "$" in name:
+            raise ParseError(f"invalid party name {name!r}", tok.span,
+                             fatal=True)
+        self.parties.append(name)
+        return name
+
     def party_list(self) -> PartySet:
         self.expect("[")
-        names = [self.name()]
+        names = [self.party()]
         while self.at(","):
             self.next()
-            names.append(self.name())
+            names.append(self.party())
         self.expect("]")
         return PartySet(names)
 
@@ -247,11 +236,14 @@ class Parser:
 
     def type_(self) -> ChorType:
         if self.at("("):
-            save = self.pos
+            save, named = self.pos, len(self.parties)
             try:
                 return self._paren_type()
-            except ParseError:
+            except ParseError as err:
+                if err.fatal:
+                    raise
                 self.pos = save
+                del self.parties[named:]
         shape = self.dtype()
         self.expect("@")
         owners = self.party_list()
@@ -321,7 +313,7 @@ class Parser:
         return self.app()
 
     def let_(self) -> SLet:
-        start = self.expect_kw("let")
+        start = self.expect("id", "let")
         name = self.name()
         annot = None
         if self.at(":"):
@@ -334,16 +326,16 @@ class Parser:
         return SLet(name, annot, bound, body, start.span)
 
     def case_(self) -> SCase:
-        start = self.expect_kw("case")
+        start = self.expect("id", "case")
         guards = self.party_list()
         scrut = self.app()
-        self.expect_kw("of")
-        self.expect_kw("Inl")
+        self.expect("id", "of")
+        self.expect("id", "Inl")
         left_var = self.name()
         self.expect("=>")
         left_body = self.expr()
         self.expect(";")
-        self.expect_kw("Inr")
+        self.expect("id", "Inr")
         right_var = self.name()
         self.expect("=>")
         right_body = self.expr()
@@ -367,44 +359,39 @@ class Parser:
         tok = self.peek()
         if self.at("("):
             return self._paren_atom()
-        if self.at_kw("Inl"):
+        if self.at_kw("Inl") or self.at_kw("Inr"):
             self.next()
-            inner = self.atom()
-            return SInl(inner, tok.span)
-        if self.at_kw("Inr"):
-            self.next()
-            inner = self.atom()
-            return SInr(inner, tok.span)
+            return SCons([self.atom()], Inl if tok.text == "Inl" else Inr,
+                         tok.span)
         if self.at_kw("Pair"):
             self.next()
-            first = self.atom()
-            second = self.atom()
-            return SPair(first, second, tok.span)
-        if self.at_kw("fst"):
+            return SCons([self.atom(), self.atom()], Pair, tok.span)
+        if self.at_kw("fst") or self.at_kw("snd"):
             self.next()
-            return SKeyword(Fst(self.party_list(), span=tok.span), tok.span)
-        if self.at_kw("snd"):
-            self.next()
-            return SKeyword(Snd(self.party_list(), span=tok.span), tok.span)
+            proj = Fst if tok.text == "fst" else Snd
+            return SLeaf(proj(self.party_list(), span=tok.span), tok.span)
         if self.at_kw("lookup"):
             self.next()
             self.expect("[")
-            index = int(self.expect("int").text)
+            index = self.expect("int")
+            if int(index.text) < 1:
+                raise ParseError("lookup indices are 1-based", index.span)
             self.expect("]")
             owners = self.party_list()
-            return SKeyword(Lookup(index, owners, span=tok.span), tok.span)
+            return SLeaf(Lookup(int(index.text), owners, span=tok.span),
+                         tok.span)
         if self.at_kw("com"):
             self.next()
             self.expect("[")
-            sender = self.name()
+            sender = self.party()
             self.expect("]")
             recipients = self.party_list()
-            return SKeyword(Com(sender, recipients, span=tok.span), tok.span)
+            return SLeaf(Com(sender, recipients, span=tok.span), tok.span)
         if tok.kind == "id":
             if tok.text in KEYWORDS:
                 raise ParseError(f"unexpected keyword {tok.text!r}", tok.span)
             self.next()
-            return SVar(tok.text, tok.span)
+            return SLeaf(Var(tok.text, span=tok.span), tok.span)
         raise ParseError(f"expected an expression, found {tok.text or 'eof'!r}",
                          tok.span)
 
@@ -425,7 +412,7 @@ class Parser:
             self.next()
             self.expect("@")
             owners = self.party_list()
-            return SUnit(owners, start.span)
+            return SLeaf(Unit(owners, span=start.span), start.span)
         first = self.expr()
         if self.at(","):
             elems = [first]
@@ -435,7 +422,7 @@ class Parser:
                     break
                 elems.append(self.expr())
             self.expect(")")
-            return STuple(elems, start.span)
+            return SCons(elems, _vec, start.span)
         self.expect(")")
         return first
 
@@ -455,7 +442,7 @@ class Parser:
             self.aliases[tok.text] = shape
         body = self.expr()
         self.expect("eof")
-        return SurfaceProgram(self.aliases, body, source)
+        return SurfaceProgram(self.aliases, body, source, self.parties)
 
 
 def parse(text: str) -> SurfaceProgram:
@@ -479,32 +466,16 @@ class _Elab:
 
     def expr(self, s: SurfaceExpr, env: TypeEnv) -> ChorExpr:
         match s:
-            case SVar(name, span):
-                return Val(Var(name, span=span), span)
-            case SUnit(owners, span):
-                return Val(Unit(owners, span=span), span)
+            case SLeaf(value, span):
+                return Val(value, span)
             case SLam(param, ptype, body, owners, span):
                 inner = env.with_theta(owners).bind(param, ptype)
                 return Val(Lam(param, ptype, self.expr(body, inner), owners,
                                span=span), span)
             case SApp(fn, arg, span):
                 return App(self.expr(fn, env), self.expr(arg, env), span)
-            case SKeyword(value, span):
-                return Val(value, span)
-            case SInl(inner, span):
-                return self._construct(
-                    [inner], env, span, lambda vs: Inl(vs[0], span=span))
-            case SInr(inner, span):
-                return self._construct(
-                    [inner], env, span, lambda vs: Inr(vs[0], span=span))
-            case SPair(first, second, span):
-                return self._construct(
-                    [first, second], env, span,
-                    lambda vs: Pair(vs[0], vs[1], span=span))
-            case STuple(elems, span):
-                return self._construct(
-                    list(elems), env, span,
-                    lambda vs: Vec(tuple(vs), span=span))
+            case SCons():
+                return self._construct(s, env)
             case SCase():
                 return self._case(s, env)
             case SLet():
@@ -513,69 +484,72 @@ class _Elab:
 
     def _case(self, s: SCase, env: TypeEnv) -> ChorExpr:
         scrut = self.expr(s.scrutinee, env)
-        env_l = env.with_theta(s.guards)
-        env_r = env.with_theta(s.guards)
+        unscoped = None
         try:
-            tn = synth(env, scrut)
-            masked = mask_type(tn, s.guards)
-            if (masked is not None and isinstance(masked, DataTy)
-                    and isinstance(masked.shape, DSum)):
-                env_l = env_l.bind(s.left_var,
-                                   DataTy(masked.shape.left, s.guards))
-                env_r = env_r.bind(s.right_var,
-                                   DataTy(masked.shape.right, s.guards))
+            env_l, env_r = case_scopes(env, s.guards, scrut, s.left_var,
+                                       s.right_var, s.span)
+        except TypeErr as err:
+            # left for the real check to report; if a branch fails without
+            # its variable, this error still goes first, as in the check
+            unscoped = err
+            env_l = env_r = env.with_theta(s.guards)
+        try:
+            left = self.expr(s.left_body, env_l)
+            right = self.expr(s.right_body, env_r)
         except TypeErr:
-            pass  # the real check reports this later, with the right kind
-        return Case(s.guards, scrut,
-                    s.left_var, self.expr(s.left_body, env_l),
-                    s.right_var, self.expr(s.right_body, env_r),
+            if unscoped is None:
+                raise
+            raise unscoped
+        return Case(s.guards, scrut, s.left_var, left, s.right_var, right,
                     s.span)
 
     def _let(self, s: SLet, env: TypeEnv) -> ChorExpr:
         bound = self.expr(s.bound, env)
-        if s.annot is not None:
-            t = s.annot
-        else:
-            try:
-                t = synth(env, bound)
-            except TypeErr as err:
-                if err.kind == AMBIGUOUS_SUM:
-                    raise DesugarError(
-                        f"cannot infer a type for let {s.name}; "
-                        f"add an annotation", s.span) from err
-                raise
+        t = s.annot or self._infer(
+            env, bound, f"cannot infer a type for let {s.name}; "
+            "add an annotation", s.span)
         body = self.expr(s.body, env.bind(s.name, t))
         lam = Lam(s.name, t, body, env.theta, span=s.span)
         return App(Val(lam, s.span), bound, s.span)
 
-    def _construct(self, parts: list[SurfaceExpr], env: TypeEnv, span: Span,
-                   build) -> ChorExpr:
+    def _construct(self, s: SCons, env: TypeEnv) -> ChorExpr:
         """Build a value constructor, pulling non-value parts into temps."""
-        elaborated = [self.expr(p, env) for p in parts]
+        span = s.span
+        elaborated = [self.expr(p, env) for p in s.parts]
         lets: list[tuple[str, ChorType, ChorExpr]] = []
         values: list[ChorValue] = []
         for part in elaborated:
             if isinstance(part, Val):
                 values.append(part.value)
                 continue
-            try:
-                t = synth(env, part)
-            except TypeErr as err:
-                if err.kind == AMBIGUOUS_SUM:
-                    raise DesugarError(
-                        "cannot infer a type for this expression inside a "
-                        "value constructor; bind it with an annotated let",
-                        span) from err
-                raise
+            t = self._infer(
+                env, part, "cannot infer a type for this expression inside "
+                "a value constructor; bind it with an annotated let", span)
             name = self.temp()
             lets.append((name, t, part))
             values.append(Var(name, span=span))
             env = env.bind(name, t)
-        result: ChorExpr = Val(build(values), span)
+        result: ChorExpr = Val(s.build(*values, span=span), span)
         for name, t, bound in reversed(lets):
             result = App(Val(Lam(name, t, result, env.theta, span=span), span),
                          bound, span)
         return result
+
+    @staticmethod
+    def _infer(env: TypeEnv, bound: ChorExpr, message: str,
+               span: Span) -> ChorType:
+        """The type a binder takes from what it binds.  A DesugarError when
+        synthesis is ambiguous or leaves a hole, which no annotation can
+        spell."""
+        try:
+            t = synth(env, bound)
+        except TypeErr as err:
+            if err.kind == AMBIGUOUS_SUM:
+                raise DesugarError(message, span) from err
+            raise
+        if has_hole(t):
+            raise DesugarError(message, span)
+        return t
 
 
 def desugar(sp: SurfaceProgram,
@@ -589,57 +563,12 @@ def desugar(sp: SurfaceProgram,
     if theta is None:
         if isinstance(sp.body, SLam):
             theta = sp.body.owners
+        elif not sp.parties:
+            raise DesugarError("program names no parties")
         else:
-            theta = _surface_roles(sp.body)
+            theta = PartySet(sp.parties)
     core = _Elab().expr(sp.body, TypeEnv(theta))
     return core, theta
-
-
-def _surface_roles(s: SurfaceExpr) -> PartySet:
-    found: set[str] = set()
-
-    def walk(node: SurfaceExpr) -> None:
-        match node:
-            case SVar():
-                pass
-            case SUnit(owners, _):
-                found.update(owners)
-            case SLam(_, ptype, body, owners, _):
-                found.update(owners)
-                found.update(type_parties(ptype))
-                walk(body)
-            case SApp(fn, arg, _):
-                walk(fn)
-                walk(arg)
-            case SInl(inner, _) | SInr(inner, _):
-                walk(inner)
-            case SPair(first, second, _):
-                walk(first)
-                walk(second)
-            case STuple(elems, _):
-                for e in elems:
-                    walk(e)
-            case SKeyword(value, _):
-                if isinstance(value, Com):
-                    found.add(value.sender)
-                    found.update(value.recipients)
-                else:
-                    found.update(value.owners)
-            case SCase(guards, scrut, _, lb, _, rb, _):
-                found.update(guards)
-                walk(scrut)
-                walk(lb)
-                walk(rb)
-            case SLet(_, annot, bound, body, _):
-                if annot is not None:
-                    found.update(type_parties(annot))
-                walk(bound)
-                walk(body)
-
-    walk(s)
-    if not found:
-        raise DesugarError("program names no parties")
-    return PartySet(found)
 
 
 # ---------------------------------------------------------------------------

@@ -462,17 +462,6 @@ Behavior = Union[BVal, BApp, BCase]
 BOT = BVal(BOTTOM)
 
 
-@dataclass(frozen=True)
-class StepLabel:
-    """Send/receive annotations on a local step; at most one side is nonempty."""
-
-    sends: frozenset[tuple[str, LocalValue]] = frozenset()
-    receives: frozenset[tuple[str, LocalValue]] = frozenset()
-
-
-SILENT = StepLabel()
-
-
 # ---------------------------------------------------------------------------
 # free variables
 

@@ -533,33 +533,42 @@ def _masks(env: TypeEnv, v: ChorValue, theta: PartySet,
     return mask_value(v, theta) is not None
 
 
-def _case(env: TypeEnv, e: Case, want: Optional[Want]) -> ChorType:
-    _require_subset(e.guards, env.theta, e.span)
+def case_scopes(env: TypeEnv, guards: PartySet, scrutinee: ChorExpr,
+                left_var: str, right_var: str,
+                span: Optional[Span]) -> tuple[TypeEnv, TypeEnv]:
+    """The environments of a case's two branches.  Raises TypeErr unless
+    the guard is a sum located at every branching party."""
+    _require_subset(guards, env.theta, span)
     try:
-        tn = _walk(env, e.scrutinee, None)
+        tn = _walk(env, scrutinee, None)
     except TypeErr as err:
-        if err.kind != AMBIGUOUS_SUM or not isinstance(e.scrutinee, Val):
+        if err.kind != AMBIGUOUS_SUM or not isinstance(scrutinee, Val):
             raise
         # a bare injection still has definite owners and a definite shape on
         # the side it carries; the other side stays a hole
-        tn = _walk(env, e.scrutinee.value, _data(DAny(), True), e.span)
-        if tn.owners.intersect(e.guards) != e.guards:
+        tn = _walk(env, scrutinee.value, _data(DAny(), True), span)
+        if tn.owners.intersect(guards) != guards:
             raise TypeErr(MASK_UNDEFINED, f"guard owned by {tn.owners} misses "
-                          f"branching parties of {e.guards}", e.span) from err
-    masked = mask_type(tn, e.guards)
+                          f"branching parties of {guards}", span) from err
+    masked = mask_type(tn, guards)
     if masked is None:
         raise TypeErr(MASK_UNDEFINED, f"guard of type {print_type(tn)} has no "
-                      f"owner among {e.guards}", e.span)
+                      f"owner among {guards}", span)
     sides = _sides(masked, DSum)
     if sides is None:
         raise TypeErr(GUARD_NOT_SUM, "guard must be a located sum, got "
-                      f"{print_type(tn)}", e.span)
-    if masked.owners != e.guards:
+                      f"{print_type(tn)}", span)
+    if masked.owners != guards:
         raise TypeErr(MASK_UNDEFINED, f"guard of type {print_type(tn)} is not "
-                      f"located at all branching parties {e.guards}", e.span)
-    inner = env.with_theta(e.guards)
-    env_l = inner.bind(e.left_var, DataTy(sides[0], e.guards))
-    env_r = inner.bind(e.right_var, DataTy(sides[1], e.guards))
+                      f"located at all branching parties {guards}", span)
+    inner = env.with_theta(guards)
+    return (inner.bind(left_var, DataTy(sides[0], guards)),
+            inner.bind(right_var, DataTy(sides[1], guards)))
+
+
+def _case(env: TypeEnv, e: Case, want: Optional[Want]) -> ChorType:
+    env_l, env_r = case_scopes(env, e.guards, e.scrutinee, e.left_var,
+                               e.right_var, e.span)
     _note("TCASE")
     if want is not None:
         wl = _walk(env_l, e.left_body, want, e.span)
@@ -612,6 +621,16 @@ def _same(a, b) -> bool:
     return (type(a) is type(b)
             and isinstance(a, (DSum, DProd, DataTy, FunTy, TupleTy))
             and all(map(_same, vars(a).values(), vars(b).values())))
+
+
+def has_hole(t) -> bool:
+    """Whether a type or shape still holds a hole."""
+    if isinstance(t, DAny):
+        return True
+    if isinstance(t, tuple):
+        return any(map(has_hole, t))
+    return (isinstance(t, (DSum, DProd, DataTy, FunTy, TupleTy))
+            and any(map(has_hole, vars(t).values())))
 
 
 def _fill(a, b):

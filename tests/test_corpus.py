@@ -246,6 +246,66 @@ class TestCli:
         assert main(["check", str(printed)]) == 0
         assert capsys.readouterr().out.strip() == "()@[p]"
 
+    def test_let_in_a_branch_of_a_bare_injection_case(self, tmp_path,
+                                                      capsys):
+        # the branch variable's type comes from the checker's case rule
+        source = tmp_path / "branch.hll"
+        source.write_text("case[p] Inl ()@[p] of "
+                          "Inl x => let y = x; y; Inr z => ()@[p]\n")
+        assert main(["check", str(source)]) == 0
+        assert capsys.readouterr().out.strip() == "()@[p]"
+        assert main(["fmt", str(source)]) == 0
+        printed = tmp_path / "printed.hll"
+        printed.write_text(capsys.readouterr().out)
+        assert main(["check", str(printed)]) == 0
+        assert capsys.readouterr().out.strip() == "()@[p]"
+
+    def test_let_bound_to_a_hole_needs_an_annotation(self, tmp_path, capsys):
+        # z's shape is a hole: no annotation can spell its type
+        source = tmp_path / "hole.hll"
+        source.write_text("case[p] Inl ()@[p] of "
+                          "Inl x => ()@[p]; Inr z => let w = z; ()@[p]\n")
+        assert main(["check", str(source)]) == 1
+        assert "cannot infer a type for let w; add an annotation" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, record", [
+        ("(fn g : (() + ())@[p] . case[p, q] g of "
+         "Inl a => let b = a; b; Inr c => c)@[p, q]",
+         "MaskUndefined\t1:25\tguard of type (() + ())@[p] is not located "
+         "at all branching parties [p, q]"),
+        ("(fn g : ()@[p] . case[p] g of "
+         "Inl a => let b = a; b; Inr c => c)@[p]",
+         "GuardNotSum\t1:18\tguard must be a located sum, got ()@[p]"),
+    ])
+    def test_ill_typed_case_is_reported_before_its_branches(
+            self, tmp_path, capsys, text, record):
+        # the let in the left branch cannot be typed without `a`; the
+        # diagnostic is still the case's own, as the checker orders them
+        source = tmp_path / "case.hll"
+        source.write_text(text + "\n")
+        assert main(["check", str(source)]) == 1
+        assert capsys.readouterr().err.strip() == record
+
+    @pytest.mark.parametrize("text, message", [
+        ("()@[a$b]", "invalid party name 'a$b' at 1:5"),
+        ("com[a$b][q]", "invalid party name 'a$b' at 1:5"),
+        ("lookup[0][p] ((),)", "lookup indices are 1-based at 1:8"),
+    ])
+    def test_bad_party_or_index_is_a_parse_error(self, tmp_path, capsys,
+                                                 text, message):
+        source = tmp_path / "bad.hll"
+        source.write_text(text + "\n")
+        assert main(["check", str(source)]) == 1
+        assert capsys.readouterr().err.strip() == message
+
+    def test_bad_theta_is_a_usage_error(self, corpus_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(corpus_dir / "multicast.hll"),
+                  "--theta", "p,,q"])
+        assert exc.value.code == 2
+        assert "invalid party name: ''" in capsys.readouterr().err
+
     def test_missing_file_is_a_usage_error(self):
         result = self.run_cli("check", "no/such/file.hll")
         assert result.returncode == 2

@@ -5,15 +5,15 @@ import pytest
 import helam
 from helam.generate import GenConfig, gen_instance
 from helam.network import (
-    DeadlockReport, Network, SimulationFault, _enumerate_cached,
-    enumerate_net_steps, explore, format_trace, local_step, next_action,
-    receive_step, replay, simulate,
+    DeadlockReport, NetStep, Network, RecvAction, SendAction, Silent,
+    SimulationFault, _enumerate_cached, enumerate_net_steps, explore,
+    format_trace, next_action, replay, simulate,
 )
 from helam.projection import floor, project, project_all, roles
 from helam.semantics import run
 from helam.syntax import (
     App, BApp, BOT, BVal, Com, LInl, LLam, LPair, LUnit, LVar, Recv, Send,
-    SendSelf, StepLabel, Unit, Val, parties,
+    SendSelf, Unit, Val, parties,
 )
 
 PQ = parties("p", "q")
@@ -28,53 +28,46 @@ def bapp(f, a):
 
 class TestLocalStep:
     def test_send_emits_one_annotation_per_recipient(self):
-        steps = local_step(bapp(Send(("p", "q")), LUnit()))
-        assert steps == [(BOT, StepLabel(
-            sends=frozenset({("p", LUnit()), ("q", LUnit())})))]
+        act = next_action(bapp(Send(("p", "q")), LUnit()))
+        assert act == SendAction(("p", "q"), LUnit(), BOT, "LSEND")
 
     def test_send_to_nobody_is_silent(self):
-        steps = local_step(bapp(SendSelf(()), LUnit()))
-        assert steps == [(BVal(LUnit()), StepLabel())]
+        net = Network({"p": bapp(SendSelf(()), LUnit())})
+        assert enumerate_net_steps(net) == [
+            (Network({"p": BVal(LUnit())}), NetStep("p", "NPRO"))]
 
     def test_self_send_keeps_the_value(self):
-        steps = local_step(bapp(SendSelf(("q",)), LInl(LUnit())))
-        [(result, label)] = steps
-        assert result == BVal(LInl(LUnit()))
-        assert label.sends == frozenset({("q", LInl(LUnit()))})
+        act = next_action(bapp(SendSelf(("q",)), LInl(LUnit())))
+        assert isinstance(act, SendAction)
+        assert act.result == BVal(LInl(LUnit()))
+        assert (act.recipients, act.payload) == (("q",), LInl(LUnit()))
 
     def test_receive_is_symbolic(self):
-        b = bapp(Recv("s"), LUnit())
-        assert local_step(b) == []
-        got = receive_step(b, "s", LInl(LUnit()))
-        assert got == (BVal(LInl(LUnit())),
-                       StepLabel(receives=frozenset({("s", LInl(LUnit()))})))
+        act = next_action(bapp(Recv("s"), LUnit()))
+        assert isinstance(act, RecvAction) and act.sender == "s"
+        assert act.resolve(LInl(LUnit())) == BVal(LInl(LUnit()))
 
     def test_receive_from_wrong_sender_does_not_match(self):
-        assert receive_step(bapp(Recv("s"), LUnit()), "t", LUnit()) is None
+        net = Network({"t": bapp(Send(("r",)), LUnit()),
+                       "r": bapp(Recv("s"), LUnit())})
+        assert enumerate_net_steps(net) == []
 
     def test_receive_argument_is_ignored(self):
-        got = receive_step(BApp(BVal(Recv("s")), BOT), "s", LUnit())
-        assert got[0] == BVal(LUnit())
+        act = next_action(BApp(BVal(Recv("s")), BOT))
+        assert act.resolve(LUnit()) == BVal(LUnit())
 
     def test_beta_floors_the_result(self):
         b = bapp(LLam("x", BVal(LPair(LVar("x"), LVar("x")))), LUnit())
-        [(result, label)] = local_step(b)
-        assert result == BVal(LPair(LUnit(), LUnit()))
-        assert label == StepLabel()
+        assert next_action(b) == Silent(BVal(LPair(LUnit(), LUnit())),
+                                        "LABSAPP")
 
     def test_values_do_not_step(self):
-        assert local_step(BVal(LUnit())) == []
-        assert local_step(BOT) == []
-
-    def test_at_most_one_side_of_a_label_is_nonempty(self):
-        for b in (bapp(Send(("p",)), LUnit()),
-                  bapp(LLam("x", BVal(LVar("x"))), LUnit())):
-            for _, label in local_step(b):
-                assert not (label.sends and label.receives)
+        assert next_action(BVal(LUnit())) is None
+        assert next_action(BOT) is None
 
     def test_sending_a_function_is_a_fault(self):
         with pytest.raises(SimulationFault):
-            local_step(bapp(Send(("q",)), LLam("x", BVal(LVar("x")))))
+            next_action(bapp(Send(("q",)), LLam("x", BVal(LVar("x")))))
 
 
 class TestEnumerate:

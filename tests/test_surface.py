@@ -65,6 +65,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("()@[]")
 
+    def test_party_names_may_not_hold_a_dollar(self):
+        # variables may (the uniquifier's renames), parties may not
+        with pytest.raises(ParseError) as exc:
+            parse("com[s][r, a$1]")
+        assert str(exc.value.span) == "1:11"
+
 
 class TestDesugar:
     def test_let_becomes_applied_lambda(self):
@@ -83,6 +89,18 @@ class TestDesugar:
         let_lam = core.value.body.fn.value
         assert let_lam.owners == parties("p", "q")
         typecheck(parties("p", "q"), core)
+
+    def test_theta_covers_parties_only_in_an_annotation(self):
+        _, theta = desugar(parse("let v : ()@[q] = ()@[p]; v"))
+        assert theta == parties("p", "q")
+
+    def test_theta_covers_a_party_only_sending(self):
+        _, theta = desugar(parse("com[s][r] ()@[r]"))
+        assert theta == parties("r", "s")
+
+    def test_program_naming_no_party_is_rejected(self):
+        with pytest.raises(DesugarError, match="program names no parties"):
+            desugar(parse("f x"))
 
     def test_unannotated_let_synthesizes(self):
         core, _ = desugar(parse("let v = ()@[p]; v"))
