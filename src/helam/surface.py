@@ -236,14 +236,13 @@ class Parser:
 
     def type_(self) -> ChorType:
         if self.at("("):
-            save, named = self.pos, len(self.parties)
+            save = self.pos
             try:
                 return self._paren_type()
             except ParseError as err:
                 if err.fatal:
                     raise
                 self.pos = save
-                del self.parties[named:]
         shape = self.dtype()
         self.expect("@")
         owners = self.party_list()

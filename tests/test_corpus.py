@@ -290,6 +290,9 @@ class TestCli:
     @pytest.mark.parametrize("text, message", [
         ("()@[a$b]", "invalid party name 'a$b' at 1:5"),
         ("com[a$b][q]", "invalid party name 'a$b' at 1:5"),
+        # inside a parenthesized type, which the parser may re-read as data
+        ("(fn f : (()@[p] -> ()@[q, a$b])@[p] . f)@[p]",
+         "invalid party name 'a$b' at 1:27"),
         ("lookup[0][p] ((),)", "lookup indices are 1-based at 1:8"),
     ])
     def test_bad_party_or_index_is_a_parse_error(self, tmp_path, capsys,

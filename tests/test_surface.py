@@ -65,12 +65,6 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("()@[]")
 
-    def test_party_names_may_not_hold_a_dollar(self):
-        # variables may (the uniquifier's renames), parties may not
-        with pytest.raises(ParseError) as exc:
-            parse("com[s][r, a$1]")
-        assert str(exc.value.span) == "1:11"
-
 
 class TestDesugar:
     def test_let_becomes_applied_lambda(self):
