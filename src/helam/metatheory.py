@@ -135,10 +135,7 @@ def completeness_property(inst: Instance, states: list[ChorExpr],
                           report: PropertyReport) -> None:
     """Every central step is matched by real network steps to the stepped
     projection."""
-    try:
-        members = roles(inst.expr)
-    except Exception:
-        return
+    members = roles(inst.expr)
     depth = len(members) + 2
     for before, after in zip(states, states[1:]):
         net_before = Network(project_all(before, members))
@@ -155,10 +152,7 @@ def agreement_property(inst: Instance, report_agree: PropertyReport,
                        seeds: int = 20) -> None:
     """Seeded runs (and exhaustive exploration when small) all end with every
     party holding its view of the central result."""
-    try:
-        members = roles(inst.expr)
-    except Exception:
-        return  # single-value programs with no parties cannot occur
+    members = roles(inst.expr)
     final = run(inst.expr)
     goal = Network({p: project(Val(final), p) for p in members})
     net = Network(project_all(inst.expr, members))
@@ -185,16 +179,16 @@ def agreement_property(inst: Instance, report_agree: PropertyReport,
         if exploration.deadlocks:
             report_deadlock.note(inst, "exhaustive exploration found deadlock")
             return
-        if exploration.complete and exploration.terminals != {goal}:
+        if not exploration.complete:
+            report_agree.note(inst, f"exhaustive exploration stopped at its "
+                              f"budget of {EXPLORE_BUDGET} states")
+        elif exploration.terminals != {goal}:
             report_agree.note(inst, "exhaustive terminals disagree")
 
 
 def scheduling_property(inst: Instance, report: PropertyReport) -> None:
     """A party passes through the same behaviors whatever the interleaving."""
-    try:
-        members = roles(inst.expr)
-    except Exception:
-        return
+    members = roles(inst.expr)
     net = Network(project_all(inst.expr, members))
     a = simulate(net, seed=1)
     if not a.nondeterministic:
@@ -206,10 +200,7 @@ def scheduling_property(inst: Instance, report: PropertyReport) -> None:
 
 def parallelism_property(inst: Instance, report: PropertyReport) -> None:
     """Adjacent steps of disjoint party sets commute."""
-    try:
-        members = roles(inst.expr)
-    except Exception:
-        return
+    members = roles(inst.expr)
     net = Network(project_all(inst.expr, members))
     outcome = simulate(net, seed=0)
     origins = [s.origin for s in outcome.trace]

@@ -6,6 +6,9 @@ recipient is ready to receive, all in one atomic network step.  Receives are
 never materialized on their own: their value is a free parameter fixed by
 the matching send.  Every step builds its result floor-normal (see
 `projection`), so a behavior is floored only where it enters, in `Network`.
+A behavior that is not `PENDING` is a finished local value with no action,
+and a redex returns its value as it is: the component it projects, the
+missing value `BOTTOM` after a send, or the payload a receive is given.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from typing import Callable, Optional
 from .projection import bapp, bcase, floor, local_subst
 from .semantics import FuelExhausted
 from .syntax import (
-    BApp, BCase, BVal, Behavior, Bottom, LFst, LInl, LInr, LLam, LLookup,
-    LPair, LSnd, LUnit, LVec, LocalValue, Recv, Send, SendSelf, print_behavior,
-    print_local,
+    BOTTOM, PENDING, BApp, BCase, Behavior, Bottom, LFst, LInl, LInr, LLam,
+    LLookup, LPair, LSnd, LUnit, LVec, LocalValue, Recv, Send, SendSelf,
+    print_behavior,
 )
 
 
@@ -74,29 +77,28 @@ def next_action(b: Behavior) -> Optional[Action]:
     Cached: behaviors are immutable and recur heavily across interleavings.
     """
     match b:
-        case BVal(_):
-            return None
         case BApp(fn, arg):
-            if not isinstance(fn, BVal):
+            if isinstance(fn, PENDING):
                 inner = next_action(fn)
                 return _wrap(inner, lambda f2: bapp(f2, arg), "LAPP2")
-            if not isinstance(arg, BVal):
+            if isinstance(arg, PENDING):
                 inner = next_action(arg)
                 return _wrap(inner, lambda a2: bapp(fn, a2), "LAPP1")
-            return _redex_action(fn.value, arg.value)
+            return _redex_action(fn, arg)
         case BCase(scrut, xl, bl, xr, br):
-            if not isinstance(scrut, BVal):
+            if isinstance(scrut, PENDING):
                 inner = next_action(scrut)
                 return _wrap(inner, lambda s2: bcase(s2, xl, bl, xr, br),
                              "LCASE")
-            match scrut.value:
+            match scrut:
                 case LInl(payload):
                     return Silent(local_subst(bl, xl, payload), "LCASEL")
                 case LInr(payload):
                     return Silent(local_subst(br, xr, payload), "LCASER")
                 case _:
                     return None
-    raise TypeError(f"not a behavior: {b!r}")
+        case _:
+            return None
 
 
 def _wrap(inner: Optional[Action], ctx: Callable[[Behavior], Behavior],
@@ -122,37 +124,37 @@ def _redex_action(fn: LocalValue, arg: LocalValue) -> Optional[Action]:
             return Silent(local_subst(body, param, arg), "LABSAPP")
         case LFst():
             if isinstance(arg, LPair):
-                return Silent(BVal(arg.first), "LPROJ1")
+                return Silent(arg.first, "LPROJ1")
             if isinstance(arg, Bottom):
                 # the whole aggregate lives elsewhere, so its component does
                 # too; without this a party that co-owns a projection keyword
                 # but none of the data would wedge
-                return Silent(BVal(Bottom()), "LPROJ1")
+                return Silent(BOTTOM, "LPROJ1")
             return None
         case LSnd():
             if isinstance(arg, LPair):
-                return Silent(BVal(arg.second), "LPROJ2")
+                return Silent(arg.second, "LPROJ2")
             if isinstance(arg, Bottom):
-                return Silent(BVal(Bottom()), "LPROJ2")
+                return Silent(BOTTOM, "LPROJ2")
             return None
         case LLookup(index):
             if isinstance(arg, LVec) and index <= len(arg.elems):
-                return Silent(BVal(arg.elems[index - 1]), "LPROJN")
+                return Silent(arg.elems[index - 1], "LPROJN")
             if isinstance(arg, Bottom):
-                return Silent(BVal(Bottom()), "LPROJN")
+                return Silent(BOTTOM, "LPROJN")
             return None
         case Send(recipients):
             if not is_data_local(arg):
                 raise SimulationFault(
-                    f"cannot send non-data value {print_local(arg)}")
-            return SendAction(recipients, arg, BVal(Bottom()), "LSEND")
+                    f"cannot send non-data value {print_behavior(arg)}")
+            return SendAction(recipients, arg, BOTTOM, "LSEND")
         case SendSelf(recipients):
             if not is_data_local(arg):
                 raise SimulationFault(
-                    f"cannot send non-data value {print_local(arg)}")
-            return SendAction(recipients, arg, BVal(arg), "LSENDSELF")
+                    f"cannot send non-data value {print_behavior(arg)}")
+            return SendAction(recipients, arg, arg, "LSENDSELF")
         case Recv(sender):
-            return RecvAction(sender, lambda l: BVal(l))
+            return RecvAction(sender, lambda l: l)
         case _:
             return None
 
@@ -212,11 +214,11 @@ class Network:
         return f"Network({inner})"
 
     def all_values(self) -> bool:
-        return all(isinstance(b, BVal) for b in self.procs.values())
+        return not any(isinstance(b, PENDING) for b in self.procs.values())
 
     def stuck_parties(self) -> list[tuple[str, Behavior]]:
         return [(p, b) for p, b in sorted(self.procs.items())
-                if not isinstance(b, BVal)]
+                if isinstance(b, PENDING)]
 
 
 @dataclass(frozen=True)
@@ -386,7 +388,7 @@ def explore(net: Network, budget: int = 100_000) -> Exploration:
 def format_trace(trace: list[NetStep]) -> str:
     lines = []
     for n, s in enumerate(trace, start=1):
-        payload = print_local(s.payload) if s.payload is not None else "-"
+        payload = print_behavior(s.payload) if s.payload is not None else "-"
         recipients = ", ".join(s.recipients)
         lines.append(f"step {n}: {s.origin} -> [{recipients}] : {payload}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,10 +1,12 @@
 """Endpoint projection to per-party behaviors, built floor-normal.
 
 A party's projection keeps the parts of the choreography it takes part in
-and replaces everything else with the missing-value marker.  Composite terms
-that are missing everywhere (a pair of missing halves, an application of a
-missing function to a value) collapse to that single marker, so "not my
-problem" has one representation.
+and replaces everything else with the missing value, `BOTTOM`.  Composite
+terms that are missing everywhere (a pair of missing halves, an application
+of a missing function to a value) collapse to it, so "not my problem" has
+one representation.  A behavior is a local value, an application or a case,
+with no wrapper around the values, so `floor` and `local_subst` are one walk
+each and a projected value is a behavior as it stands.
 
 The collapse rules live in the smart constructors `bapp`, `bcase`, `linl`,
 `linr`, `lpair` and `lvec`: each applies the one rule for the node it builds,
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .syntax import (
-    App, BApp, BCase, BOT, BOTTOM, BVal, Behavior, Bottom, Case, ChorExpr,
+    PENDING, App, BApp, BCase, BOTTOM, Behavior, Bottom, Case, ChorExpr,
     ChorValue, Com, Fst, Inl, Inr, LFst, LInl, LInr, LLam, LLookup, LPair,
     LSnd, LUnit, LVar, LVec, Lam, LocalValue, Lookup, Pair, PartySet, Recv,
     Send, SendSelf, Snd, Unit, Val, Var, Vec, nodes, type_parties,
@@ -56,15 +58,16 @@ def roles(e: ChorExpr) -> PartySet:
 def bapp(fn: Behavior, arg: Behavior) -> Behavior:
     # an application of a missing function to a finished argument is itself
     # missing; a pending argument still has work to do
-    if fn == BOT and isinstance(arg, BVal):
-        return BOT
+    if isinstance(fn, Bottom) and not isinstance(arg, PENDING):
+        return BOTTOM
     return BApp(fn, arg)
 
 
 def bcase(scrut: Behavior, xl: str, bl: Behavior, xr: str,
           br: Behavior) -> Behavior:
-    if scrut == BOT and bl == BOT and br == BOT:
-        return BOT
+    if (isinstance(scrut, Bottom) and isinstance(bl, Bottom)
+            and isinstance(br, Bottom)):
+        return BOTTOM
     return BCase(scrut, xl, bl, xr, br)
 
 
@@ -93,29 +96,22 @@ def lvec(elems: tuple[LocalValue, ...]) -> LocalValue:
 
 def floor(b: Behavior) -> Behavior:
     match b:
-        case BVal(l):
-            return BVal(floor_value(l))
         case BApp(fn, arg):
             return bapp(floor(fn), floor(arg))
         case BCase(scrut, xl, bl, xr, br):
             return bcase(floor(scrut), xl, floor(bl), xr, floor(br))
-    raise TypeError(f"not a behavior: {b!r}")
-
-
-def floor_value(l: LocalValue) -> LocalValue:
-    match l:
         case LInl(inner):
-            return linl(floor_value(inner))
+            return linl(floor(inner))
         case LInr(inner):
-            return linr(floor_value(inner))
-        case LPair(a, b):
-            return lpair(floor_value(a), floor_value(b))
+            return linr(floor(inner))
+        case LPair(first, second):
+            return lpair(floor(first), floor(second))
         case LVec(elems):
-            return lvec(tuple(floor_value(e) for e in elems))
+            return lvec(tuple(floor(e) for e in elems))
         case LLam(param, body):
             return LLam(param, floor(body))
         case _:
-            return l
+            return b
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +120,7 @@ def floor_value(l: LocalValue) -> LocalValue:
 def project(e: ChorExpr, p: str) -> Behavior:
     match e:
         case Val(v):
-            return BVal(project_value(v, p))
+            return project_value(v, p)
         case App(fn, arg):
             return bapp(project(fn, p), project(arg, p))
         case Case(guards, scrut, xl, ml, xr, mr):
@@ -133,7 +129,7 @@ def project(e: ChorExpr, p: str) -> Behavior:
                              xr, project(mr, p))
             # a bystander only helps compute the guard; the branches cannot
             # mention it, so they are dropped outright
-            return bcase(project(scrut, p), xl, BOT, xr, BOT)
+            return bcase(project(scrut, p), xl, BOTTOM, xr, BOTTOM)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -187,8 +183,8 @@ def project_all(e: ChorExpr,
 def local_subst(b: Behavior, x: str, l: LocalValue) -> Behavior:
     """b with l for x; floor-normal when b and l are."""
     match b:
-        case BVal(inner):
-            return BVal(local_subst_value(inner, x, l))
+        case LVar(name):
+            return l if name == x else b
         case BApp(fn, arg):
             return bapp(local_subst(fn, x, l), local_subst(arg, x, l))
         case BCase(scrut, xl, bl, xr, br):
@@ -196,25 +192,17 @@ def local_subst(b: Behavior, x: str, l: LocalValue) -> Behavior:
                 local_subst(scrut, x, l),
                 xl, bl if xl == x else local_subst(bl, x, l),
                 xr, br if xr == x else local_subst(br, x, l))
-    raise TypeError(f"not a behavior: {b!r}")
-
-
-def local_subst_value(w: LocalValue, x: str, l: LocalValue) -> LocalValue:
-    match w:
-        case LVar(name):
-            return l if name == x else w
         case LLam(param, body):
             if param == x:
-                return w
+                return b
             return LLam(param, local_subst(body, x, l))
         case LInl(inner):
-            return linl(local_subst_value(inner, x, l))
+            return linl(local_subst(inner, x, l))
         case LInr(inner):
-            return linr(local_subst_value(inner, x, l))
-        case LPair(a, b):
-            return lpair(local_subst_value(a, x, l),
-                         local_subst_value(b, x, l))
+            return linr(local_subst(inner, x, l))
+        case LPair(first, second):
+            return lpair(local_subst(first, x, l), local_subst(second, x, l))
         case LVec(elems):
-            return lvec(tuple(local_subst_value(e, x, l) for e in elems))
+            return lvec(tuple(local_subst(e, x, l) for e in elems))
         case _:
-            return w
+            return b

@@ -456,12 +456,18 @@ def parse(text: str) -> SurfaceProgram:
 # why elaboration carries a typing environment.
 
 class _Elab:
-    def __init__(self):
+    def __init__(self, source: str):
+        self.source = source
         self.fresh = 0
 
     def temp(self) -> str:
-        self.fresh += 1
-        return f"tmp${self.fresh}"
+        """A name that occurs nowhere in the program text, so a temporary
+        cannot capture a user variable."""
+        while True:
+            self.fresh += 1
+            name = f"tmp${self.fresh}"
+            if name not in self.source:
+                return name
 
     def expr(self, s: SurfaceExpr, env: TypeEnv) -> ChorExpr:
         match s:
@@ -566,7 +572,7 @@ def desugar(sp: SurfaceProgram,
             raise DesugarError("program names no parties")
         else:
             theta = PartySet(sp.parties)
-    core = _Elab().expr(sp.body, TypeEnv(theta))
+    core = _Elab(sp.source).expr(sp.body, TypeEnv(theta))
     return core, theta
 
 

@@ -2,7 +2,9 @@
 
 Parties, data shapes, located types, choreography expressions, local
 behaviors, and the canonical plain-text rendering that the rest of the
-package (and the test suite) treats as the one true syntax.
+package (and the test suite) treats as the one true syntax.  A behavior is
+a local value, an application or a case; the missing value has one name,
+`BOTTOM`, and `PENDING` names the behaviors that still have work to do.
 """
 
 from __future__ import annotations
@@ -296,11 +298,18 @@ def _hash_with_class(cls):
     """Hash a local value together with its class name.  The dataclass hash
     covers the fields alone, so `LInl(v)` and `LInr(v)`, `Send(ps)` and
     `SendSelf(ps)`, or `LUnit()` and `Bottom()` would collide, and in the
-    network's caches each collision compares two whole networks."""
+    network's caches each collision compares two whole networks.  A value
+    without fields, such as a finished party's `LUnit()`, has one hash,
+    computed here: every network built hashes its parties' finished values."""
     names = tuple(f.name for f in fields(cls))
+    if names:
+        def __hash__(self):
+            return hash((cls.__name__, *[getattr(self, n) for n in names]))
+    else:
+        constant = hash((cls.__name__,))
 
-    def __hash__(self):
-        return hash((cls.__name__, *[getattr(self, n) for n in names]))
+        def __hash__(self):
+            return constant
 
     cls.__hash__ = __hash__
     return cls
@@ -322,9 +331,9 @@ def _cached_hash(self) -> int:
     return self._hash
 
 
-# Behaviors and the functions inside them compute their hash once, when they
-# are built, from their children's hashes: the network's caches and state
-# sets hash whole terms on every lookup.  Equality is the dataclass's.
+# Applications, cases and functions compute their hash once, when they are
+# built, from their children's hashes: the network's caches and state sets
+# hash whole terms on every lookup.  Equality is the dataclass's.
 
 @dataclass(frozen=True, slots=True)
 class LLam:
@@ -418,17 +427,6 @@ LocalValue = Union[
 
 
 @dataclass(frozen=True, slots=True)
-class BVal:
-    value: LocalValue
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.value,)))
-
-    __hash__ = _cached_hash
-
-
-@dataclass(frozen=True, slots=True)
 class BApp:
     fn: "Behavior"
     arg: "Behavior"
@@ -457,9 +455,10 @@ class BCase:
     __hash__ = _cached_hash
 
 
-Behavior = Union[BVal, BApp, BCase]
+Behavior = Union[LocalValue, BApp, BCase]
 
-BOT = BVal(BOTTOM)
+# the behaviors still to run; every other behavior is a finished local value
+PENDING = (BApp, BCase)
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +631,6 @@ def print_value(v: ChorValue, level: int = _TOP) -> str:
 
 def print_behavior(b: Behavior, level: int = _TOP) -> str:
     match b:
-        case BVal(l):
-            return print_local(l, level)
         case BApp(fn, arg):
             s = f"{print_behavior(fn, _FN)} {print_behavior(arg, _ATOM)}"
             return f"({s})" if level >= _ATOM else s
@@ -642,11 +639,6 @@ def print_behavior(b: Behavior, level: int = _TOP) -> str:
                  f"Inl {xl} => {print_behavior(bl)}; "
                  f"Inr {xr} => {print_behavior(br)}")
             return f"({s})" if level >= _FN else s
-    raise TypeError(f"not a behavior: {b!r}")
-
-
-def print_local(l: LocalValue, level: int = _TOP) -> str:
-    match l:
         case LVar(name):
             return name
         case LUnit():
@@ -655,18 +647,18 @@ def print_local(l: LocalValue, level: int = _TOP) -> str:
             s = f"fn {param}. {print_behavior(body)}"
             return f"({s})" if level >= _FN else s
         case LInl(inner):
-            s = f"Inl {print_local(inner, _ATOM)}"
+            s = f"Inl {print_behavior(inner, _ATOM)}"
             return f"({s})" if level >= _ATOM else s
         case LInr(inner):
-            s = f"Inr {print_local(inner, _ATOM)}"
+            s = f"Inr {print_behavior(inner, _ATOM)}"
             return f"({s})" if level >= _ATOM else s
         case LPair(a, b):
-            s = f"Pair {print_local(a, _ATOM)} {print_local(b, _ATOM)}"
+            s = f"Pair {print_behavior(a, _ATOM)} {print_behavior(b, _ATOM)}"
             return f"({s})" if level >= _ATOM else s
         case LVec(elems):
             if len(elems) == 1:
-                return f"({print_local(elems[0])},)"
-            return "(" + ", ".join(print_local(x) for x in elems) + ")"
+                return f"({print_behavior(elems[0])},)"
+            return "(" + ", ".join(print_behavior(x) for x in elems) + ")"
         case LFst():
             return "fst"
         case LSnd():
@@ -681,18 +673,18 @@ def print_local(l: LocalValue, level: int = _TOP) -> str:
             return "send*_[" + ", ".join(recipients) + "]"
         case Bottom():
             return "⊥"
-    raise TypeError(f"not a local value: {l!r}")
+    raise TypeError(f"not a behavior: {b!r}")
 
 
 def canonical_print(x) -> str:
-    """Render an expression, type, or local behavior as canonical text."""
-    if isinstance(x, (Val, App, Case)):
+    """Render an expression, value, type, data shape, or local behavior as
+    canonical text."""
+    if isinstance(x, ChorExpr):
         return print_expr(x)
-    if isinstance(x, (DataTy, FunTy, TupleTy)):
+    if isinstance(x, ChorType):
         return print_type(x)
-    if isinstance(x, (BVal, BApp, BCase)):
-        return print_behavior(x)
-    if isinstance(x, (DUnit, DSum, DProd)):
+    if isinstance(x, DataType):
         return print_data(x)
-    # bare values are accepted for convenience
-    return print_value(x)
+    if isinstance(x, ChorValue):
+        return print_value(x)
+    return print_behavior(x)

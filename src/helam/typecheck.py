@@ -51,12 +51,6 @@ ALL_KINDS = (
     AMBIGUOUS_SUM,
 )
 
-TYPING_RULES = (
-    "TLAMBDA", "TVAR", "TAPP", "TCASE", "TUNIT", "TPAIR", "TVEC",
-    "TINL", "TINR", "TPROJ1", "TPROJ2", "TPROJN", "TCOM",
-)
-
-
 class TypeErr(Exception):
     def __init__(self, kind: str, detail: str, span: Optional[Span] = None):
         self.kind = kind
@@ -113,23 +107,6 @@ class Want:
 
 def _data(shape, owners_first: bool = False) -> Want:
     return Want(None, None, shape, owners_first)
-
-
-# rule coverage accounting, used by the generator's coverage test
-_rule_counts: dict[str, int] = {}
-
-
-def _note(*rules: str) -> None:
-    for rule in rules:
-        _rule_counts[rule] = _rule_counts.get(rule, 0) + 1
-
-
-def rule_coverage_reset() -> None:
-    _rule_counts.clear()
-
-
-def rule_coverage() -> dict[str, int]:
-    return dict(_rule_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +187,6 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
             if want is not None and isinstance(head, Lam):
                 inner = _lam_body_env(env, head, node.span)
                 check_arg(env, arg, head.param_type, head.owners)
-                _note("TLAMBDA", "TAPP")
                 return _walk(inner, head.body, want, node.span)
             if want is not None and want.exact:
                 _synth_first(env, node, want, node.span,
@@ -232,7 +208,6 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
                 raise TypeErr(NOT_A_FUNCTION, "applied expression of type "
                               f"{print_type(tf)}", node.span)
             check_arg(env, arg, tf.arg, tf.owners)
-            _note("TAPP")
             return tf.ret
         case Case():
             return _case(env, node, want)
@@ -244,11 +219,9 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
             if masked is None:
                 raise TypeErr(MASK_UNDEFINED, f"{node.name}: {print_type(t)} "
                               f"has no owner in {env.theta}", here)
-            _note("TVAR")
             return masked if want is None else _fit(masked, want, here)
         case Unit():
             owners = node.owners
-            _note("TUNIT")
             data = want is not None and not want.exact
             if data and not isinstance(want.shape, (DUnit, DAny)):
                 raise TypeErr(ARG_MISMATCH, "unit value checked against "
@@ -271,7 +244,6 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
                               "type that is not a sum", here)
             side = sides[0] if left else sides[1]
             got = _walk(env, node.value, _data(side, want.owners_first), here)
-            _note("TINL" if left else "TINR")
             if got.shape is side:
                 return DataTy(want.shape, got.owners)
             # a hole took the value's shape
@@ -296,7 +268,6 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
                 raise TypeErr(PAIR_COMPONENTS_DISJOINT, "pair components "
                               f"share no owner: {ta.owners} vs {tb.owners}",
                               here)
-            _note("TPAIR")
             if data and ta.shape is sides[0] and tb.shape is sides[1]:
                 return DataTy(want.shape, owners)
             t = DataTy(DProd(ta.shape, tb.shape), owners)
@@ -307,7 +278,6 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
             raise TypeErr(ARG_MISMATCH, "not a data value", here)
         case Vec():
             elems = node.elems
-            _note("TVEC")
             if want is not None and isinstance(want.type, TupleTy):
                 if len(elems) != len(want.type.elems):
                     raise TypeErr(ARG_MISMATCH, "tuple does not fit "
@@ -325,7 +295,6 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
                 raise TypeErr(ARG_MISMATCH, "function literal does not fit "
                               f"{print_type(expected)}", here)
             inner = _lam_body_env(env, node, here)
-            _note("TLAMBDA")
             if checking:
                 _walk(inner, node.body, Want(expected.ret))
                 return expected
@@ -345,7 +314,6 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
                               f"{print_type(want.type)}", here)
             _require_subset(owners, env.theta, here)
             left = isinstance(node, Fst)
-            _note("TPROJ1" if left else "TPROJ2")
             side = sides[0] if left else sides[1]
             return _fit(FunTy(DataTy(dom.shape, owners), DataTy(side, owners),
                               owners), want, here)
@@ -360,13 +328,11 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
             if not is_noop(dom, owners):
                 raise TypeErr(NOOP_VIOLATION, f"{print_type(dom)} is not "
                               f"fixed by masking to {owners}", here)
-            _note("TPROJN")
             return _fit(FunTy(dom, dom.elems[index - 1], owners), want, here)
         case Com():
             sender, recipients = node.sender, node.recipients
             expected = want.type if want is not None else None
             full = recipients.union(PartySet([sender]))
-            _note("TCOM")
             if isinstance(expected, FunTy):
                 arg = expected.arg
                 if not (isinstance(arg, DataTy) and sender in arg.owners):
@@ -399,7 +365,6 @@ def _walk_val(env: TypeEnv, node: Val, want: Want,
             if not isinstance(v, Vec) or len(v.elems) != len(expected.elems):
                 raise TypeErr(ARG_MISMATCH, "tuple value expected for "
                               f"{print_type(expected)}", node.span)
-            _note("TVEC")
             return TupleTy(tuple(
                 check_arg(env, Val(x, node.span), t, want.mask)
                 for x, t in zip(v.elems, expected.elems)))
@@ -440,14 +405,12 @@ def _com_app(env: TypeEnv, com: Com, arg: ChorExpr, want: Optional[Want],
     if com.sender not in got.owners:
         raise TypeErr(SENDER_NOT_OWNER, f"sender {com.sender} does not own "
                       "the argument", span)
-    _note("TCOM", "TAPP")
     return DataTy(payload, com.recipients)
 
 
 def _proj_app(env: TypeEnv, kw: Fst | Snd, arg: ChorExpr,
               want: Optional[Want], span: Optional[Span]) -> ChorType:
     left = isinstance(kw, Fst)
-    _note("TPROJ1" if left else "TPROJ2", "TAPP")
     if want is not None and want.mask is not None and not (
             isinstance(want.type, DataTy)
             and kw.owners.intersect(want.mask) == want.type.owners):
@@ -475,7 +438,6 @@ def _lookup_app(env: TypeEnv, kw: Lookup, arg: ChorExpr,
                 want: Optional[Want], span: Optional[Span]) -> ChorType:
     """Synthesized from a tuple type, or checked on a tuple literal."""
     _require_subset(kw.owners, env.theta, span)
-    _note("TPROJN", "TAPP")
     if want is None:
         tup = _walk(env, arg, None)
         if not isinstance(tup, TupleTy):
@@ -569,7 +531,6 @@ def case_scopes(env: TypeEnv, guards: PartySet, scrutinee: ChorExpr,
 def _case(env: TypeEnv, e: Case, want: Optional[Want]) -> ChorType:
     env_l, env_r = case_scopes(env, e.guards, e.scrutinee, e.left_var,
                                e.right_var, e.span)
-    _note("TCASE")
     if want is not None:
         wl = _walk(env_l, e.left_body, want, e.span)
         wr = _walk(env_r, e.right_body, want, e.span)

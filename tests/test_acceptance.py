@@ -18,7 +18,7 @@ from helam.projection import project, project_all, roles
 from helam.semantics import run
 from helam.surface import desugar, parse
 from helam.syntax import (
-    App, BApp, BOT, BVal, Com, Inl, Inr, LUnit, Recv, Send, Unit, Val, Vec,
+    App, BApp, BOTTOM, Com, Inl, Inr, LUnit, Recv, Send, Unit, Val, Vec,
     parties, print_expr,
 )
 from helam.typecheck import TypeErr, typecheck
@@ -109,8 +109,7 @@ def test_criterion_2_epp_agreement(simulations):
 def test_criterion_3_deadlock_freedom(simulations):
     """No projected run deadlocks; a broken network is still detected."""
     assert simulations["deadlocks"] == []
-    broken = Network({"s": BApp(BVal(Send(("r",))), BVal(LUnit())),
-                      "r": BVal(LUnit())})
+    broken = Network({"s": BApp(Send(("r",)), LUnit()), "r": LUnit()})
     out = simulate(broken, seed=0)
     assert out.deadlock is not None, "detector failed to fire"
     print("\nPASS criterion 3: zero deadlocks across criterion-2 runs; "
@@ -185,17 +184,16 @@ def test_criterion_6_single_step_golden():
     typecheck(parties("p", "q", "s"), e)
     net = Network(project_all(e))
     assert net == Network({
-        "s": BApp(BVal(Send(("p", "q"))), BVal(LUnit())),
-        "p": BApp(BVal(Recv("s")), BOT),
-        "q": BApp(BVal(Recv("s")), BOT),
+        "s": BApp(Send(("p", "q")), LUnit()),
+        "p": BApp(Recv("s"), BOTTOM),
+        "q": BApp(Recv("s"), BOTTOM),
     })
     steps = enumerate_net_steps(net)
     assert len(steps) == 1
     after, info = steps[0]
     assert info.rule == "NCOM" and info.recipients == ("p", "q")
     assert after.all_values()
-    assert after == Network({"s": BOT, "p": BVal(LUnit()),
-                             "q": BVal(LUnit())})
+    assert after == Network({"s": BOTTOM, "p": LUnit(), "q": LUnit()})
     print("\nPASS criterion 6: three-party projection reaches all-values in "
           "exactly one real step")
 

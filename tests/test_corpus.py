@@ -172,6 +172,13 @@ class TestGoldenTraces:
         assert format_trace(out.trace) == golden
 
 
+@pytest.mark.parametrize("name", WELL_TYPED)
+def test_projection_matches_golden(corpus_dir, capsys, name):
+    assert main(["project", str(corpus_dir / f"{name}.hll"), "--all"]) == 0
+    golden = corpus_dir / "golden" / f"{name}.project"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run(
@@ -268,6 +275,17 @@ class TestCli:
         assert main(["check", str(source)]) == 1
         assert "cannot infer a type for let w; add an annotation" in \
             capsys.readouterr().err
+
+    def test_temporaries_do_not_capture_user_variables(self, tmp_path,
+                                                        capsys):
+        # the pair's parts are pulled out into temporaries; the parameter
+        # has the name the first of them would otherwise take
+        source = tmp_path / "temps.hll"
+        source.write_text("(fn tmp$1 : ()@[s] . Pair (com[s][r] tmp$1) "
+                          "(com[s][r] tmp$1))@[r, s]\n")
+        assert main(["check", str(source)]) == 0
+        assert capsys.readouterr().out.strip() == \
+            "(()@[s] -> (() * ())@[r])@[r, s]"
 
     @pytest.mark.parametrize("text, record", [
         ("(fn g : (() + ())@[p] . case[p, q] g of "

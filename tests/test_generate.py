@@ -8,11 +8,11 @@ from helam.generate import (
     GenConfig, gen_instance, gen_type, gen_value, gen_well_typed, inhabit,
     shrink,
 )
-from helam.syntax import DSum, DUnit, DataTy, Inl, Unit, Val, parties, print_expr
-from helam.typecheck import (
-    TYPING_RULES, TypeEnv, check, rule_coverage, rule_coverage_reset,
-    typecheck,
+from helam.syntax import (
+    App, Case, Com, DSum, DUnit, DataTy, Fst, Inl, Inr, Lam, Lookup, Pair,
+    Snd, Unit, Val, Var, Vec, nodes, parties, print_expr,
 )
+from helam.typecheck import TypeEnv, check, typecheck
 
 P = parties("p")
 
@@ -72,15 +72,22 @@ def test_communication_and_branching_are_generated():
     assert any("case[" in t for t in texts)
 
 
+# the nodes that each carry a typing rule of their own; in a well-typed
+# term every such node is typed by its rule
+RULE_NODES = (Lam, Var, App, Case, Unit, Pair, Vec, Inl, Inr, Fst, Snd,
+              Lookup, Com)
+
+
 def test_every_typing_rule_is_exercised():
     cfg = GenConfig(max_depth=6)
-    rule_coverage_reset()
+    seen = set()
     for seed in range(400):
         inst = gen_instance(cfg, seed)
         typecheck(inst.theta, inst.expr, inst.target)
-        if set(rule_coverage()) >= set(TYPING_RULES):
+        seen.update(type(node) for node in nodes(inst.expr))
+        if seen >= set(RULE_NODES):
             break
-    missing = set(TYPING_RULES) - set(rule_coverage())
+    missing = sorted(c.__name__ for c in set(RULE_NODES) - seen)
     assert not missing, f"rules never used: {missing}"
 
 

@@ -9,7 +9,7 @@ from helam.projection import (
     floor, local_subst, project, project_all, project_value, roles,
 )
 from helam.semantics import IsValue, Stepped, run, step, subst
-from helam.syntax import BOT, BOTTOM, DataTy, PartySet, Val, parties
+from helam.syntax import BOTTOM, DataTy, PartySet, Val, parties
 from helam.typecheck import TypeEnv, typecheck
 
 CFG = GenConfig(max_depth=5)
@@ -37,14 +37,14 @@ def test_outsiders_project_to_bottom():
     # parties outside the typing context never appear in the projection
     for seed in range(150):
         inst = gen_instance(CFG, seed)
-        assert project(inst.expr, "outsider") == BOT
+        assert project(inst.expr, "outsider") == BOTTOM
 
 
 def test_bottom_projections_stay_bottom_under_stepping():
     for seed in range(100):
         inst = gen_instance(CFG, seed)
         members = roles(inst.expr)
-        gone = {p for p in members if project(inst.expr, p) == BOT}
+        gone = {p for p in members if project(inst.expr, p) == BOTTOM}
         cur = inst.expr
         for _ in range(200):
             result = step(cur)
@@ -53,7 +53,7 @@ def test_bottom_projections_stay_bottom_under_stepping():
                 break
             cur = result.expr
             for p in gone:
-                assert project(cur, p) == BOT
+                assert project(cur, p) == BOTTOM
 
 
 def test_data_values_project_identically_at_every_owner():

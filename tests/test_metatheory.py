@@ -4,7 +4,7 @@ The full-size runs live in test_acceptance; these keep the feedback loop
 fast while still exercising every driver.
 """
 
-from helam.generate import GenConfig, gen_instance
+from helam.generate import GenConfig, Instance, gen_instance
 from helam.metatheory import (
     PropertyReport, agreement_property, central_trajectory, check_metatheory,
     masking_laws,
@@ -12,7 +12,7 @@ from helam.metatheory import (
 from helam.network import Network, simulate
 from helam.projection import project_all
 from helam.syntax import (
-    App, BVal, Com, LUnit, Send, Unit, Val, parties, print_expr,
+    App, Com, LUnit, Send, Unit, Val, parties, print_expr,
 )
 from helam.typecheck import typecheck
 
@@ -41,7 +41,7 @@ def test_broken_network_is_detected():
     e = App(Val(Com("s", parties("r"))), Val(Unit(parties("s"))))
     typecheck(parties("r", "s"), e)
     net = dict(project_all(e))
-    net["r"] = BVal(LUnit())  # r no longer receives
+    net["r"] = LUnit()  # r no longer receives
     out = simulate(Network(net), seed=0)
     assert out.deadlock is not None
     assert out.deadlock.party == "s"
@@ -52,8 +52,7 @@ def test_tampered_final_state_is_distinguishable():
     # comparison is not vacuous
     e = App(Val(Com("s", parties("r"))), Val(Unit(parties("s"))))
     out = simulate(Network(project_all(e)), seed=0)
-    tampered = Network({"s": out.network["s"],
-                        "r": BVal(Send(("s",)))})
+    tampered = Network({"s": out.network["s"], "r": Send(("s",))})
     assert tampered != out.network
 
 
@@ -71,6 +70,21 @@ def test_agreement_holds_on_a_known_nondeterministic_instance():
     assert hits > 5
     assert agree.ok(), agree.failures[:3]
     assert dead.ok(), dead.failures[:3]
+
+
+def test_exploration_stopped_at_its_budget_is_a_failure(monkeypatch):
+    # a one-state budget cannot reach the multicast's terminal network
+    e = App(Val(Com("s", parties("r"))), Val(Unit(parties("s"))))
+    theta = parties("r", "s")
+    inst = Instance(0, theta, typecheck(theta, e), e)
+    agree, dead = _fresh_reports("epp-agreement", "deadlock-freedom")
+    agreement_property(inst, agree, dead)
+    assert agree.ok() and dead.ok()
+    monkeypatch.setattr("helam.metatheory.EXPLORE_BUDGET", 1)
+    agreement_property(inst, agree, dead)
+    assert dead.ok()
+    assert len(agree.failures) == 1
+    assert "budget" in agree.failures[0].detail
 
 
 def test_masking_laws_driver():

@@ -12,7 +12,7 @@ from helam.network import (
 from helam.projection import floor, project, project_all, roles
 from helam.semantics import run
 from helam.syntax import (
-    App, BApp, BOT, BVal, Com, LInl, LLam, LPair, LUnit, LVar, Recv, Send,
+    App, BApp, BOTTOM, Com, LInl, LLam, LPair, LUnit, LVar, Recv, Send,
     SendSelf, Unit, Val, parties,
 )
 
@@ -22,52 +22,47 @@ COM_NET = Network(project_all(App(Val(Com("s", PQ)),
                                   Val(Unit(parties("s"))))))
 
 
-def bapp(f, a):
-    return BApp(BVal(f), BVal(a))
-
-
 class TestLocalStep:
     def test_send_emits_one_annotation_per_recipient(self):
-        act = next_action(bapp(Send(("p", "q")), LUnit()))
-        assert act == SendAction(("p", "q"), LUnit(), BOT, "LSEND")
+        act = next_action(BApp(Send(("p", "q")), LUnit()))
+        assert act == SendAction(("p", "q"), LUnit(), BOTTOM, "LSEND")
 
     def test_send_to_nobody_is_silent(self):
-        net = Network({"p": bapp(SendSelf(()), LUnit())})
+        net = Network({"p": BApp(SendSelf(()), LUnit())})
         assert enumerate_net_steps(net) == [
-            (Network({"p": BVal(LUnit())}), NetStep("p", "NPRO"))]
+            (Network({"p": LUnit()}), NetStep("p", "NPRO"))]
 
     def test_self_send_keeps_the_value(self):
-        act = next_action(bapp(SendSelf(("q",)), LInl(LUnit())))
+        act = next_action(BApp(SendSelf(("q",)), LInl(LUnit())))
         assert isinstance(act, SendAction)
-        assert act.result == BVal(LInl(LUnit()))
+        assert act.result == LInl(LUnit())
         assert (act.recipients, act.payload) == (("q",), LInl(LUnit()))
 
     def test_receive_is_symbolic(self):
-        act = next_action(bapp(Recv("s"), LUnit()))
+        act = next_action(BApp(Recv("s"), LUnit()))
         assert isinstance(act, RecvAction) and act.sender == "s"
-        assert act.resolve(LInl(LUnit())) == BVal(LInl(LUnit()))
+        assert act.resolve(LInl(LUnit())) == LInl(LUnit())
 
     def test_receive_from_wrong_sender_does_not_match(self):
-        net = Network({"t": bapp(Send(("r",)), LUnit()),
-                       "r": bapp(Recv("s"), LUnit())})
+        net = Network({"t": BApp(Send(("r",)), LUnit()),
+                       "r": BApp(Recv("s"), LUnit())})
         assert enumerate_net_steps(net) == []
 
     def test_receive_argument_is_ignored(self):
-        act = next_action(BApp(BVal(Recv("s")), BOT))
-        assert act.resolve(LUnit()) == BVal(LUnit())
+        act = next_action(BApp(Recv("s"), BOTTOM))
+        assert act.resolve(LUnit()) == LUnit()
 
     def test_beta_floors_the_result(self):
-        b = bapp(LLam("x", BVal(LPair(LVar("x"), LVar("x")))), LUnit())
-        assert next_action(b) == Silent(BVal(LPair(LUnit(), LUnit())),
-                                        "LABSAPP")
+        b = BApp(LLam("x", LPair(LVar("x"), LVar("x"))), LUnit())
+        assert next_action(b) == Silent(LPair(LUnit(), LUnit()), "LABSAPP")
 
     def test_values_do_not_step(self):
-        assert next_action(BVal(LUnit())) is None
-        assert next_action(BOT) is None
+        assert next_action(LUnit()) is None
+        assert next_action(BOTTOM) is None
 
     def test_sending_a_function_is_a_fault(self):
         with pytest.raises(SimulationFault):
-            next_action(bapp(Send(("q",)), LLam("x", BVal(LVar("x")))))
+            next_action(BApp(Send(("q",)), LLam("x", LVar("x"))))
 
 
 class TestEnumerate:
@@ -77,14 +72,13 @@ class TestEnumerate:
         net, info = steps[0]
         assert info.origin == "s"
         assert info.recipients == ("p", "q")
-        assert net == Network({"s": BOT, "p": BVal(LUnit()),
-                               "q": BVal(LUnit())})
+        assert net == Network({"s": BOTTOM, "p": LUnit(), "q": LUnit()})
 
     def test_all_values_means_no_steps(self):
-        assert enumerate_net_steps(Network({"p": BVal(LUnit())})) == []
+        assert enumerate_net_steps(Network({"p": LUnit()})) == []
 
     def test_independent_silent_steps_commute(self):
-        redex = bapp(LLam("x", BVal(LVar("x"))), LUnit())
+        redex = BApp(LLam("x", LVar("x")), LUnit())
         net = Network({"p": redex, "q": redex})
         steps = enumerate_net_steps(net)
         assert sorted(info.origin for _, info in steps) == ["p", "q"]
@@ -92,9 +86,8 @@ class TestEnumerate:
         assert len(finals) == 1
 
     def test_sender_blocks_until_every_recipient_is_ready(self):
-        busy_recv = BApp(BVal(Recv("s")),
-                         bapp(LLam("x", BVal(LVar("x"))), LUnit()))
-        net = Network({"s": bapp(Send(("p",)), LUnit()), "p": busy_recv})
+        busy_recv = BApp(Recv("s"), BApp(LLam("x", LVar("x")), LUnit()))
+        net = Network({"s": BApp(Send(("p",)), LUnit()), "p": busy_recv})
         [(_, info)] = enumerate_net_steps(net)
         assert info.origin == "p"  # only p's internal step is available
 
@@ -107,15 +100,15 @@ class TestSimulate:
         assert out.messages == 2
 
     def test_mutual_waiting_is_reported(self):
-        net = Network({"p": BApp(BVal(Recv("q")), BOT),
-                       "q": BApp(BVal(Recv("p")), BOT)})
+        net = Network({"p": BApp(Recv("q"), BOTTOM),
+                       "q": BApp(Recv("p"), BOTTOM)})
         out = simulate(net, seed=0)
         assert isinstance(out.deadlock, DeadlockReport)
         assert out.deadlock.party == "p"
 
     def test_unmatched_send_is_reported(self):
-        net = Network({"p": bapp(Send(("q",)), LUnit()),
-                       "q": BVal(LUnit())})
+        net = Network({"p": BApp(Send(("q",)), LUnit()),
+                       "q": LUnit()})
         out = simulate(net, seed=0)
         assert out.deadlock is not None
 
@@ -124,7 +117,7 @@ class TestSimulate:
         assert format_trace(out.trace) == "step 1: s -> [p, q] : ()\n"
 
     def test_empty_trace(self):
-        out = simulate(Network({"p": BVal(LUnit())}), seed=0)
+        out = simulate(Network({"p": LUnit()}), seed=0)
         assert out.trace == []
         assert format_trace(out.trace) == ""
 
@@ -139,10 +132,10 @@ def test_recipient_already_owning_the_value_still_rendezvouses():
     # which the incoming message simply replaces
     e = App(Val(Com("s", parties("r"))), Val(Unit(parties("r", "s"))))
     net = Network(project_all(e))
-    assert net["r"] == BApp(BVal(Recv("s")), BVal(LUnit()))
+    assert net["r"] == BApp(Recv("s"), LUnit())
     out = simulate(net, seed=0)
     assert out.deadlock is None
-    assert out.network == Network({"r": BVal(LUnit()), "s": BOT})
+    assert out.network == Network({"r": LUnit(), "s": BOTTOM})
 
 
 class TestExplore:
@@ -150,20 +143,20 @@ class TestExplore:
         result = explore(COM_NET)
         assert result.complete
         assert result.terminals == {
-            Network({"s": BOT, "p": BVal(LUnit()), "q": BVal(LUnit())})}
+            Network({"s": BOTTOM, "p": LUnit(), "q": LUnit()})}
         assert not result.deadlocks
 
     def test_deadlock_found_exhaustively(self):
-        net = Network({"p": BApp(BVal(Recv("q")), BOT),
-                       "q": BApp(BVal(Recv("p")), BOT)})
+        net = Network({"p": BApp(Recv("q"), BOTTOM),
+                       "q": BApp(Recv("p"), BOTTOM)})
         result = explore(net)
         assert result.deadlocks
 
 
 class TestNetworkType:
     def test_behaviors_are_floor_normalized_on_construction(self):
-        net = Network({"p": BVal(LPair(BOT.value, BOT.value))})
-        assert net["p"] == BOT
+        net = Network({"p": LPair(BOTTOM, BOTTOM)})
+        assert net["p"] == BOTTOM
 
     def test_nonempty_domain_required(self):
         with pytest.raises(ValueError):
@@ -204,8 +197,7 @@ class TestBuiltNormal:
         def refuse(*args):
             raise AssertionError("floor called on a built behavior")
 
-        for name in ("helam.projection.floor", "helam.projection.floor_value",
-                     "helam.network.floor"):
+        for name in ("helam.projection.floor", "helam.network.floor"):
             monkeypatch.setattr(name, refuse)
         out = simulate(net, seed=0)
         assert out.deadlock is None

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helam.projection import (
-    EmptyRoles, floor, floor_value, local_subst, project, project_all, roles,
+    EmptyRoles, floor, local_subst, project, project_all, roles,
 )
 from helam.syntax import (
-    App, BApp, BCase, BOT, BOTTOM, BVal, Case, Com, DUnit, DataTy, Inl,
+    App, BApp, BCase, BOTTOM, Case, Com, DUnit, DataTy, Inl,
     LInl, LInr, LLam, LPair, LUnit, LVar, LVec, Pair, Recv, Send, SendSelf,
     Unit, Val, Var, parties, print_behavior,
 )
@@ -38,75 +38,74 @@ class TestRoles:
 
 class TestFloor:
     def test_pair_of_bottoms_collapses(self):
-        assert floor(BVal(LPair(BOTTOM, BOTTOM))) == BOT
+        assert floor(LPair(BOTTOM, BOTTOM)) == BOTTOM
 
     def test_bottom_applied_to_value_collapses(self):
-        assert floor(BApp(BOT, BVal(LUnit()))) == BOT
-        assert floor(BApp(BOT, BOT)) == BOT
+        assert floor(BApp(BOTTOM, LUnit())) == BOTTOM
+        assert floor(BApp(BOTTOM, BOTTOM)) == BOTTOM
 
     def test_receive_of_bottom_is_preserved(self):
-        b = BApp(BVal(Recv("s")), BOT)
+        b = BApp(Recv("s"), BOTTOM)
         assert floor(b) == b
 
     def test_bottom_applied_to_pending_work_is_preserved(self):
-        pending = BApp(BVal(Send(("q",))), BVal(LUnit()))
-        b = BApp(BOT, pending)
-        assert floor(b) == BApp(BOT, floor(pending))
+        pending = BApp(Send(("q",)), LUnit())
+        b = BApp(BOTTOM, pending)
+        assert floor(b) == BApp(BOTTOM, floor(pending))
 
     def test_injections_collapse(self):
-        assert floor(BVal(LInl(BOTTOM))) == BOT
-        assert floor(BVal(LInr(BOTTOM))) == BOT
+        assert floor(LInl(BOTTOM)) == BOTTOM
+        assert floor(LInr(BOTTOM)) == BOTTOM
 
     def test_all_bottom_tuple_collapses(self):
-        assert floor(BVal(LVec((BOTTOM, BOTTOM)))) == BOT
+        assert floor(LVec((BOTTOM, BOTTOM))) == BOTTOM
 
     def test_mixed_tuple_stays(self):
         mixed = LVec((BOTTOM, LUnit()))
-        assert floor(BVal(mixed)) == BVal(mixed)
+        assert floor(mixed) == mixed
 
     def test_case_collapses_only_when_everything_is_bottom(self):
-        dead = BCase(BOT, "x", BOT, "y", BOT)
-        assert floor(dead) == BOT
-        live = BCase(BVal(LVar("s")), "x", BOT, "y", BOT)
+        dead = BCase(BOTTOM, "x", BOTTOM, "y", BOTTOM)
+        assert floor(dead) == BOTTOM
+        live = BCase(LVar("s"), "x", BOTTOM, "y", BOTTOM)
         assert floor(live) == live
 
     def test_floor_descends_into_lambdas(self):
-        b = BVal(LLam("x", BVal(LPair(BOTTOM, BOTTOM))))
-        assert floor(b) == BVal(LLam("x", BOT))
+        b = LLam("x", LPair(BOTTOM, BOTTOM))
+        assert floor(b) == LLam("x", BOTTOM)
 
 
 class TestProject:
     def test_sender_not_receiving(self):
-        assert project(COM_EXAMPLE, "s") == BApp(BVal(Send(("p", "q"))),
-                                                 BVal(LUnit()))
+        assert project(COM_EXAMPLE, "s") == BApp(Send(("p", "q")), LUnit())
 
     def test_receiver_waits_on_missing_argument(self):
-        assert project(COM_EXAMPLE, "p") == BApp(BVal(Recv("s")), BOT)
+        assert project(COM_EXAMPLE, "p") == BApp(Recv("s"), BOTTOM)
 
     def test_bystander_projects_to_bottom(self):
-        assert project(Val(Unit(PQ)), "r") == BOT
+        assert project(Val(Unit(PQ)), "r") == BOTTOM
 
     def test_owners_share_one_view(self):
         v = Val(Pair(Inl(Unit(PQ)), Unit(PQ)))
         at_p = project(v, "p")
         at_q = project(v, "q")
-        assert at_p == at_q != BOT
+        assert at_p == at_q != BOTTOM
 
     def test_self_multicast_keeps_a_copy(self):
         e = App(Val(Com("p", PQ)), Val(Unit(P)))
-        assert project(e, "p") == BApp(BVal(SendSelf(("q",))), BVal(LUnit()))
+        assert project(e, "p") == BApp(SendSelf(("q",)), LUnit())
         e2 = App(Val(Com("p", P)), Val(Unit(P)))
-        assert project(e2, "p") == BApp(BVal(SendSelf(())), BVal(LUnit()))
+        assert project(e2, "p") == BApp(SendSelf(()), LUnit())
 
     def test_guard_member_keeps_branches(self):
         e = Case(PQ, Val(Var("g")), "x", Val(Unit(PQ)), "y", Val(Unit(PQ)))
         b = project(e, "p")
         assert isinstance(b, BCase)
-        assert b.left_body == BVal(LUnit())
+        assert b.left_body == LUnit()
 
     def test_bystander_case_collapses_with_its_guard(self):
         e = Case(P, Val(Unit(P)), "x", Val(Unit(P)), "y", Val(Unit(P)))
-        assert project(e, "q") == BOT
+        assert project(e, "q") == BOTTOM
 
     def test_projection_is_floor_normal(self, corpus):
         prog = corpus("kvs")
@@ -118,17 +117,17 @@ class TestProjectAll:
     def test_multicast_network(self):
         net = project_all(COM_EXAMPLE)
         assert net == {
-            "s": BApp(BVal(Send(("p", "q"))), BVal(LUnit())),
-            "p": BApp(BVal(Recv("s")), BOT),
-            "q": BApp(BVal(Recv("s")), BOT),
+            "s": BApp(Send(("p", "q")), LUnit()),
+            "p": BApp(Recv("s"), BOTTOM),
+            "q": BApp(Recv("s"), BOTTOM),
         }
 
     def test_single_value(self):
-        assert project_all(Val(Unit(P))) == {"p": BVal(LUnit())}
+        assert project_all(Val(Unit(P))) == {"p": LUnit()}
 
     def test_fixed_member_set_keeps_dropped_parties(self):
         net = project_all(Val(Unit(P)), parties("p", "q"))
-        assert net["q"] == BOT
+        assert net["q"] == BOTTOM
 
     def test_kvs_primary_sends_to_itself_once(self, corpus):
         prog = corpus("kvs")
@@ -139,16 +138,16 @@ class TestProjectAll:
 
 class TestLocalSubst:
     def test_substitutes_into_bodies(self):
-        b = BApp(BVal(LVar("x")), BVal(LUnit()))
-        assert local_subst(b, "x", LLam("y", BVal(LVar("y")))) == \
-            BApp(BVal(LLam("y", BVal(LVar("y")))), BVal(LUnit()))
+        b = BApp(LVar("x"), LUnit())
+        assert local_subst(b, "x", LLam("y", LVar("y"))) == \
+            BApp(LLam("y", LVar("y")), LUnit())
 
     def test_shadowing_stops(self):
-        b = BVal(LLam("x", BVal(LVar("x"))))
+        b = LLam("x", LVar("x"))
         assert local_subst(b, "x", LUnit()) == b
 
     def test_bottom_is_inert(self):
-        assert local_subst(BOT, "x", LUnit()) == BOT
+        assert local_subst(BOTTOM, "x", LUnit()) == BOTTOM
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +164,10 @@ _locals = st.recursive(
                 st.lists(inner, min_size=1, max_size=3)),
     max_leaves=6)
 _behaviors = st.deferred(
-    lambda: st.builds(BVal, _locals)
+    lambda: _locals
     | st.builds(BApp, _behaviors, _behaviors)
     | st.builds(BCase, _behaviors, _lnames, _behaviors, _lnames, _behaviors)
-    | st.builds(lambda n, b: BVal(LLam(n, b)), _lnames, _behaviors))
+    | st.builds(LLam, _lnames, _behaviors))
 
 
 @settings(max_examples=300, deadline=None)
@@ -184,21 +183,16 @@ def test_floor_only_rewrites_toward_bottom(b):
     # flooring never grows a term
     def size(node):
         match node:
-            case BVal(l):
-                return 1 + _lsize(l)
             case BApp(f, a):
                 return 1 + size(f) + size(a)
             case BCase(s, _, l, _, r):
                 return 1 + size(s) + size(l) + size(r)
-
-    def _lsize(l):
-        match l:
             case LInl(i) | LInr(i):
-                return 1 + _lsize(i)
+                return 1 + size(i)
             case LPair(a, b2):
-                return 1 + _lsize(a) + _lsize(b2)
+                return 1 + size(a) + size(b2)
             case LVec(es):
-                return 1 + sum(_lsize(e) for e in es)
+                return 1 + sum(size(e) for e in es)
             case LLam(_, body):
                 return 1 + size(body)
             case _:
@@ -211,34 +205,27 @@ def _unfloored_subst(b, x, l):
     """Substitution that collapses nothing: with `floor` after it, the
     reference for `local_subst`."""
     match b:
-        case BVal(inner):
-            return BVal(_unfloored_subst_value(inner, x, l))
+        case LVar(name):
+            return l if name == x else b
         case BApp(f, a):
             return BApp(_unfloored_subst(f, x, l), _unfloored_subst(a, x, l))
         case BCase(s, xl, bl, xr, br):
             return BCase(_unfloored_subst(s, x, l),
                          xl, bl if xl == x else _unfloored_subst(bl, x, l),
                          xr, br if xr == x else _unfloored_subst(br, x, l))
-
-
-def _unfloored_subst_value(w, x, l):
-    match w:
-        case LVar(name):
-            return l if name == x else w
         case LLam(param, body):
-            return w if param == x else LLam(param,
+            return b if param == x else LLam(param,
                                              _unfloored_subst(body, x, l))
         case LInl(i):
-            return LInl(_unfloored_subst_value(i, x, l))
+            return LInl(_unfloored_subst(i, x, l))
         case LInr(i):
-            return LInr(_unfloored_subst_value(i, x, l))
+            return LInr(_unfloored_subst(i, x, l))
         case LPair(a, b2):
-            return LPair(_unfloored_subst_value(a, x, l),
-                         _unfloored_subst_value(b2, x, l))
+            return LPair(_unfloored_subst(a, x, l), _unfloored_subst(b2, x, l))
         case LVec(es):
-            return LVec(tuple(_unfloored_subst_value(e, x, l) for e in es))
+            return LVec(tuple(_unfloored_subst(e, x, l) for e in es))
         case _:
-            return w
+            return b
 
 
 @settings(max_examples=150, deadline=None)
@@ -246,7 +233,7 @@ def _unfloored_subst_value(w, x, l):
 def test_substitution_keeps_normal_terms_normal(b, l):
     # every name, and the missing value besides l: a drawn name and value
     # make a collapse in fewer than 1 in 100 examples, these in about 1 in 6
-    b, l = floor(b), floor_value(l)
+    b, l = floor(b), floor(l)
     for x in ("x", "y", "z"):
         for value in (l, BOTTOM):
             assert local_subst(b, x, value) == \
