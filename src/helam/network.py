@@ -355,31 +355,31 @@ class Exploration:
 
 
 def explore(net: Network, budget: int = 100_000) -> Exploration:
-    """Exhaustively explore every interleaving up to a state budget."""
-    seen: set[Network] = set()
-    terminals: set[Network] = set()
-    deadlocks: list[DeadlockReport] = []
-    frontier = [net]
-    seen.add(net)
-    complete = True
-    while frontier:
-        cur = frontier.pop()
-        steps = enumerate_net_steps(cur)
-        if not steps:
-            terminals.add(cur)
-            stuck = cur.stuck_parties()
-            if stuck:
-                deadlocks.append(DeadlockReport(tuple(stuck)))
-            continue
-        for nxt, _ in steps:
-            if nxt in seen:
-                continue
-            if len(seen) >= budget:
-                complete = False
-                continue
-            seen.add(nxt)
-            frontier.append(nxt)
-    return Exploration(terminals, deadlocks, len(seen), complete)
+    """Every terminal network and deadlock of every interleaving, up to a
+    state budget, by partial-order reduction: each state follows one
+    persistent set, the first step `_enumerate` yields (sorted by party).
+
+    Sound because each party has exactly one pending action (`next_action`
+    reads only its behavior), a step's enabledness depends only on its
+    participants (the origin and its recipients), and a step changes only
+    its participants (`Network.replace`).  So two enabled steps never share
+    a participant and no step disables or changes another: every enabled
+    step is a persistent set on its own, and a persistent-set search keeps
+    every terminal state and every deadlock (Godefroid, *Partial-Order
+    Methods for the Verification of Concurrent Systems*, LNCS 1032, 1996).
+    The search is one path, and every interleaving ends in the terminal it
+    reaches.  No sleep sets are needed, and the cycle proviso is moot
+    because the budget still bounds the walk.
+    """
+    states = 1
+    while steps := enumerate_net_steps(net):
+        if states >= budget:
+            return Exploration(set(), [], states, False)
+        net = steps[0][0]
+        states += 1
+    stuck = net.stuck_parties()
+    deadlocks = [DeadlockReport(tuple(stuck))] if stuck else []
+    return Exploration({net}, deadlocks, states, True)
 
 
 # ---------------------------------------------------------------------------

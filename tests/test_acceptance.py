@@ -10,8 +10,7 @@ import pytest
 
 from helam.generate import GenConfig, gen_instance
 from helam.metatheory import (
-    EXHAUSTIVE_STEP_LIMIT, PropertyReport, central_trajectory, masking_laws,
-    substitution_property,
+    PropertyReport, central_trajectory, masking_laws, substitution_property,
 )
 from helam.network import Network, enumerate_net_steps, explore, simulate
 from helam.projection import project, project_all, roles
@@ -63,13 +62,12 @@ def simulations(instances):
                 deadlocks.append((inst.seed, out.deadlock))
             elif out.network != goal:
                 disagreements.append(inst.seed)
-        if len(first.trace) <= EXHAUSTIVE_STEP_LIMIT:
-            result = explore(net)
-            exhaustive_checked += 1
-            if result.deadlocks:
-                deadlocks.append((inst.seed, result.deadlocks[0]))
-            elif result.complete and result.terminals != {goal}:
-                disagreements.append(inst.seed)
+        result = explore(net)
+        exhaustive_checked += 1
+        if result.deadlocks:
+            deadlocks.append((inst.seed, result.deadlocks[0]))
+        elif not result.complete or result.terminals != {goal}:
+            disagreements.append(inst.seed)
     return {
         "disagreements": disagreements,
         "deadlocks": deadlocks,

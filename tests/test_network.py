@@ -6,15 +6,18 @@ import helam
 from helam.generate import GenConfig, gen_instance
 from helam.network import (
     DeadlockReport, NetStep, Network, RecvAction, SendAction, Silent,
-    SimulationFault, _enumerate_cached, enumerate_net_steps, explore,
-    format_trace, next_action, replay, simulate,
+    SimulationFault, _enumerate, _enumerate_cached, enumerate_net_steps,
+    explore, format_trace, next_action, replay, simulate,
 )
 from helam.projection import floor, project, project_all, roles
 from helam.semantics import run
+from helam.surface import compile_text
 from helam.syntax import (
-    App, BApp, BOTTOM, Com, LInl, LLam, LPair, LUnit, LVar, Recv, Send,
-    SendSelf, Unit, Val, parties,
+    PENDING, App, BApp, BOTTOM, Com, LInl, LLam, LPair, LUnit, LVar, Recv,
+    Send, SendSelf, Unit, Val, parties,
 )
+
+from conftest import CORPUS_FILES
 
 PQ = parties("p", "q")
 
@@ -151,6 +154,76 @@ class TestExplore:
                        "q": BApp(Recv("p"), BOTTOM)})
         result = explore(net)
         assert result.deadlocks
+
+    def test_disjoint_pairs_are_explored_in_linear_states(self):
+        # four disjoint com pairs: the unreduced state space has 187,200
+        # states, the reduced search one per step of a single run
+        names = "abcdefgh"
+        text = "".join(f"let x{i} = com[{names[2 * i]}][{names[2 * i + 1]}]"
+                       f" ()@[{names[2 * i]}];\n" for i in range(4))
+        text += f"()@[{', '.join(names)}]"
+        net = Network(project_all(compile_text(text).core))
+        result = explore(net)
+        assert result.complete and not result.deadlocks
+        assert result.states == len(simulate(net).trace) + 1 == 37
+
+
+# The unreduced search, kept only as the oracle for `explore`'s partial-order
+# reduction: a DFS over every interleaving.  None once it passes its budget.
+ORACLE_BUDGET = 20_000
+
+
+def explore_every_interleaving(net):
+    seen, frontier = {net}, [net]
+    terminals, stuck = set(), set()
+    while frontier:
+        cur = frontier.pop()
+        steps = _enumerate(cur)
+        if not steps:
+            terminals.add(cur)
+            if cur.stuck_parties():
+                stuck.add(tuple(cur.stuck_parties()))
+        for nxt, _ in steps:
+            if nxt in seen:
+                continue
+            if len(seen) >= ORACLE_BUDGET:
+                return None
+            seen.add(nxt)
+            frontier.append(nxt)
+    return terminals, stuck
+
+
+def _oracle_networks(corpus):
+    cfg = GenConfig(max_parties=4, max_depth=6)
+    generated = [Network(project_all(gen_instance(cfg, seed).expr))
+                 for seed in range(200)]
+    programs = [Network(project_all(corpus(name).core))
+                for name in CORPUS_FILES if name != "bad_koc"]
+    # one pending party dropped: its partners wait forever, or not at all
+    perturbed = [net.replace({p: BOTTOM}) for net in generated + programs
+                 for p in net.parties() if isinstance(net[p], PENDING)]
+    return {"generated": generated, "corpus": programs,
+            "perturbed": perturbed}
+
+
+def test_reduced_exploration_matches_every_interleaving(corpus):
+    deadlocking = 0
+    for group, nets in _oracle_networks(corpus).items():
+        skipped = 0
+        for net in nets:
+            full = explore_every_interleaving(net)
+            if full is None:
+                skipped += 1
+                continue
+            result = explore(net)
+            assert result.complete, (group, net)
+            assert result.terminals == full[0], (group, net)
+            assert {d.stuck for d in result.deadlocks} == full[1], (group, net)
+            deadlocking += bool(full[1])
+        print(f"{group}: {len(nets) - skipped} compared, {skipped} skipped "
+              f"past {ORACLE_BUDGET} states")
+        assert skipped < len(nets) // 10, group
+    assert deadlocking > 0  # the perturbations reach real deadlocks
 
 
 class TestNetworkType:
