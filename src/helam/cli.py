@@ -190,6 +190,8 @@ def main(argv=None) -> int:
         return _fail(str(err), 1)
     except OSError as err:
         return _fail(str(err), 2)
+    except UnicodeDecodeError as err:
+        return _fail(f"{args.file}: byte {err.start} is not UTF-8", 2)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 Generation inverts the typing rules: pick a production whose conclusion
 matches the target type, then generate the premises.  Every generated
-expression checks against its target by construction.  Also provides
+expression checks against its target by construction.  The productions
+are drawn with the fixed `WEIGHTS`; `GenConfig` sets only the party count
+and the depth bound, and a seed fixes the whole program.  Also provides
 canonical inhabitants (used for dead branches and shrinking) and a greedy
 shrinker.
 """
@@ -10,7 +12,7 @@ shrinker.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .masking import mask_type
@@ -22,11 +24,8 @@ from .syntax import (
 from .typecheck import TypeEnv, TypeErr, case_scopes, synth, typecheck
 
 
-class GenerationExhausted(RuntimeError):
-    """The depth bound makes the target unreachable; the caller may retry."""
-
-
-DEFAULT_WEIGHTS = {
+# "value" always applies, so every production list is non-empty
+WEIGHTS = {
     "value": 4.0,
     "var": 3.0,
     "bind": 3.0,
@@ -34,25 +33,20 @@ DEFAULT_WEIGHTS = {
     "case": 2.0,
     "proj": 1.5,
 }
+MAX_TUPLE_LEN = 3
+MAX_DATA_DEPTH = 2
 
 
 @dataclass(frozen=True)
 class GenConfig:
     max_parties: int = 4
     max_depth: int = 6
-    max_tuple_len: int = 3
-    max_data_depth: int = 2
-    seed: int = 0
-    weights: dict = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
 
     def __post_init__(self):
         if not (2 <= self.max_parties <= 4):
             raise ValueError("max_parties must be between 2 and 4")
-        if self.max_depth < 1 or self.max_tuple_len < 1:
-            raise ValueError("bounds must be positive")
-        if any(w < 0 for w in self.weights.values()) \
-                or not any(self.weights.values()):
-            raise ValueError("weights must be nonnegative, not all zero")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be positive")
 
 
 PARTY_POOL = ("p", "q", "r", "s")
@@ -83,14 +77,14 @@ def gen_type(rng: random.Random, universe: PartySet, depth: int,
     to the universe is always a no-op."""
     pick = rng.random()
     if depth <= 0 or pick < 0.6:
-        return DataTy(gen_data(rng, cfg.max_data_depth),
+        return DataTy(gen_data(rng, MAX_DATA_DEPTH),
                       gen_owners(rng, universe))
     if pick < 0.85:
         owners = gen_owners(rng, universe)
         arg = gen_type(rng, owners, depth - 1, cfg)
         ret = gen_type(rng, owners, depth - 1, cfg)
         return FunTy(arg, ret, owners)
-    n = rng.randint(1, cfg.max_tuple_len)
+    n = rng.randint(1, MAX_TUPLE_LEN)
     return TupleTy(tuple(gen_type(rng, universe, depth - 1, cfg)
                          for _ in range(n)))
 
@@ -181,25 +175,14 @@ class ExprGen:
         return f"x{self.counter}"
 
     def expr(self, env: TypeEnv, target: ChorType, depth: int) -> ChorExpr:
-        rng = self.rng
-        w = self.cfg.weights
-        options: list[tuple[str, float]] = [("value", w.get("value", 0.0))]
+        names = ["value"]
         if self._matching_vars(env, target):
-            options.append(("var", w.get("var", 0.0)))
+            names.append("var")
         if depth > 1:
-            options.append(("bind", w.get("bind", 0.0)))
+            names.append("bind")
             if isinstance(target, DataTy):
-                options.append(("com", w.get("com", 0.0)))
-                options.append(("case", w.get("case", 0.0)))
-                options.append(("proj", w.get("proj", 0.0)))
-        names = [name for name, weight in options if weight > 0]
-        weights = [weight for _, weight in options if weight > 0]
-        if not names:
-            if w.get("value", 0.0) > 0 or w.get("var", 0.0) > 0:
-                raise GenerationExhausted(
-                    "no production fits the target at this depth")
-            raise GenerationExhausted("all leaf productions weighted to zero")
-        choice = rng.choices(names, weights)[0]
+                names += ["com", "case", "proj"]
+        choice = self.rng.choices(names, [WEIGHTS[n] for n in names])[0]
         return getattr(self, f"_gen_{choice}")(env, target, depth)
 
     def _matching_vars(self, env: TypeEnv, target: ChorType) -> list[str]:
@@ -262,7 +245,7 @@ class ExprGen:
                 keyword = Snd(owners)
             arg_ty: ChorType = DataTy(shape, holder)
         else:
-            n = rng.randint(1, self.cfg.max_tuple_len)
+            n = rng.randint(1, MAX_TUPLE_LEN)
             index = rng.randint(1, n)
             elems = [gen_type(rng, owners, 0, self.cfg) for _ in range(n)]
             elems[index - 1] = target
@@ -279,14 +262,12 @@ def _grow(rng: random.Random, base: PartySet, theta: PartySet) -> PartySet:
 
 
 def gen_well_typed(cfg: GenConfig, theta: PartySet, target: ChorType,
-                   rng: Optional[random.Random] = None,
-                   env: Optional[TypeEnv] = None) -> ChorExpr:
+                   rng: Optional[random.Random] = None) -> ChorExpr:
     """A closed expression that checks at the target type under theta."""
     if not type_parties(target) <= set(theta):
         raise ValueError("the target type mentions parties outside theta")
-    rng = rng or random.Random(cfg.seed)
-    gen = ExprGen(rng, cfg)
-    return gen.expr(env or TypeEnv(theta), target, cfg.max_depth)
+    gen = ExprGen(rng or random.Random(0), cfg)
+    return gen.expr(TypeEnv(theta), target, cfg.max_depth)
 
 
 @dataclass(frozen=True)
@@ -316,7 +297,8 @@ def shrink(e: ChorExpr, theta: PartySet,
     while the predicate keeps failing; the result still typechecks."""
     current = e
     while True:
-        for candidate in _candidates(current, TypeEnv(theta)):
+        for candidate in _subterm_candidates(current, TypeEnv(theta),
+                                             lambda n: n):
             try:
                 typecheck(theta, candidate, expected)
             except TypeErr:
@@ -326,10 +308,6 @@ def shrink(e: ChorExpr, theta: PartySet,
                 break
         else:
             return current
-
-
-def _candidates(e: ChorExpr, env: TypeEnv):
-    yield from _subterm_candidates(e, env, lambda n: n)
 
 
 def _subterm_candidates(node: ChorExpr, env: TypeEnv, rebuild):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .generate import (
     ExprGen, GenConfig, Instance, gen_instance, gen_type, gen_value,
@@ -292,10 +291,9 @@ PROPERTY_NAMES = (
 )
 
 
-def check_metatheory(cfg: Optional[GenConfig] = None, instances: int = 200,
-                     seed: int = 0,
+def check_metatheory(instances: int = 200, seed: int = 0,
                      masking_pairs: int = 1000) -> dict[str, PropertyReport]:
-    cfg = cfg or GenConfig()
+    cfg = GenConfig()
     reports = {name: PropertyReport(name) for name in PROPERTY_NAMES}
     for n in range(instances):
         inst = gen_instance(cfg, seed * 1_000_003 + n)

@@ -115,7 +115,6 @@ def _wrap(inner: Optional[Action], ctx: Callable[[Behavior], Behavior],
             return SendAction(recipients, payload, ctx(result), rule)
         case RecvAction(sender, resolve, _):
             return RecvAction(sender, lambda l: ctx(resolve(l)), rule)
-    raise TypeError(inner)
 
 
 def _redex_action(fn: LocalValue, arg: LocalValue) -> Optional[Action]:

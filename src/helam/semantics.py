@@ -7,20 +7,23 @@ whole data value changes location in one step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .masking import mask_value
 from .syntax import (
     App, Case, ChorExpr, ChorValue, Com, Fst, Inl, Inr, Lam, Lookup, Pair,
-    PartySet, Snd, Unit, Val, Var, Vec, node_count, print_expr,
+    Snd, Unit, Val, Var, Vec, node_count, print_expr,
 )
 
 
 @dataclass(frozen=True)
 class Stepped:
+    """One step: the result, the rule applied, and the subterm it rewrote
+    (left out of equality, so a step compares by its result and rule)."""
     expr: ChorExpr
     rule: str
+    redex: Optional[ChorExpr] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -101,13 +104,15 @@ def step(e: ChorExpr) -> StepResult:
             if not isinstance(fn, Val):
                 inner = step(fn)
                 if isinstance(inner, Stepped):
-                    return Stepped(App(inner.expr, arg, e.span), inner.rule)
-                return _stuck_from(inner, fn)
+                    return Stepped(App(inner.expr, arg, e.span), inner.rule,
+                                   inner.redex)
+                return inner
             if not isinstance(arg, Val):
                 inner = step(arg)
                 if isinstance(inner, Stepped):
-                    return Stepped(App(fn, inner.expr, e.span), inner.rule)
-                return _stuck_from(inner, arg)
+                    return Stepped(App(fn, inner.expr, e.span), inner.rule,
+                                   inner.redex)
+                return inner
             return _step_redex(fn.value, arg.value, e)
         case Case(guards, scrut, xl, ml, xr, mr):
             if not isinstance(scrut, Val):
@@ -115,28 +120,22 @@ def step(e: ChorExpr) -> StepResult:
                 if isinstance(inner, Stepped):
                     return Stepped(
                         Case(guards, inner.expr, xl, ml, xr, mr, e.span),
-                        inner.rule)
-                return _stuck_from(inner, scrut)
+                        inner.rule, inner.redex)
+                return inner
             match scrut.value:
                 case Inl(payload):
                     masked = mask_value(payload, guards)
                     if masked is None:
                         return Stuck("case payload does not mask to the guards")
-                    return Stepped(subst(ml, xl, masked), "CASEL")
+                    return Stepped(subst(ml, xl, masked), "CASEL", e)
                 case Inr(payload):
                     masked = mask_value(payload, guards)
                     if masked is None:
                         return Stuck("case payload does not mask to the guards")
-                    return Stepped(subst(mr, xr, masked), "CASER")
+                    return Stepped(subst(mr, xr, masked), "CASER", e)
                 case _:
                     return Stuck("case scrutinee is not an injection")
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _stuck_from(result: StepResult, at: ChorExpr) -> Stuck:
-    if isinstance(result, Stuck):
-        return result
-    return Stuck(f"no rule applies at {print_expr(at)}")
 
 
 def _step_redex(fn: ChorValue, arg: ChorValue, e: App) -> StepResult:
@@ -145,35 +144,35 @@ def _step_redex(fn: ChorValue, arg: ChorValue, e: App) -> StepResult:
             masked = mask_value(arg, owners)
             if masked is None:
                 return Stuck("argument does not mask to the function's owners")
-            return Stepped(subst(body, param, masked), "APPABS")
+            return Stepped(subst(body, param, masked), "APPABS", e)
         case Fst(owners):
             if not isinstance(arg, Pair):
                 return Stuck("fst of a non-pair")
             masked = mask_value(arg.first, owners)
             if masked is None:
                 return Stuck("projected component does not mask")
-            return Stepped(Val(masked), "PROJ1")
+            return Stepped(Val(masked), "PROJ1", e)
         case Snd(owners):
             if not isinstance(arg, Pair):
                 return Stuck("snd of a non-pair")
             masked = mask_value(arg.second, owners)
             if masked is None:
                 return Stuck("projected component does not mask")
-            return Stepped(Val(masked), "PROJ2")
+            return Stepped(Val(masked), "PROJ2", e)
         case Lookup(index, owners):
             if not isinstance(arg, Vec) or index > len(arg.elems):
                 return Stuck("lookup into a non-tuple or out of range")
             masked = mask_value(arg.elems[index - 1], owners)
             if masked is None:
                 return Stuck("projected component does not mask")
-            return Stepped(Val(masked), "PROJN")
+            return Stepped(Val(masked), "PROJN", e)
         case Com(sender, recipients):
             moved = _com_value(arg, sender, recipients)
             if moved is None:
                 return Stuck("com of a non-data value or non-owning sender")
             rule = {Unit: "COM1", Pair: "COMPAIR",
                     Inl: "COMINL", Inr: "COMINR"}[type(arg)]
-            return Stepped(Val(moved), rule)
+            return Stepped(Val(moved), rule, e)
         case _:
             return Stuck("applied a non-function value")
 
@@ -182,10 +181,8 @@ def _com_value(v: ChorValue, sender: str,
                recipients) -> Optional[ChorValue]:
     """Relocate a data value to the recipients, or None if unsendable."""
     match v:
-        case Unit():
-            if mask_value(v, PartySet([sender])) is None:
-                return None
-            return Unit(recipients)
+        case Unit(owners):
+            return Unit(recipients) if sender in owners else None
         case Pair(a, b):
             ma = _com_value(a, sender, recipients)
             mb = _com_value(b, sender, recipients)
@@ -205,22 +202,6 @@ def _com_value(v: ChorValue, sender: str,
 # ---------------------------------------------------------------------------
 # driver
 
-def find_redex(e: ChorExpr) -> ChorExpr:
-    """The subterm the next step will rewrite, under the fixed strategy."""
-    match e:
-        case App(fn, arg):
-            if not isinstance(fn, Val):
-                return find_redex(fn)
-            if not isinstance(arg, Val):
-                return find_redex(arg)
-            return e
-        case Case(scrutinee=scrut):
-            if not isinstance(scrut, Val):
-                return find_redex(scrut)
-            return e
-    return e
-
-
 def run(e: ChorExpr, fuel: Optional[int] = None,
         trace: Optional[list[tuple[str, str]]] = None) -> ChorValue:
     """Step to a value; the fuel bound is a guard, never part of semantics."""
@@ -235,6 +216,6 @@ def run(e: ChorExpr, fuel: Optional[int] = None,
         if isinstance(result, Stuck):
             raise StuckError(result.reason)
         if trace is not None:
-            trace.append((result.rule, print_expr(find_redex(current))))
+            trace.append((result.rule, print_expr(result.redex)))
         current = result.expr
     raise FuelExhausted(f"no value after {fuel} steps")

@@ -179,8 +179,9 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # the list ends in `eof`, which `next` never moves past
+        return self.tokens[self.pos]
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
         tok = self.peek()

@@ -1,12 +1,14 @@
 """Every corpus choreography typechecks, runs, projects, and simulates
 deadlock-free, with the communication counts worked out by hand."""
 
+import json
 import subprocess
 import sys
 
 import pytest
 
 from helam.cli import main
+from helam.metatheory import PROPERTY_NAMES
 from helam.network import Network, explore, format_trace, simulate
 from helam.projection import floor, project, project_all, roles
 from helam.semantics import run
@@ -330,6 +332,35 @@ class TestCli:
     def test_missing_file_is_a_usage_error(self):
         result = self.run_cli("check", "no/such/file.hll")
         assert result.returncode == 2
+
+    def test_non_utf8_file_is_a_usage_error(self, tmp_path, capsys):
+        source = tmp_path / "latin1.hll"
+        source.write_bytes(b"()@[p] \xff\n")
+        assert main(["check", str(source)]) == 2
+        assert capsys.readouterr().err.strip() == \
+            f"{source}: byte 7 is not UTF-8"
+
+    @pytest.mark.parametrize("name", ["kvs_put", "delegation_pick_bob"])
+    def test_run_trace_matches_golden(self, corpus_dir, capsys, name):
+        assert main(["run", str(corpus_dir / f"{name}.hll"), "--trace"]) == 0
+        golden = corpus_dir / "golden" / f"{name}.run"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_project_one_party(self, corpus_dir, capsys):
+        assert main(["project", str(corpus_dir / "kvs_put.hll"),
+                     "--party", "backup"]) == 0
+        golden = (corpus_dir / "golden" / "kvs_put.project").read_text(
+            encoding="utf-8")
+        assert f"backup: {capsys.readouterr().out}" in golden
+
+    def test_metatheory_report(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main(["test-metatheory", "--instances", "5",
+                     "--report", str(report)]) == 0
+        summary = json.loads(report.read_text(encoding="utf-8"))
+        assert sorted(summary) == sorted(PROPERTY_NAMES + ("masking-laws",))
+        assert all(entry["instances"] and not entry["failures"]
+                   for entry in summary.values())
 
     def test_theta_flag(self, corpus_dir):
         result = self.run_cli("check", str(corpus_dir / "multicast.hll"),

@@ -22,12 +22,10 @@ def test_config_validation():
         GenConfig(max_parties=5)
     with pytest.raises(ValueError):
         GenConfig(max_depth=0)
-    with pytest.raises(ValueError):
-        GenConfig(weights={"value": 0.0})
 
 
 def test_minimal_depth_yields_the_literal():
-    cfg = GenConfig(max_depth=1, weights={"value": 1.0})
+    cfg = GenConfig(max_depth=1)
     e = gen_well_typed(cfg, P, DataTy(DUnit(), P))
     assert e == Val(Unit(P))
 
@@ -53,7 +51,7 @@ def test_instances_reproduce_from_their_seed():
 def test_com_production_can_relocate_toward_the_target():
     # with enough depth the generator reaches a multicast whose result set
     # is exactly the target's owners
-    cfg = GenConfig(max_depth=3, weights={"value": 0.5, "com": 5.0})
+    cfg = GenConfig(max_depth=3)
     theta = parties("r", "s")
     target = DataTy(DUnit(), parties("r"))
     found = False

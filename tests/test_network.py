@@ -16,6 +16,7 @@ from helam.syntax import (
     PENDING, App, BApp, BOTTOM, Com, LInl, LLam, LPair, LUnit, LVar, Recv,
     Send, SendSelf, Unit, Val, parties,
 )
+from helam.typecheck import typecheck
 
 from conftest import CORPUS_FILES
 
@@ -278,3 +279,51 @@ class TestBuiltNormal:
         result = explore(net)
         assert result.complete and not result.deadlocks
         assert result.terminals == {goal}
+
+
+class TestCongruence:
+    """Programs whose projections step inside a pending function position
+    (`LAPP2`) or a pending case guard (`LCASE`); generated programs and the
+    corpus reach neither."""
+
+    @pytest.mark.parametrize("text, rule", [
+        # the function position is a case that picks the function
+        ("(fn g : (() + ())@[p, q] . (case[p, q] g of "
+         "Inl a => (fn x : ()@[q] . com[q][p] x)@[p, q]; "
+         "Inr b => (fn x : ()@[q] . com[q][p] x)@[p, q]) ()@[q])@[p, q] "
+         "(Inl ()@[p, q])", "LAPP2"),
+        # the guard is a multicast still to be sent
+        ("let g : (() + ())@[p] = Inr ()@[p]; "
+         "case[p, q] (com[p][p, q] g) of "
+         "Inl a => com[p][p, q] ()@[p]; Inr b => com[q][p, q] ()@[q]",
+         "LCASE"),
+        # a curried application: the function position is an application
+        ("(fn x : ()@[p] . (fn y : ()@[q] . "
+         "Pair (com[p][r] x) (com[q][r] y))@[p, q, r])@[p, q, r] "
+         "()@[p] ()@[q]", "LAPP2"),
+    ], ids=["case-picks-the-function", "pending-guard", "curried"])
+    def test_network_steps_under_a_pending_position(self, tmp_path, text,
+                                                    rule):
+        source = tmp_path / "congruence.hll"
+        source.write_text(text + "\n")
+        prog = compile_text(source.read_text())
+        typecheck(prog.theta, prog.core)
+        value = run(prog.core)
+        goal = Network({p: project(Val(value), p) for p in prog.theta})
+        net = Network(project_all(prog.core))
+        for seed in range(20):
+            out = simulate(net, seed=seed)
+            assert out.deadlock is None and out.network == goal, seed
+        result = explore(net)
+        assert result.complete and not result.deadlocks
+        assert result.terminals == {goal}
+        # the rules each party would take next along explore's path
+        seen, cur = set(), net
+        while True:
+            actions = (next_action(cur[p]) for p in cur.parties())
+            seen |= {a.rule for a in actions if a is not None}
+            steps = enumerate_net_steps(cur)
+            if not steps:
+                break
+            cur = steps[0][0]
+        assert rule in seen
