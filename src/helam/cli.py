@@ -18,7 +18,7 @@ from .network import Network, SimulationFault, format_trace, simulate
 from .projection import EmptyRoles, project, project_all
 from .semantics import FuelExhausted, StuckError, run
 from .surface import CompiledProgram, DesugarError, ParseError, compile_text
-from .syntax import PartySet, Val, print_behavior, print_expr, print_type
+from .syntax import PartySet, print_behavior, print_expr, print_type
 from .typecheck import TypeErr, typecheck
 
 
@@ -54,7 +54,7 @@ def cmd_run(args) -> int:
     if trace is not None:
         for rule, redex in trace:
             print(f"{rule}: {redex}")
-    print(print_expr(Val(value)))
+    print(print_expr(value))
     return 0
 
 

@@ -71,8 +71,7 @@ def gen_owners(rng: random.Random, universe: PartySet) -> PartySet:
     return PartySet(rng.sample(universe.members, k))
 
 
-def gen_type(rng: random.Random, universe: PartySet, depth: int,
-             cfg: GenConfig) -> ChorType:
+def gen_type(rng: random.Random, universe: PartySet, depth: int) -> ChorType:
     """A type every owner set of which lies inside the universe, so masking
     to the universe is always a no-op."""
     pick = rng.random()
@@ -81,11 +80,11 @@ def gen_type(rng: random.Random, universe: PartySet, depth: int,
                       gen_owners(rng, universe))
     if pick < 0.85:
         owners = gen_owners(rng, universe)
-        arg = gen_type(rng, owners, depth - 1, cfg)
-        ret = gen_type(rng, owners, depth - 1, cfg)
+        arg = gen_type(rng, owners, depth - 1)
+        ret = gen_type(rng, owners, depth - 1)
         return FunTy(arg, ret, owners)
     n = rng.randint(1, MAX_TUPLE_LEN)
-    return TupleTy(tuple(gen_type(rng, universe, depth - 1, cfg)
+    return TupleTy(tuple(gen_type(rng, universe, depth - 1)
                          for _ in range(n)))
 
 
@@ -165,9 +164,8 @@ class ExprGen:
     """Stateful generator: one instance shares a fresh-name counter, so
     separately generated pieces can be combined without binder collisions."""
 
-    def __init__(self, rng: random.Random, cfg: GenConfig):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.cfg = cfg
         self.counter = 0
 
     def fresh(self) -> str:
@@ -197,7 +195,7 @@ class ExprGen:
 
     def _gen_bind(self, env: TypeEnv, target: ChorType, depth: int):
         # let-shaped: bind a fresh variable and continue toward the target
-        tx = gen_type(self.rng, env.theta, 1, self.cfg)
+        tx = gen_type(self.rng, env.theta, 1)
         bound = self.expr(env, tx, depth - 1)
         x = self.fresh()
         body = self.expr(env.bind(x, tx), target, depth - 1)
@@ -247,7 +245,7 @@ class ExprGen:
         else:
             n = rng.randint(1, MAX_TUPLE_LEN)
             index = rng.randint(1, n)
-            elems = [gen_type(rng, owners, 0, self.cfg) for _ in range(n)]
+            elems = [gen_type(rng, owners, 0) for _ in range(n)]
             elems[index - 1] = target
             arg_ty = TupleTy(tuple(elems))
             keyword = Lookup(index, owners)
@@ -266,7 +264,7 @@ def gen_well_typed(cfg: GenConfig, theta: PartySet, target: ChorType,
     """A closed expression that checks at the target type under theta."""
     if not type_parties(target) <= set(theta):
         raise ValueError("the target type mentions parties outside theta")
-    gen = ExprGen(rng or random.Random(0), cfg)
+    gen = ExprGen(rng or random.Random(0))
     return gen.expr(TypeEnv(theta), target, cfg.max_depth)
 
 
@@ -282,7 +280,7 @@ def gen_instance(cfg: GenConfig, seed: int) -> Instance:
     rng = random.Random(seed)
     k = rng.randint(2, cfg.max_parties)
     theta = PartySet(rng.sample(PARTY_POOL, k))
-    target = gen_type(rng, theta, 2, cfg)
+    target = gen_type(rng, theta, 2)
     expr = gen_well_typed(cfg, theta, target, rng=rng)
     return Instance(seed, theta, target, expr)
 

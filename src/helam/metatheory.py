@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .generate import (
     ExprGen, GenConfig, Instance, gen_instance, gen_type, gen_value,
 )
 from .masking import mask_type, mask_value
-from .network import Network, enumerate_net_steps, explore, replay, simulate
+from .network import NetStep, Network, enumerate_net_steps, explore, simulate
 from .projection import project, project_all, roles
 from .semantics import IsValue, Stuck, run, step, subst
 from .syntax import (
@@ -90,8 +91,8 @@ def substitution_property(inst: Instance, cfg: GenConfig,
                           report: PropertyReport) -> None:
     """Substituting a well-typed value for a variable preserves the type."""
     rng = random.Random(inst.seed ^ 0x5EED)
-    gen = ExprGen(rng, cfg)
-    tx = gen_type(rng, inst.theta, 1, cfg)
+    gen = ExprGen(rng)
+    tx = gen_type(rng, inst.theta, 1)
     x = "subject$"
     env = TypeEnv(inst.theta).bind(x, tx)
     m = gen.expr(env, inst.target, min(cfg.max_depth, 4))
@@ -159,7 +160,7 @@ def agreement_property(inst: Instance, report_agree: PropertyReport,
     steps; one stopped at `EXPLORE_BUDGET` counts as a failure."""
     members = roles(inst.expr)
     final = run(inst.expr)
-    goal = Network({p: project(Val(final), p) for p in members})
+    goal = Network({p: project(final, p) for p in members})
     net = Network(project_all(inst.expr, members))
 
     outcome = simulate(net, seed=0)
@@ -200,26 +201,36 @@ def scheduling_property(inst: Instance, report: PropertyReport) -> None:
         report.note(inst, "per-party behavior sequences differ across seeds")
 
 
+def _successor(net: Network, wanted: NetStep) -> Optional[Network]:
+    """The network that step `wanted` reaches from net, if it is enabled."""
+    for nxt, info in enumerate_net_steps(net):
+        if info == wanted:
+            return nxt
+    return None
+
+
 def parallelism_property(inst: Instance, report: PropertyReport) -> None:
-    """Adjacent steps of disjoint party sets commute."""
+    """Enabled steps commute: at every state of seed 0's run, each pair of
+    enabled steps stays enabled after the other, and both orders reach the
+    same network.  This is the premise `network.explore` rests on."""
     members = roles(inst.expr)
     net = Network(project_all(inst.expr, members))
-    outcome = simulate(net, seed=0)
-    origins = [s.origin for s in outcome.trace]
-    participants = [{s.origin, *s.recipients} for s in outcome.trace]
-    for i in range(len(origins) - 1):
-        if participants[i] & participants[i + 1]:
-            continue
-        swapped = origins[:i] + [origins[i + 1], origins[i]] + origins[i + 2:]
-        try:
-            final = replay(net, swapped)
-        except ValueError:
-            report.note(inst, f"independent steps {i},{i+1} do not commute")
-            return
-        if final != outcome.network:
-            report.note(inst, f"swap of steps {i},{i+1} changed the outcome")
-            return
-        break  # one swap per instance keeps this cheap
+    trace = simulate(net, seed=0).trace
+    for n, taken in enumerate(trace):
+        steps = enumerate_net_steps(net)
+        for i, (after_a, a) in enumerate(steps):
+            for after_b, b in steps[i + 1:]:
+                ab = _successor(after_a, b)
+                ba = _successor(after_b, a)
+                if ab is None or ba is None:
+                    report.note(inst, f"at state {n}, one of the steps of "
+                                f"{a.origin} and {b.origin} disables the other")
+                    return
+                if ab != ba:
+                    report.note(inst, f"at state {n}, the steps of {a.origin} "
+                                f"and {b.origin} do not commute")
+                    return
+        net = _successor(net, taken)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +252,7 @@ def masking_laws(cfg: GenConfig, pairs: int,
         report.instances += 1
         k = rng.randint(2, cfg.max_parties)
         theta = PartySet(rng.sample(("p", "q", "r", "s"), k))
-        t = gen_type(rng, theta, 2, cfg)
+        t = gen_type(rng, theta, 2)
         v = gen_value(rng, theta, t, fresh)
         sub = PartySet(rng.sample(theta.members,
                                   rng.randint(1, len(theta))))

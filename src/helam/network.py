@@ -334,17 +334,6 @@ def simulate(net: Network, seed: int = 0,
     raise FuelExhausted(f"network still active after {fuel} steps")
 
 
-def replay(net: Network, origins: list[str]) -> Network:
-    """Drive the network by origin party, one step per entry."""
-    for origin in origins:
-        steps = enumerate_net_steps(net)
-        chosen = [n for n, s in steps if s.origin == origin]
-        if not chosen:
-            raise ValueError(f"no step with origin {origin}")
-        net = chosen[0]
-    return net
-
-
 @dataclass
 class Exploration:
     terminals: set[Network]

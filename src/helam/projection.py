@@ -117,38 +117,25 @@ def floor(b: Behavior) -> Behavior:
 # ---------------------------------------------------------------------------
 # projection
 
-def project(e: ChorExpr, p: str) -> Behavior:
+def project(e: ChorExpr | ChorValue, p: str) -> Behavior:
+    # the arms go roughly by how often the node occurs in generated terms
     match e:
         case Val(v):
-            return project_value(v, p)
-        case App(fn, arg):
-            return bapp(project(fn, p), project(arg, p))
-        case Case(guards, scrut, xl, ml, xr, mr):
-            if p in guards:
-                return bcase(project(scrut, p), xl, project(ml, p),
-                             xr, project(mr, p))
-            # a bystander only helps compute the guard; the branches cannot
-            # mention it, so they are dropped outright
-            return bcase(project(scrut, p), xl, BOTTOM, xr, BOTTOM)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def project_value(v: ChorValue, p: str) -> LocalValue:
-    match v:
-        case Var(name):
-            return LVar(name)
+            return project(v, p)
         case Unit(owners):
             return LUnit() if p in owners else BOTTOM
+        case App(fn, arg):
+            return bapp(project(fn, p), project(arg, p))
         case Lam(param, _, body, owners):
             if p not in owners:
                 return BOTTOM
             return LLam(param, project(body, p))
-        case Fst(owners):
-            return LFst() if p in owners else BOTTOM
-        case Snd(owners):
-            return LSnd() if p in owners else BOTTOM
-        case Lookup(index, owners):
-            return LLookup(index) if p in owners else BOTTOM
+        case Pair(a, b):
+            return lpair(project(a, p), project(b, p))
+        case Inl(inner):
+            return linl(project(inner, p))
+        case Inr(inner):
+            return linr(project(inner, p))
         case Com(sender, recipients):
             if p == sender:
                 if p in recipients:
@@ -157,15 +144,24 @@ def project_value(v: ChorValue, p: str) -> LocalValue:
             if p in recipients:
                 return Recv(sender)
             return BOTTOM
-        case Inl(inner):
-            return linl(project_value(inner, p))
-        case Inr(inner):
-            return linr(project_value(inner, p))
-        case Pair(a, b):
-            return lpair(project_value(a, p), project_value(b, p))
+        case Var(name):
+            return LVar(name)
         case Vec(elems):
-            return lvec(tuple(project_value(x, p) for x in elems))
-    raise TypeError(f"not a value: {v!r}")
+            return lvec(tuple(project(x, p) for x in elems))
+        case Case(guards, scrut, xl, ml, xr, mr):
+            if p in guards:
+                return bcase(project(scrut, p), xl, project(ml, p),
+                             xr, project(mr, p))
+            # a bystander only helps compute the guard; the branches cannot
+            # mention it, so they are dropped outright
+            return bcase(project(scrut, p), xl, BOTTOM, xr, BOTTOM)
+        case Fst(owners):
+            return LFst() if p in owners else BOTTOM
+        case Snd(owners):
+            return LSnd() if p in owners else BOTTOM
+        case Lookup(index, owners):
+            return LLookup(index) if p in owners else BOTTOM
+    raise TypeError(f"not an expression or value: {e!r}")
 
 
 def project_all(e: ChorExpr,

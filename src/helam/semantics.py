@@ -50,12 +50,33 @@ class FuelExhausted(RuntimeError):
 # ---------------------------------------------------------------------------
 # substitution
 
-def subst(m: ChorExpr, x: str, v: ChorValue) -> ChorExpr:
+def subst(m: ChorExpr | ChorValue, x: str,
+          v: ChorValue) -> ChorExpr | ChorValue:
+    # the arms go roughly by how often the node occurs in generated terms
     match m:
         case Val(inner):
-            return Val(subst_value(inner, x, v), m.span)
+            return Val(subst(inner, x, v), m.span)
+        case Unit():
+            return m
         case App(fn, arg):
             return App(subst(fn, x, v), subst(arg, x, v), m.span)
+        case Lam(param, ptype, body, owners):
+            if param == x:
+                return m
+            masked = mask_value(v, owners)
+            if masked is None:
+                return m
+            return Lam(param, ptype, subst(body, x, masked), owners, m.span)
+        case Pair(a, b):
+            return Pair(subst(a, x, v), subst(b, x, v), m.span)
+        case Inl(inner):
+            return Inl(subst(inner, x, v), m.span)
+        case Inr(inner):
+            return Inr(subst(inner, x, v), m.span)
+        case Var(name):
+            return v if name == x else m
+        case Com() | Fst() | Snd() | Lookup():
+            return m
         case Case(guards, scrut, xl, ml, xr, mr):
             # the scrutinee always receives the unmasked value; the branches
             # only see it masked to the guard set, or not at all
@@ -66,31 +87,9 @@ def subst(m: ChorExpr, x: str, v: ChorValue) -> ChorExpr:
             ml2 = ml if xl == x else subst(ml, x, masked)
             mr2 = mr if xr == x else subst(mr, x, masked)
             return Case(guards, scrut2, xl, ml2, xr, mr2, m.span)
-    raise TypeError(f"not an expression: {m!r}")
-
-
-def subst_value(w: ChorValue, x: str, v: ChorValue) -> ChorValue:
-    match w:
-        case Var(name):
-            return v if name == x else w
-        case Lam(param, ptype, body, owners):
-            if param == x:
-                return w
-            masked = mask_value(v, owners)
-            if masked is None:
-                return w
-            return Lam(param, ptype, subst(body, x, masked), owners, w.span)
-        case Inl(inner):
-            return Inl(subst_value(inner, x, v), w.span)
-        case Inr(inner):
-            return Inr(subst_value(inner, x, v), w.span)
-        case Pair(a, b):
-            return Pair(subst_value(a, x, v), subst_value(b, x, v), w.span)
         case Vec(elems):
-            return Vec(tuple(subst_value(e, x, v) for e in elems), w.span)
-        case Unit() | Fst() | Snd() | Lookup() | Com():
-            return w
-    raise TypeError(f"not a value: {w!r}")
+            return Vec(tuple(subst(e, x, v) for e in elems), m.span)
+    raise TypeError(f"not an expression or value: {m!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -600,12 +600,32 @@ def uniquify(e: ChorExpr) -> ChorExpr:
                 taken.add(candidate)
                 return candidate
 
-    def walk(node: ChorExpr, ren: dict[str, str]) -> ChorExpr:
+    def walk(node: ChorExpr | ChorValue,
+             ren: dict[str, str]) -> ChorExpr | ChorValue:
+        # the arms go roughly by how often the node occurs in generated terms
         match node:
             case Val(v):
-                return Val(walk_value(v, ren), node.span)
+                return Val(walk(v, ren), node.span)
+            case Unit():
+                return node
             case App(fn, arg):
                 return App(walk(fn, ren), walk(arg, ren), node.span)
+            case Lam(param, ptype, body, owners):
+                param2 = fresh(param)
+                return Lam(param2, ptype, walk(body, {**ren, param: param2}),
+                           owners, span=node.span)
+            case Pair(a, b):
+                return Pair(walk(a, ren), walk(b, ren), span=node.span)
+            case Inl(inner):
+                return Inl(walk(inner, ren), span=node.span)
+            case Inr(inner):
+                return Inr(walk(inner, ren), span=node.span)
+            case Var(name):
+                return Var(ren.get(name, name), span=node.span)
+            case Com() | Fst() | Snd() | Lookup():
+                return node
+            case Vec(elems):
+                return Vec(tuple(walk(x, ren) for x in elems), span=node.span)
             case Case(guards, scrut, xl, ml, xr, mr):
                 scrut2 = walk(scrut, ren)
                 xl2 = fresh(xl)
@@ -613,28 +633,7 @@ def uniquify(e: ChorExpr) -> ChorExpr:
                 xr2 = fresh(xr)
                 mr2 = walk(mr, {**ren, xr: xr2})
                 return Case(guards, scrut2, xl2, ml2, xr2, mr2, node.span)
-        raise TypeError(f"not an expression: {node!r}")
-
-    def walk_value(v: ChorValue, ren: dict[str, str]) -> ChorValue:
-        match v:
-            case Var(name):
-                return Var(ren.get(name, name), span=v.span)
-            case Lam(param, ptype, body, owners):
-                param2 = fresh(param)
-                return Lam(param2, ptype, walk(body, {**ren, param: param2}),
-                           owners, span=v.span)
-            case Inl(inner):
-                return Inl(walk_value(inner, ren), span=v.span)
-            case Inr(inner):
-                return Inr(walk_value(inner, ren), span=v.span)
-            case Pair(a, b):
-                return Pair(walk_value(a, ren), walk_value(b, ren),
-                            span=v.span)
-            case Vec(elems):
-                return Vec(tuple(walk_value(x, ren) for x in elems),
-                           span=v.span)
-            case _:
-                return v
+        raise TypeError(f"not an expression or value: {node!r}")
 
     return walk(e, {})
 

@@ -266,6 +266,9 @@ ChorValue = Union[Var, Lam, Unit, Inl, Inr, Pair, Vec, Fst, Snd, Lookup, Com]
 
 @dataclass(frozen=True)
 class Val:
+    """A value in expression position.  `free_vars`, `print_expr`, `subst`,
+    `project` and `uniquify` take values and expressions alike, and treat
+    `Val(v)` as they treat `v`; the checker reports at `Val.span`."""
     value: ChorValue
     span: Optional[Span] = _span_field()
 
@@ -464,37 +467,35 @@ PENDING = (BApp, BCase)
 # ---------------------------------------------------------------------------
 # free variables
 
-def free_vars(e: ChorExpr) -> frozenset[str]:
+def free_vars(e: ChorExpr | ChorValue) -> frozenset[str]:
+    # the arms go roughly by how often the node occurs in generated terms
     match e:
         case Val(v):
-            return free_vars_value(v)
+            return free_vars(v)
+        case Unit():
+            return frozenset()
         case App(fn, arg):
             return free_vars(fn) | free_vars(arg)
+        case Lam(param, _, body, _):
+            return free_vars(body) - {param}
+        case Pair(a, b):
+            return free_vars(a) | free_vars(b)
+        case Inl(inner) | Inr(inner):
+            return free_vars(inner)
+        case Var(name):
+            return frozenset({name})
+        case Com() | Fst() | Snd() | Lookup():
+            return frozenset()
+        case Vec(elems):
+            out: frozenset[str] = frozenset()
+            for elem in elems:
+                out |= free_vars(elem)
+            return out
         case Case(_, scrut, xl, ml, xr, mr):
             return (free_vars(scrut)
                     | (free_vars(ml) - {xl})
                     | (free_vars(mr) - {xr}))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def free_vars_value(v: ChorValue) -> frozenset[str]:
-    match v:
-        case Var(name):
-            return frozenset({name})
-        case Lam(param, _, body, _):
-            return free_vars(body) - {param}
-        case Inl(inner) | Inr(inner):
-            return free_vars_value(inner)
-        case Pair(a, b):
-            return free_vars_value(a) | free_vars_value(b)
-        case Vec(elems):
-            out: frozenset[str] = frozenset()
-            for elem in elems:
-                out |= free_vars_value(elem)
-            return out
-        case Unit() | Fst() | Snd() | Lookup() | Com():
-            return frozenset()
-    raise TypeError(f"not a value: {v!r}")
+    raise TypeError(f"not an expression or value: {e!r}")
 
 
 def type_parties(t: ChorType) -> frozenset[str]:
@@ -582,51 +583,47 @@ _FN = 1     # function position of an application
 _ATOM = 2   # argument position / constructor operand
 
 
-def print_expr(e: ChorExpr, level: int = _TOP) -> str:
+def print_expr(e: ChorExpr | ChorValue, level: int = _TOP) -> str:
+    # the arms go roughly by how often the node occurs in generated terms
     match e:
         case Val(v):
-            return print_value(v, level)
+            return print_expr(v, level)
+        case Unit(owners):
+            return f"()@{owners}"
         case App(fn, arg):
             s = f"{print_expr(fn, _FN)} {print_expr(arg, _ATOM)}"
             return f"({s})" if level >= _ATOM else s
+        case Lam(param, ptype, body, owners):
+            return f"(fn {param}: {print_type(ptype)}. {print_expr(body)})@{owners}"
+        case Pair(a, b):
+            s = f"Pair {print_expr(a, _ATOM)} {print_expr(b, _ATOM)}"
+            return f"({s})" if level >= _ATOM else s
+        case Inl(inner):
+            s = f"Inl {print_expr(inner, _ATOM)}"
+            return f"({s})" if level >= _ATOM else s
+        case Inr(inner):
+            s = f"Inr {print_expr(inner, _ATOM)}"
+            return f"({s})" if level >= _ATOM else s
+        case Com(sender, recipients):
+            return f"com[{sender}]{recipients}"
+        case Var(name):
+            return name
+        case Vec(elems):
+            if len(elems) == 1:
+                return f"({print_expr(elems[0])},)"
+            return "(" + ", ".join(print_expr(x) for x in elems) + ")"
         case Case(guards, scrut, xl, ml, xr, mr):
             s = (f"case{guards} {print_expr(scrut, _FN)} of "
                  f"Inl {xl} => {print_expr(ml)}; "
                  f"Inr {xr} => {print_expr(mr)}")
             return f"({s})" if level >= _FN else s
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def print_value(v: ChorValue, level: int = _TOP) -> str:
-    match v:
-        case Var(name):
-            return name
-        case Unit(owners):
-            return f"()@{owners}"
-        case Lam(param, ptype, body, owners):
-            return f"(fn {param}: {print_type(ptype)}. {print_expr(body)})@{owners}"
-        case Inl(inner):
-            s = f"Inl {print_value(inner, _ATOM)}"
-            return f"({s})" if level >= _ATOM else s
-        case Inr(inner):
-            s = f"Inr {print_value(inner, _ATOM)}"
-            return f"({s})" if level >= _ATOM else s
-        case Pair(a, b):
-            s = f"Pair {print_value(a, _ATOM)} {print_value(b, _ATOM)}"
-            return f"({s})" if level >= _ATOM else s
-        case Vec(elems):
-            if len(elems) == 1:
-                return f"({print_value(elems[0])},)"
-            return "(" + ", ".join(print_value(x) for x in elems) + ")"
         case Fst(owners):
             return f"fst{owners}"
         case Snd(owners):
             return f"snd{owners}"
         case Lookup(index, owners):
             return f"lookup[{index}]{owners}"
-        case Com(sender, recipients):
-            return f"com[{sender}]{recipients}"
-    raise TypeError(f"not a value: {v!r}")
+    raise TypeError(f"not an expression or value: {e!r}")
 
 
 def print_behavior(b: Behavior, level: int = _TOP) -> str:
@@ -679,12 +676,10 @@ def print_behavior(b: Behavior, level: int = _TOP) -> str:
 def canonical_print(x) -> str:
     """Render an expression, value, type, data shape, or local behavior as
     canonical text."""
-    if isinstance(x, ChorExpr):
+    if isinstance(x, (ChorExpr, ChorValue)):
         return print_expr(x)
     if isinstance(x, ChorType):
         return print_type(x)
     if isinstance(x, DataType):
         return print_data(x)
-    if isinstance(x, ChorValue):
-        return print_value(x)
     return print_behavior(x)

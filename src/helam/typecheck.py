@@ -27,7 +27,7 @@ from .masking import is_noop, mask_type, mask_value
 from .syntax import (
     App, Case, ChorExpr, ChorType, ChorValue, Com, DAny, DProd, DSum, DUnit,
     DataTy, Fst, FunTy, Inl, Inr, Lam, Lookup, Pair, PartySet, Snd, Span,
-    TupleTy, Unit, Val, Var, Vec, free_vars_value, print_data, print_type,
+    TupleTy, Unit, Val, Var, Vec, free_vars, print_data, print_type,
 )
 
 # diagnostic kinds
@@ -490,7 +490,7 @@ def _masks(env: TypeEnv, v: ChorValue, theta: PartySet,
         return mask_type(t, theta) is not None
     if isinstance(v, Vec):
         return all(_masks(env, x, theta, span) for x in v.elems)
-    for name in sorted(free_vars_value(v)):
+    for name in sorted(free_vars(v)):
         env.lookup(name, span)
     return mask_value(v, theta) is not None
 

@@ -22,19 +22,31 @@ types = st.recursive(
                 st.lists(inner, min_size=1, max_size=3)),
     max_leaves=4)
 
-exprs = st.deferred(
-    lambda: st.builds(Val, values)
-    | st.builds(App, exprs, exprs)
-    | st.builds(Case, owners, exprs, names, exprs, names, exprs))
+atoms = (st.builds(Var, names) | st.builds(Unit, owners)
+         | st.builds(Fst, owners) | st.builds(Snd, owners)
+         | st.builds(Lookup, st.integers(1, 3), owners)
+         | st.builds(Com, st.sampled_from("pqr"), owners))
 
-values = st.recursive(
-    st.builds(Var, names) | st.builds(Unit, owners)
-    | st.builds(Fst, owners) | st.builds(Snd, owners)
-    | st.builds(Lookup, st.integers(1, 3), owners)
-    | st.builds(Com, st.sampled_from("pqr"), owners),
-    lambda inner: st.builds(Inl, inner) | st.builds(Inr, inner)
-    | st.builds(Pair, inner, inner)
-    | st.builds(lambda xs: Vec(tuple(xs)),
-                st.lists(inner, min_size=1, max_size=3))
-    | st.builds(Lam, names, types, exprs, owners),
-    max_leaves=5)
+
+def _values(bodies):
+    """Values whose function bodies are drawn from `bodies`."""
+    return st.recursive(
+        atoms,
+        lambda inner: st.builds(Inl, inner) | st.builds(Inr, inner)
+        | st.builds(Pair, inner, inner)
+        | st.builds(lambda xs: Vec(tuple(xs)),
+                    st.lists(inner, min_size=1, max_size=3))
+        | st.builds(Lam, names, types, bodies, owners),
+        max_leaves=5)
+
+
+# A function body inside an expression is drawn from the expression's own
+# recursion, so `max_leaves` bounds the whole term, values included.
+exprs = st.recursive(
+    st.builds(Val, atoms),
+    lambda inner: st.builds(Val, _values(inner))
+    | st.builds(App, inner, inner)
+    | st.builds(Case, owners, inner, names, inner, names, inner),
+    max_leaves=12)
+
+values = _values(exprs)

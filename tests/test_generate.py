@@ -90,7 +90,6 @@ def test_every_typing_rule_is_exercised():
 
 
 def test_generated_values_check_at_their_types():
-    cfg = GenConfig()
     rng = random.Random(7)
     count = [0]
 
@@ -100,7 +99,7 @@ def test_generated_values_check_at_their_types():
 
     for _ in range(200):
         theta = parties(*rng.sample(("p", "q", "r"), rng.randint(2, 3)))
-        t = gen_type(rng, theta, 2, cfg)
+        t = gen_type(rng, theta, 2)
         v = gen_value(rng, theta, t, fresh)
         check(TypeEnv(theta), Val(v), t)
 
@@ -111,11 +110,10 @@ class TestInhabit:
         assert inhabit(t) == Inl(Unit(P))
 
     def test_every_type_is_inhabited(self):
-        cfg = GenConfig()
         rng = random.Random(11)
         for _ in range(100):
             theta = parties("p", "q")
-            t = gen_type(rng, theta, 2, cfg)
+            t = gen_type(rng, theta, 2)
             check(TypeEnv(theta), Val(inhabit(t)), t)
 
 

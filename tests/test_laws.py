@@ -3,14 +3,19 @@ generated instances."""
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from helam.generate import ExprGen, GenConfig, gen_instance, gen_type, gen_value
 from helam.masking import mask_value
-from helam.projection import (
-    floor, local_subst, project, project_all, project_value, roles,
-)
+from helam.projection import floor, local_subst, project, project_all, roles
 from helam.semantics import IsValue, Stepped, run, step, subst
-from helam.syntax import BOTTOM, DataTy, PartySet, Val, parties
+from helam.surface import uniquify
+from helam.syntax import (
+    BOTTOM, DataTy, PartySet, Val, free_vars, parties, print_expr,
+)
 from helam.typecheck import TypeEnv, typecheck
+
+from strategies import names, values
 
 CFG = GenConfig(max_depth=5)
 
@@ -61,11 +66,11 @@ def test_data_values_project_identically_at_every_owner():
     fresh = _fresh_counter()
     for _ in range(200):
         theta = parties(*rng.sample(("p", "q", "r"), rng.randint(2, 3)))
-        t = gen_type(rng, theta, 2, CFG)
+        t = gen_type(rng, theta, 2)
         if not isinstance(t, DataTy) or len(t.owners) < 2:
             continue
         v = gen_value(rng, theta, t, fresh)
-        views = {project_value(v, p) for p in t.owners}
+        views = {project(v, p) for p in t.owners}
         assert len(views) == 1
         assert views.pop() != BOTTOM
 
@@ -76,14 +81,14 @@ def test_masking_commutes_with_projection():
     fresh = _fresh_counter()
     for _ in range(200):
         theta = parties(*rng.sample(("p", "q", "r", "s"), rng.randint(2, 4)))
-        t = gen_type(rng, theta, 2, CFG)
+        t = gen_type(rng, theta, 2)
         v = gen_value(rng, theta, t, fresh)
         sub = PartySet(rng.sample(theta.members, rng.randint(1, len(theta))))
         masked = mask_value(v, sub)
         if masked is None:
             continue
         for p in sub:
-            assert project_value(v, p) == project_value(masked, p)
+            assert project(v, p) == project(masked, p)
 
 
 def test_substitution_distributes_over_projection_up_to_floor():
@@ -91,9 +96,9 @@ def test_substitution_distributes_over_projection_up_to_floor():
         rng = random.Random(seed)
         k = rng.randint(2, 4)
         theta = parties(*rng.sample(("p", "q", "r", "s"), k))
-        gen = ExprGen(rng, CFG)
-        tx = gen_type(rng, theta, 1, CFG)
-        target = gen_type(rng, theta, 2, CFG)
+        gen = ExprGen(rng)
+        tx = gen_type(rng, theta, 1)
+        target = gen_type(rng, theta, 2)
         x = "hole$"
         env = TypeEnv(theta).bind(x, tx)
         m = gen.expr(env, target, 4)
@@ -101,7 +106,7 @@ def test_substitution_distributes_over_projection_up_to_floor():
         whole = subst(m, x, v)
         for p in theta:
             direct = project(whole, p)
-            pieced = floor(local_subst(project(m, p), x, project_value(v, p)))
+            pieced = floor(local_subst(project(m, p), x, project(v, p)))
             assert direct == pieced, (seed, p)
 
 
@@ -121,3 +126,14 @@ def test_end_to_end_values_match_their_projections():
         for p in members:
             assert final[p] == project(Val(value), p)
             assert floor(final[p]) == final[p]
+
+
+@settings(max_examples=150, deadline=None)
+@given(values, names, values, st.sampled_from("pqr"), st.integers(0, 2))
+def test_walkers_treat_a_value_as_its_wrapper(v, x, w, p, level):
+    # a value is an expression: every walker gives Val(v) what it gives v
+    assert free_vars(Val(v)) == free_vars(v)
+    assert print_expr(Val(v), level) == print_expr(v, level)
+    assert project(Val(v), p) == project(v, p)
+    assert subst(Val(v), x, w) == Val(subst(v, x, w))
+    assert uniquify(Val(v)) == Val(uniquify(v))

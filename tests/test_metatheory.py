@@ -7,10 +7,11 @@ fast while still exercising every driver.
 from helam.generate import GenConfig, Instance, gen_instance
 from helam.metatheory import (
     PropertyReport, agreement_property, central_trajectory, check_metatheory,
-    masking_laws,
+    masking_laws, parallelism_property,
 )
-from helam.network import Network, simulate
+from helam.network import Network, enumerate_net_steps, simulate
 from helam.projection import project_all
+from helam.surface import compile_text
 from helam.syntax import (
     App, Com, LUnit, Send, Unit, Val, parties, print_expr,
 )
@@ -85,6 +86,25 @@ def test_exploration_stopped_at_its_budget_is_a_failure(monkeypatch):
     assert dead.ok()
     assert len(agree.failures) == 1
     assert "budget" in agree.failures[0].detail
+
+
+def test_parallelism_detects_a_step_that_disables_another(monkeypatch):
+    prog = compile_text("let a = com[s][r] ()@[s]; "
+                        "let b = com[p][q] ()@[p]; ()@[p, q, r, s]")
+    inst = Instance(0, prog.theta, typecheck(prog.theta, prog.core),
+                    prog.core)
+    start = Network(project_all(inst.expr))
+    assert len(enumerate_net_steps(start)) > 1
+    [report] = _fresh_reports("parallelism")
+    parallelism_property(inst, report)
+    assert report.ok(), report.failures
+    # a broken stepper: every step from the start disables the other one
+    monkeypatch.setattr(
+        "helam.metatheory.enumerate_net_steps",
+        lambda net: enumerate_net_steps(net) if net == start else [])
+    parallelism_property(inst, report)
+    assert len(report.failures) == 1
+    assert "disables the other" in report.failures[0].detail
 
 
 def test_masking_laws_driver():

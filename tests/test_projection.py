@@ -163,11 +163,12 @@ _locals = st.recursive(
     | st.builds(lambda xs: LVec(tuple(xs)),
                 st.lists(inner, min_size=1, max_size=3)),
     max_leaves=6)
-_behaviors = st.deferred(
-    lambda: _locals
-    | st.builds(BApp, _behaviors, _behaviors)
-    | st.builds(BCase, _behaviors, _lnames, _behaviors, _lnames, _behaviors)
-    | st.builds(LLam, _lnames, _behaviors))
+_behaviors = st.recursive(
+    _locals,
+    lambda inner: st.builds(BApp, inner, inner)
+    | st.builds(BCase, inner, _lnames, inner, _lnames, inner)
+    | st.builds(LLam, _lnames, inner),
+    max_leaves=6)
 
 
 @settings(max_examples=300, deadline=None)
