@@ -17,6 +17,7 @@ participant in scope.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -54,44 +55,55 @@ KEYWORDS = {"fn", "case", "of", "let", "alias", "Inl", "Inr", "Pair",
             "fst", "snd", "lookup", "com"}
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
+    [ \t\r\n]+ | \#[^\n]*              # skipped
   | (?P<id>[A-Za-z_][A-Za-z0-9_$]*)
   | (?P<int>[0-9]+)
   | (?P<punct>=>|->|[()\[\],.;:=@+*])
-""", re.VERBOSE)
+  | (?P<bad>.)                         # any other character is an error
+""", re.VERBOSE | re.DOTALL)
+_NEWLINE_RE = re.compile("\n")
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "id", "int", punctuation itself, or "eof"
-    text: str
-    span: Span
+    """A token: its kind ("id", "int", the punctuation itself, or "eof"),
+    its text and its offsets.  Its span is built only when it is read, from
+    the line starts that the tokens of one text share."""
+
+    __slots__ = ("kind", "text", "start", "end", "lines")
+
+    def __init__(self, kind: str, text: str, start: int, end: int,
+                 lines: list[int]):
+        self.kind = kind
+        self.text = text
+        self.start = start
+        self.end = end
+        self.lines = lines
+
+    @property
+    def span(self) -> Span:
+        line = bisect_right(self.lines, self.start)
+        return Span(self.start, self.end, line,
+                    self.start - self.lines[line - 1] + 1)
 
 
 def tokenize(text: str) -> list[Token]:
+    lines = [0]  # the offset at which each line starts
+    lines += [m.end() for m in _NEWLINE_RE.finditer(text)]
     tokens: list[Token] = []
-    pos, line, bol = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            span = Span(pos, pos + 1, line, pos - bol + 1)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        word = m.group()
         start, end = m.span()
-        span = Span(start, end, line, start - bol + 1)
-        if m.lastgroup == "id":
-            tokens.append(Token("id", m.group(), span))
-        elif m.lastgroup == "int":
-            tokens.append(Token("int", m.group(), span))
-        elif m.lastgroup == "punct":
-            tokens.append(Token(m.group(), m.group(), span))
-        # whitespace and comments are skipped, but line tracking continues
-        chunk = text[start:end]
-        if "\n" in chunk:
-            line += chunk.count("\n")
-            bol = start + chunk.rindex("\n") + 1
-        pos = end
-    tokens.append(Token("eof", "", Span(pos, pos, line, pos - bol + 1)))
+        if kind == "punct":
+            kind = word
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {word!r}",
+                             Token(kind, word, start, end, lines).span)
+        append(Token(kind, word, start, end, lines))
+    append(Token("eof", "", len(text), len(text), lines))
     return tokens
 
 
@@ -171,40 +183,39 @@ _NON_ATOM_KEYWORDS = {"fn", "case", "of", "let", "alias"}
 
 
 class Parser:
+    """Recursive descent over a token list that ends in `eof`.  It reads a
+    token's kind, text and span, and reads each token once."""
+
     def __init__(self, tokens: list[Token], aliases: dict[str, DataType]):
         self.tokens = tokens
         self.pos = 0
+        self.tok = tokens[0]  # the current token, `tokens[pos]`
         self.aliases = aliases
         self.parties: list[str] = []
+        # a program repeats a few party lists, and a lookup costs much less
+        # than building and validating a PartySet
+        self._party_sets: dict[tuple[str, ...], PartySet] = {}
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        # the list ends in `eof`, which `next` never moves past
-        return self.tokens[self.pos]
-
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        if tok.kind != kind:
-            return False
-        return text is None or tok.text == text
-
-    def at_kw(self, word: str) -> bool:
-        return self.at("id", word)
-
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
+        """Consume the current token; `eof` is never consumed."""
+        tok = self.tok
         if tok.kind != "eof":
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return tok
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != kind or text is not None and tok.text != text:
             want = text or kind
             raise ParseError(f"expected {want!r}, found {tok.text or 'eof'!r}",
                              tok.span, (want,))
-        return self.next()
+        if kind != "eof":  # `next`, inlined: most tokens pass through here
+            self.pos += 1
+            self.tok = self.tokens[self.pos]
+        return tok
 
     def name(self) -> str:
         tok = self.expect("id")
@@ -215,7 +226,7 @@ class Parser:
     # -- parties -----------------------------------------------------------
 
     def party(self) -> str:
-        tok = self.peek()
+        tok = self.tok
         name = self.name()
         # identifiers may hold `$` (the uniquifier's renames); parties may not
         if "$" in name:
@@ -227,43 +238,74 @@ class Parser:
     def party_list(self) -> PartySet:
         self.expect("[")
         names = [self.party()]
-        while self.at(","):
+        while self.tok.kind == ",":
             self.next()
             names.append(self.party())
         self.expect("]")
-        return PartySet(names)
+        key = tuple(names)
+        found = self._party_sets.get(key)
+        if found is None:
+            found = self._party_sets[key] = PartySet(names)
+        return found
 
     # -- types -------------------------------------------------------------
 
     def type_(self) -> ChorType:
-        if self.at("("):
-            save = self.pos
-            try:
-                return self._paren_type()
-            except ParseError as err:
-                if err.fatal:
-                    raise
-                self.pos = save
-        shape = self.dtype()
+        t, at = self._type_or_data()
+        if at is not None:
+            return t
         self.expect("@")
-        owners = self.party_list()
-        return DataTy(shape, owners)
+        return DataTy(t, self.party_list())
 
-    def _paren_type(self) -> ChorType:
-        self.expect("(")
-        first = self.type_()
-        if self.at("->"):
+    def _type_or_data(self) -> tuple[Union[ChorType, DataType],
+                                     Optional[Token]]:
+        """A type, or a data type that an `@` may follow, in one pass.
+
+        A `(` may open a parenthesized type or a parenthesized data type.
+        They differ at the first `@`, which only a type holds inside its
+        parentheses, so both readings go on together until then.  Returns
+        a data type with None, or a type with the `@` token at which the
+        data-type reading fails: that reading is the one the grammar falls
+        back to, so any later error in the type is reported there, as
+        "expected ')'".  Errors marked fatal are raised as they are.
+        """
+        if self.tok.kind != "(":
+            return self.dtype(), None
+        self.next()
+        if self.tok.kind == ")":  # unit: a data type
+            self.next()
+            return self.dtype(DUnit()), None
+        inner, at = self._type_or_data()
+        located = at is None
+        if located:
+            if self.tok.kind != "@":  # a parenthesized data type
+                self.expect(")")
+                return self.dtype(inner), None
+            at = self.next()
+        try:
+            if located:
+                inner = DataTy(inner, self.party_list())
+            return self._paren_type(inner), at
+        except ParseError as err:
+            if err.fatal:
+                raise
+            raise ParseError("expected ')', found '@'", at.span,
+                             (")",)) from None
+
+    def _paren_type(self, first: ChorType) -> ChorType:
+        """The rest of a parenthesized type after its first element."""
+        if self.tok.kind == "->":
             self.next()
             ret = self.type_()
             self.expect(")")
             self.expect("@")
             owners = self.party_list()
             return FunTy(first, ret, owners)
-        if self.at(","):
+        if self.tok.kind == ",":
             elems = [first]
-            while self.at(","):
+            while self.tok.kind == ",":
                 self.next()
-                if self.at(")"):
+                if self.tok.kind == ")":
                     break  # trailing comma: one-element tuple
                 elems.append(self.type_())
             self.expect(")")
@@ -271,25 +313,27 @@ class Parser:
         self.expect(")")
         return first
 
-    def dtype(self) -> DataType:
-        left = self.dprod()
-        while self.at("+"):
+    def dtype(self, first: Optional[DataType] = None) -> DataType:
+        """A data type; `first`, when given, is its first atom, already
+        read."""
+        left = self.dprod(first)
+        while self.tok.kind == "+":
             self.next()
             left = DSum(left, self.dprod())
         return left
 
-    def dprod(self) -> DataType:
-        left = self.datom()
-        while self.at("*"):
+    def dprod(self, first: Optional[DataType] = None) -> DataType:
+        left = self.datom() if first is None else first
+        while self.tok.kind == "*":
             self.next()
             left = DProd(left, self.datom())
         return left
 
     def datom(self) -> DataType:
-        tok = self.peek()
-        if self.at("("):
+        tok = self.tok
+        if tok.kind == "(":
             self.next()
-            if self.at(")"):
+            if self.tok.kind == ")":
                 self.next()
                 return DUnit()
             inner = self.dtype()
@@ -306,17 +350,18 @@ class Parser:
     # -- expressions --------------------------------------------------------
 
     def expr(self) -> SurfaceExpr:
-        if self.at_kw("let"):
+        text = self.tok.text
+        if text == "let":
             return self.let_()
-        if self.at_kw("case"):
+        if text == "case":
             return self.case_()
         return self.app()
 
     def let_(self) -> SLet:
-        start = self.expect("id", "let")
+        start = self.next()
         name = self.name()
         annot = None
-        if self.at(":"):
+        if self.tok.kind == ":":
             self.next()
             annot = self.type_()
         self.expect("=")
@@ -326,7 +371,7 @@ class Parser:
         return SLet(name, annot, bound, body, start.span)
 
     def case_(self) -> SCase:
-        start = self.expect("id", "case")
+        start = self.next()
         guards = self.party_list()
         scrut = self.app()
         self.expect("id", "of")
@@ -344,60 +389,53 @@ class Parser:
 
     def app(self) -> SurfaceExpr:
         first = self.atom()
-        while self._atom_ahead():
-            arg = self.atom()
-            first = SApp(first, arg, first.span)
-        return first
-
-    def _atom_ahead(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "id":
-            return tok.text not in _NON_ATOM_KEYWORDS
-        return tok.kind == "("
+        while True:
+            tok = self.tok
+            if tok.kind == "id":
+                if tok.text in _NON_ATOM_KEYWORDS:
+                    return first
+            elif tok.kind != "(":
+                return first
+            first = SApp(first, self.atom(), first.span)
 
     def atom(self) -> SurfaceExpr:
-        tok = self.peek()
-        if self.at("("):
+        tok = self.tok
+        text = tok.text
+        if tok.kind == "(":
             return self._paren_atom()
-        if self.at_kw("Inl") or self.at_kw("Inr"):
-            self.next()
-            return SCons([self.atom()], Inl if tok.text == "Inl" else Inr,
-                         tok.span)
-        if self.at_kw("Pair"):
-            self.next()
-            return SCons([self.atom(), self.atom()], Pair, tok.span)
-        if self.at_kw("fst") or self.at_kw("snd"):
-            self.next()
-            proj = Fst if tok.text == "fst" else Snd
-            return SLeaf(proj(self.party_list(), span=tok.span), tok.span)
-        if self.at_kw("lookup"):
-            self.next()
+        if tok.kind != "id":
+            raise ParseError(f"expected an expression, found {text or 'eof'!r}",
+                             tok.span)
+        self.next()
+        span = tok.span
+        if text not in KEYWORDS:
+            return SLeaf(Var(text, span=span), span)
+        if text == "Inl" or text == "Inr":
+            return SCons([self.atom()], Inl if text == "Inl" else Inr, span)
+        if text == "Pair":
+            return SCons([self.atom(), self.atom()], Pair, span)
+        if text == "fst" or text == "snd":
+            proj = Fst if text == "fst" else Snd
+            return SLeaf(proj(self.party_list(), span=span), span)
+        if text == "lookup":
             self.expect("[")
             index = self.expect("int")
             if int(index.text) < 1:
                 raise ParseError("lookup indices are 1-based", index.span)
             self.expect("]")
             owners = self.party_list()
-            return SLeaf(Lookup(int(index.text), owners, span=tok.span),
-                         tok.span)
-        if self.at_kw("com"):
-            self.next()
+            return SLeaf(Lookup(int(index.text), owners, span=span), span)
+        if text == "com":
             self.expect("[")
             sender = self.party()
             self.expect("]")
             recipients = self.party_list()
-            return SLeaf(Com(sender, recipients, span=tok.span), tok.span)
-        if tok.kind == "id":
-            if tok.text in KEYWORDS:
-                raise ParseError(f"unexpected keyword {tok.text!r}", tok.span)
-            self.next()
-            return SLeaf(Var(tok.text, span=tok.span), tok.span)
-        raise ParseError(f"expected an expression, found {tok.text or 'eof'!r}",
-                         tok.span)
+            return SLeaf(Com(sender, recipients, span=span), span)
+        raise ParseError(f"unexpected keyword {text!r}", span)
 
     def _paren_atom(self) -> SurfaceExpr:
-        start = self.expect("(")
-        if self.at_kw("fn"):
+        start = self.next()
+        if self.tok.text == "fn":
             self.next()
             param = self.name()
             self.expect(":")
@@ -408,17 +446,18 @@ class Parser:
             self.expect("@")
             owners = self.party_list()
             return SLam(param, ptype, body, owners, start.span)
-        if self.at(")"):  # unit
+        if self.tok.kind == ")":  # unit
             self.next()
             self.expect("@")
             owners = self.party_list()
-            return SLeaf(Unit(owners, span=start.span), start.span)
+            span = start.span
+            return SLeaf(Unit(owners, span=span), span)
         first = self.expr()
-        if self.at(","):
+        if self.tok.kind == ",":
             elems = [first]
-            while self.at(","):
+            while self.tok.kind == ",":
                 self.next()
-                if self.at(")"):
+                if self.tok.kind == ")":
                     break
                 elems.append(self.expr())
             self.expect(")")
@@ -429,7 +468,7 @@ class Parser:
     # -- program ------------------------------------------------------------
 
     def program(self, source: str) -> SurfaceProgram:
-        while self.at_kw("alias"):
+        while self.tok.text == "alias":
             self.next()
             tok = self.expect("id")
             if tok.text in KEYWORDS:

@@ -10,7 +10,8 @@ import pytest
 
 from helam.generate import GenConfig, gen_instance
 from helam.metatheory import (
-    PropertyReport, central_trajectory, masking_laws, substitution_property,
+    PropertyReport, central_trajectory, masking_laws, parallelism_property,
+    substitution_property,
 )
 from helam.network import Network, enumerate_net_steps, explore, simulate
 from helam.projection import project, project_all, roles
@@ -227,3 +228,17 @@ def test_criterion_8_round_trip(instances, corpus, corpus_dir):
     assert mismatches == 0
     print(f"\nPASS criterion 8: {len(instances)} generated terms and the "
           f"corpus round-trip with zero mismatches")
+
+
+def test_criterion_9_enabled_steps_commute(instances):
+    """The premise partial-order exploration rests on: at every state of
+    each instance's seed-0 run, every pair of enabled steps commutes."""
+    started = time.time()
+    report = PropertyReport("parallelism")
+    for inst in instances:
+        report.instances += 1
+        parallelism_property(inst, report)
+    elapsed = time.time() - started
+    assert report.ok(), report.failures[:3]
+    print(f"\nPASS criterion 9: enabled steps commute at every state of "
+          f"{report.instances} instances' runs in {elapsed:.1f}s")

@@ -1,16 +1,25 @@
 """Parsing, desugaring, uniquification, and round trips."""
 
-import pytest
+import random
+import re
+import string
+from dataclasses import dataclass
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helam.generate import GenConfig, gen_instance
 from helam.semantics import run
 from helam.surface import (
-    DesugarError, ParseError, compile_text, desugar, parse, uniquify,
+    DesugarError, ParseError, Parser, compile_text, desugar, parse, tokenize,
+    uniquify,
 )
 from helam.syntax import (
-    App, Case, Com, DSum, DUnit, DataTy, Inl, Lam, Lookup, Unit, Val, Var,
-    parties, print_expr,
+    App, Case, Com, DProd, DSum, DUnit, DataTy, Inl, Lam, Lookup, Span, Unit,
+    Val, Var, parties, print_expr, print_type,
 )
-from helam.typecheck import typecheck
+from helam.typecheck import TypeErr, typecheck
 
 P = parties("p")
 
@@ -48,6 +57,18 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse("()@[p] @@")
         assert exc.value.span is not None
+        assert str(exc.value.span) == "1:8"
+
+    @pytest.mark.parametrize("text, message, where", [
+        ("()@[p]\n  é", "unexpected character 'é'", "2:3"),
+        ("# c\r\n()@[p] @@", "expected 'eof', found '@'", "2:8"),
+        ("let x = ()@[p];\n# note\n  x $", "unexpected character '$'", "3:5"),
+    ])
+    def test_parse_error_spans(self, text, message, where):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"{message} at {where}"
+        assert str(exc.value.span) == where
 
     def test_keyword_cannot_be_a_variable(self):
         with pytest.raises(ParseError):
@@ -179,3 +200,190 @@ class TestRoundTrip:
         text = print_expr(prog.core)
         again, _ = desugar(parse(text), theta=prog.theta)
         assert print_expr(again) == text
+
+
+# ---------------------------------------------------------------------------
+# the slow lexer and type parser, kept as the oracle for the fast ones
+
+@dataclass(frozen=True)
+class _ReferenceToken:
+    kind: str  # "id", "int", punctuation itself, or "eof"
+    text: str
+    span: Span
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<id>[A-Za-z_][A-Za-z0-9_$]*)
+  | (?P<int>[0-9]+)
+  | (?P<punct>=>|->|[()\[\],.;:=@+*])
+""", re.VERBOSE)
+
+
+def _reference_tokenize(text):
+    """One `match` per token and a span built for every token, with the
+    line tracked through whitespace and comments."""
+    tokens = []
+    pos, line, bol = 0, 1, 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            span = Span(pos, pos + 1, line, pos - bol + 1)
+            raise ParseError(f"unexpected character {text[pos]!r}", span)
+        start, end = m.span()
+        span = Span(start, end, line, start - bol + 1)
+        if m.lastgroup == "id":
+            tokens.append(_ReferenceToken("id", m.group(), span))
+        elif m.lastgroup == "int":
+            tokens.append(_ReferenceToken("int", m.group(), span))
+        elif m.lastgroup == "punct":
+            tokens.append(_ReferenceToken(m.group(), m.group(), span))
+        chunk = text[start:end]
+        if "\n" in chunk:
+            line += chunk.count("\n")
+            bol = start + chunk.rindex("\n") + 1
+        pos = end
+    tokens.append(_ReferenceToken("eof", "", Span(pos, pos, line,
+                                                   pos - bol + 1)))
+    return tokens
+
+
+class _ReferenceParser(Parser):
+    """Types by backtracking: try a parenthesized type, and when that fails
+    without a fatal error, rewind and read a data type and its `@`."""
+
+    def type_(self):
+        if self.tok.kind == "(":
+            save = self.pos
+            try:
+                self.expect("(")
+                return self._paren_type(self.type_())
+            except ParseError as err:
+                if err.fatal:
+                    raise
+                self.pos, self.tok = save, self.tokens[save]
+        shape = self.dtype()
+        self.expect("@")
+        return DataTy(shape, self.party_list())
+
+
+def _lexed(lex, text):
+    try:
+        return [(t.kind, t.text, str(t.span), t.span) for t in lex(text)]
+    except ParseError as err:
+        return str(err), err.span
+
+
+def _compiled(parser, lex, text):
+    """The desugared program's print, or the diagnostic."""
+    try:
+        core, theta = desugar(parser(lex(text), {}).program(text))
+        return print_expr(core), theta
+    except (ParseError, DesugarError, TypeErr) as err:
+        return type(err), str(err), err.span
+
+
+_LEX_ALPHABET = (" \n\r\t" + string.digits + string.punctuation
+                 + "abpxIL_é\x00")
+
+
+def _generated_texts(count):
+    cfg = GenConfig(max_parties=4, max_depth=6)
+    return [print_expr(gen_instance(cfg, seed).expr) for seed in range(count)]
+
+
+class TestLexerOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=_LEX_ALPHABET, max_size=40))
+    def test_random_text(self, text):
+        assert _lexed(tokenize, text) == _lexed(_reference_tokenize, text)
+
+    def test_corpus_and_generated_programs(self, corpus_dir):
+        texts = [path.read_text(encoding="utf-8")
+                 for path in sorted(corpus_dir.glob("*.hll"))]
+        for text in texts + _generated_texts(200):
+            assert _lexed(tokenize, text) == _lexed(_reference_tokenize, text)
+
+    def test_one_character_edits(self, corpus_dir):
+        """Delete, insert or replace one character of each corpus file:
+        the program, or its diagnostic with its span, is the same."""
+        rng = random.Random(0)
+        for path in sorted(corpus_dir.glob("*.hll")):
+            text = path.read_text(encoding="utf-8")
+            for _ in range(50):
+                at = rng.randrange(len(text) + 1)
+                char = rng.choice(_LEX_ALPHABET)
+                edit = rng.choice((text[:at] + text[at + 1:],
+                                   text[:at] + char + text[at:],
+                                   text[:at] + char + text[at + 1:]))
+                assert (_compiled(Parser, tokenize, edit)
+                        == _compiled(_ReferenceParser, _reference_tokenize,
+                                     edit)), (path.stem, edit)
+
+
+# Types as token lists, well formed or with one token edited: a `(` opens
+# either a parenthesized type or a parenthesized data type.
+_OWNERS = st.sampled_from([["@", "[", "p", "]"], ["@", "[", "p", ",", "q", "]"],
+                           ["@", "[", "a$b", "]"], ["@", "[", "]"]])
+_DATA = st.recursive(
+    st.sampled_from([["(", ")"], ["A"], ["X"]]),
+    lambda inner: st.one_of(
+        inner.map(lambda d: ["(", *d, ")"]),
+        st.tuples(inner, st.sampled_from(["+", "*"]), inner).map(
+            lambda t: [*t[0], t[1], *t[2]])),
+    max_leaves=4)
+_TYPES = st.recursive(
+    st.tuples(_DATA, _OWNERS).map(lambda t: t[0] + t[1]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner, _OWNERS).map(
+            lambda t: ["(", *t[0], "->", *t[1], ")", *t[2]]),
+        st.tuples(st.lists(inner, min_size=1, max_size=3), st.booleans()).map(
+            lambda t: ["(", *[tok for e in t[0] for tok in [*e, ","]][:-1],
+                       *([","] if t[1] else []), ")"]),
+        inner.map(lambda t: ["(", *t, ")"])),
+    max_leaves=5)
+_EDIT_TOKENS = ["(", ")", "@", "[", "]", ",", "->", "+", "*", "A", "p", "fn"]
+
+
+@st.composite
+def _type_texts(draw):
+    tokens = draw(_TYPES)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(tokens)))
+        tok = draw(st.sampled_from(_EDIT_TOKENS))
+        tokens = draw(st.sampled_from([tokens[:at] + tokens[at + 1:],
+                                       tokens[:at] + [tok] + tokens[at:],
+                                       tokens[:at] + [tok] + tokens[at + 1:]]))
+    return " ".join(tokens)
+
+
+def _typed(parser, text):
+    p = parser(tokenize(text), {"A": DUnit(), "B": DProd(DUnit(), DUnit())})
+    try:
+        t = p.type_()
+        p.expect("eof")
+        return print_type(t), p.parties
+    except ParseError as err:
+        return str(err), err.span, err.fatal
+
+
+class TestTypeParser:
+    @settings(max_examples=500, deadline=None)
+    @given(_type_texts())
+    def test_one_pass_matches_backtracking(self, text):
+        assert _typed(Parser, text) == _typed(_ReferenceParser, text)
+
+    def test_each_token_is_read_once(self):
+        class Counted(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                Counted.reads += 1
+                return super().__getitem__(i)
+
+        nested = "(" * 16 + "()" + " + ())" * 16 + "@[p]"
+        text = f"(fn x : {nested} . x)@[p]"
+        tokens = Counted(tokenize(text))
+        Parser(tokens, {}).program(text)
+        assert Counted.reads == len(tokens) == 98
