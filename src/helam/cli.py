@@ -27,11 +27,19 @@ def _load(path: str, theta=None) -> CompiledProgram:
     return compile_text(text, theta)
 
 
-def _theta(arg: str) -> PartySet:
+def _parties(names: list[str]) -> PartySet:
     try:
-        return PartySet(arg.split(","))
+        return PartySet(names)
     except ValueError as err:  # an empty or invalid party name
         raise argparse.ArgumentTypeError(str(err)) from err
+
+
+def _theta(arg: str) -> PartySet:
+    return _parties(arg.split(","))
+
+
+def _party(arg: str) -> str:
+    return _parties([arg]).members[0]
 
 
 def _fail(message: str, code: int) -> int:
@@ -152,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="endpoint-project")
     common(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--party")
+    group.add_argument("--party", type=_party)
     group.add_argument("--all", action="store_true")
     p.add_argument("--out", help="directory for per-party .hlp files")
     p.set_defaults(fn=cmd_project)

@@ -4,9 +4,7 @@ Generation inverts the typing rules: pick a production whose conclusion
 matches the target type, then generate the premises.  Every generated
 expression checks against its target by construction.  The productions
 are drawn with the fixed `WEIGHTS`; `GenConfig` sets only the party count
-and the depth bound, and a seed fixes the whole program.  Also provides
-canonical inhabitants (used for dead branches and shrinking) and a greedy
-shrinker.
+and the depth bound, and a seed fixes the whole program.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from .syntax import (
     DataTy, DataType, Fst, FunTy, Inl, Inr, Lam, Lookup, Pair, PartySet,
     Snd, TupleTy, Unit, Val, Var, Vec, type_parties,
 )
-from .typecheck import TypeEnv, TypeErr, case_scopes, synth, typecheck
+from .typecheck import TypeEnv
 
 
 # "value" always applies, so every production list is non-empty
@@ -128,33 +126,6 @@ def _split_owners(rng: random.Random, theta: PartySet,
     extra2 = [p for p in spare if p not in extra1 and rng.random() < 0.3]
     return (PartySet(owners.members + tuple(extra1)),
             PartySet(owners.members + tuple(extra2)))
-
-
-# ---------------------------------------------------------------------------
-# canonical inhabitants
-
-def inhabit(t: ChorType) -> ChorValue:
-    """The leftmost inhabitant: units, Inl, and identity-shaped functions."""
-    match t:
-        case DataTy(shape, owners):
-            return _inhabit_data(shape, owners)
-        case FunTy(_, ret, owners):
-            return Lam("ignored$", t.arg, Val(inhabit(ret)), owners)
-        case TupleTy(elems):
-            return Vec(tuple(inhabit(e) for e in elems))
-    raise TypeError(f"not a type: {t!r}")
-
-
-def _inhabit_data(shape, owners: PartySet) -> ChorValue:
-    match shape:
-        case DUnit():
-            return Unit(owners)
-        case DSum(left, _):
-            return Inl(_inhabit_data(left, owners))
-        case DProd(left, right):
-            return Pair(_inhabit_data(left, owners),
-                        _inhabit_data(right, owners))
-    raise TypeError(f"not a data shape: {shape!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,64 +254,3 @@ def gen_instance(cfg: GenConfig, seed: int) -> Instance:
     target = gen_type(rng, theta, 2)
     expr = gen_well_typed(cfg, theta, target, rng=rng)
     return Instance(seed, theta, target, expr)
-
-
-# ---------------------------------------------------------------------------
-# shrinking
-
-def shrink(e: ChorExpr, theta: PartySet,
-           failing: Callable[[ChorExpr], bool],
-           expected: Optional[ChorType] = None) -> ChorExpr:
-    """Greedily replace subterms with canonical inhabitants of their types
-    while the predicate keeps failing; the result still typechecks."""
-    current = e
-    while True:
-        for candidate in _subterm_candidates(current, TypeEnv(theta),
-                                             lambda n: n):
-            try:
-                typecheck(theta, candidate, expected)
-            except TypeErr:
-                continue
-            if failing(candidate):
-                current = candidate
-                break
-        else:
-            return current
-
-
-def _subterm_candidates(node: ChorExpr, env: TypeEnv, rebuild):
-    try:
-        t = synth(env, node)
-        replacement = Val(inhabit(t))
-        if replacement != node:
-            yield rebuild(replacement)
-    except TypeErr:
-        pass
-    match node:
-        case App(fn, arg):
-            yield from _subterm_candidates(
-                fn, env, lambda n: rebuild(App(n, arg)))
-            yield from _subterm_candidates(
-                arg, env, lambda n: rebuild(App(fn, n)))
-        case Case(guards, scrut, xl, ml, xr, mr):
-            yield from _subterm_candidates(
-                scrut, env,
-                lambda n: rebuild(Case(guards, n, xl, ml, xr, mr)))
-            try:
-                env_l, env_r = case_scopes(env, guards, scrut, xl, xr,
-                                           node.span)
-            except TypeErr:
-                return  # an ill-typed case stays so, whatever its branches hold
-            yield from _subterm_candidates(
-                ml, env_l,
-                lambda n: rebuild(Case(guards, scrut, xl, n, xr, mr)))
-            yield from _subterm_candidates(
-                mr, env_r,
-                lambda n: rebuild(Case(guards, scrut, xl, ml, xr, n)))
-        case Val(Lam(param, ptype, body, owners)):
-            inner = env.with_theta(owners).bind(param, ptype)
-            yield from _subterm_candidates(
-                body, inner,
-                lambda n: rebuild(Val(Lam(param, ptype, n, owners))))
-        case Val(_):
-            pass

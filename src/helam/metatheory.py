@@ -20,7 +20,8 @@ from .network import NetStep, Network, enumerate_net_steps, explore, simulate
 from .projection import project, project_all, roles
 from .semantics import IsValue, Stuck, run, step, subst
 from .syntax import (
-    ChorExpr, DataTy, PartySet, Val, node_count, print_expr, print_type,
+    Behavior, ChorExpr, DataTy, PartySet, Val, node_count, print_expr,
+    print_type,
 )
 from .typecheck import TypeEnv, TypeErr, check, typecheck
 
@@ -189,6 +190,29 @@ def agreement_property(inst: Instance, report_agree: PropertyReport,
         report_agree.note(inst, "exhaustive terminals disagree")
 
 
+def _successor(net: Network, wanted: NetStep) -> Optional[Network]:
+    """The network that step `wanted` reaches from net, if it is enabled."""
+    for nxt, info in enumerate_net_steps(net):
+        if info == wanted:
+            return nxt
+    return None
+
+
+def party_histories(net: Network,
+                    trace: list[NetStep]) -> dict[str, list[Behavior]]:
+    """Each party's behaviors along a recorded trace from net, starting
+    with its first; a step adds a participant's behavior only if it
+    changed."""
+    histories = {p: [net[p]] for p in net.parties()}
+    for taken in trace:
+        nxt = _successor(net, taken)
+        for p in (taken.origin, *taken.recipients):
+            if nxt[p] != net[p]:
+                histories[p].append(nxt[p])
+        net = nxt
+    return histories
+
+
 def scheduling_property(inst: Instance, report: PropertyReport) -> None:
     """A party passes through the same behaviors whatever the interleaving."""
     members = roles(inst.expr)
@@ -197,16 +221,8 @@ def scheduling_property(inst: Instance, report: PropertyReport) -> None:
     if not a.nondeterministic:
         return
     b = simulate(net, seed=2)
-    if a.history != b.history:
+    if party_histories(net, a.trace) != party_histories(net, b.trace):
         report.note(inst, "per-party behavior sequences differ across seeds")
-
-
-def _successor(net: Network, wanted: NetStep) -> Optional[Network]:
-    """The network that step `wanted` reaches from net, if it is enabled."""
-    for nxt, info in enumerate_net_steps(net):
-        if info == wanted:
-            return nxt
-    return None
 
 
 def parallelism_property(inst: Instance, report: PropertyReport) -> None:

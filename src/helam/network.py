@@ -14,7 +14,7 @@ missing value `BOTTOM` after a send, or the payload a receive is given.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -212,9 +212,6 @@ class Network:
                           for p, b in sorted(self.procs.items()))
         return f"Network({inner})"
 
-    def all_values(self) -> bool:
-        return not any(isinstance(b, PENDING) for b in self.procs.values())
-
     def stuck_parties(self) -> list[tuple[str, Behavior]]:
         return [(p, b) for p, b in sorted(self.procs.items())
                 if isinstance(b, PENDING)]
@@ -299,7 +296,6 @@ class SimOutcome:
     trace: list[NetStep]
     deadlock: Optional[DeadlockReport]
     nondeterministic: bool
-    history: dict[str, list[Behavior]] = field(default_factory=dict)
 
     @property
     def rendezvous_steps(self) -> int:
@@ -315,22 +311,17 @@ def simulate(net: Network, seed: int = 0,
     """Run to quiescence under a seeded uniform scheduler."""
     rng = random.Random(seed)
     trace: list[NetStep] = []
-    history: dict[str, list[Behavior]] = {p: [net[p]] for p in net.parties()}
     nondet = False
     for _ in range(fuel + 1):
         steps = enumerate_net_steps(net)
         if not steps:
             stuck = net.stuck_parties()
             report = DeadlockReport(tuple(stuck)) if stuck else None
-            return SimOutcome(net, trace, report, nondet, history)
+            return SimOutcome(net, trace, report, nondet)
         if len(steps) > 1:
             nondet = True
-        nxt, info = steps[rng.randrange(len(steps))]
-        for p in (info.origin, *info.recipients):
-            if nxt[p] != net[p]:
-                history[p].append(nxt[p])
+        net, info = steps[rng.randrange(len(steps))]
         trace.append(info)
-        net = nxt
     raise FuelExhausted(f"network still active after {fuel} steps")
 
 

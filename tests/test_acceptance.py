@@ -191,7 +191,7 @@ def test_criterion_6_single_step_golden():
     assert len(steps) == 1
     after, info = steps[0]
     assert info.rule == "NCOM" and info.recipients == ("p", "q")
-    assert after.all_values()
+    assert not after.stuck_parties()
     assert after == Network({"s": BOTTOM, "p": LUnit(), "q": LUnit()})
     print("\nPASS criterion 6: three-party projection reaches all-values in "
           "exactly one real step")

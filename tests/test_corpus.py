@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from helam.cli import main
-from helam.metatheory import PROPERTY_NAMES
+from helam.metatheory import PROPERTY_NAMES, party_histories
 from helam.network import Network, explore, format_trace, simulate
 from helam.projection import floor, project, project_all, roles
 from helam.semantics import run
@@ -131,10 +131,13 @@ class TestDelegation:
 
     def test_carroll_cannot_tell_the_branches_apart(self, corpus):
         # the server's own step sequence is identical either way
-        outs = [simulate_applied(self.apply(corpus, choice), seed=0)
-                for choice in (Inl(Unit(parties("alice"))),
-                               Inr(Unit(parties("alice"))))]
-        histories = [out.history["carroll"] for out in outs]
+        histories = []
+        for choice in (Inl(Unit(parties("alice"))),
+                       Inr(Unit(parties("alice")))):
+            e = self.apply(corpus, choice)
+            out = simulate_applied(e, seed=0)
+            net = Network(project_all(e, roles(e)))
+            histories.append(party_histories(net, out.trace)["carroll"])
         assert histories[0] == histories[1]
 
 
@@ -328,6 +331,19 @@ class TestCli:
                   "--theta", "p,,q"])
         assert exc.value.code == 2
         assert "invalid party name: ''" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["9", "p,q", ""])
+    def test_bad_party_is_a_usage_error(self, corpus_dir, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main(["project", str(corpus_dir / "kvs_put.hll"),
+                  "--party", name])
+        assert exc.value.code == 2
+        assert f"invalid party name: {name!r}" in capsys.readouterr().err
+
+    def test_absent_party_projects_to_bottom(self, corpus_dir, capsys):
+        assert main(["project", str(corpus_dir / "kvs_put.hll"),
+                     "--party", "nobody"]) == 0
+        assert capsys.readouterr().out == "⊥\n"
 
     def test_missing_file_is_a_usage_error(self):
         result = self.run_cli("check", "no/such/file.hll")

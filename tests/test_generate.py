@@ -1,16 +1,15 @@
-"""The well-typed-term generator and the shrinker."""
+"""The well-typed-term generator."""
 
 import random
 
 import pytest
 
 from helam.generate import (
-    GenConfig, gen_instance, gen_type, gen_value, gen_well_typed, inhabit,
-    shrink,
+    GenConfig, gen_instance, gen_type, gen_value, gen_well_typed,
 )
 from helam.syntax import (
-    App, Case, Com, DSum, DUnit, DataTy, Fst, Inl, Inr, Lam, Lookup, Pair,
-    Snd, Unit, Val, Var, Vec, nodes, parties, print_expr,
+    App, Case, Com, DUnit, DataTy, Fst, Inl, Inr, Lam, Lookup, Pair, Snd,
+    Unit, Val, Var, Vec, nodes, parties, print_expr,
 )
 from helam.typecheck import TypeEnv, check, typecheck
 
@@ -102,43 +101,3 @@ def test_generated_values_check_at_their_types():
         t = gen_type(rng, theta, 2)
         v = gen_value(rng, theta, t, fresh)
         check(TypeEnv(theta), Val(v), t)
-
-
-class TestInhabit:
-    def test_leftmost_units(self):
-        t = DataTy(DSum(DUnit(), DSum(DUnit(), DUnit())), P)
-        assert inhabit(t) == Inl(Unit(P))
-
-    def test_every_type_is_inhabited(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            theta = parties("p", "q")
-            t = gen_type(rng, theta, 2)
-            check(TypeEnv(theta), Val(inhabit(t)), t)
-
-
-class TestShrink:
-    def test_shrinks_to_a_minimal_com(self):
-        cfg = GenConfig(max_depth=5)
-        inst = next(i for i in (gen_instance(cfg, s) for s in range(200))
-                    if "com[" in print_expr(i.expr)
-                    and len(print_expr(i.expr)) > 60)
-
-        def failing(e):
-            return "com[" in print_expr(e)
-
-        small = shrink(inst.expr, inst.theta, failing, inst.target)
-        assert failing(small)
-        assert len(print_expr(small)) <= len(print_expr(inst.expr))
-        typecheck(inst.theta, small, inst.target)
-
-    def test_already_minimal_is_unchanged(self):
-        e = Val(Unit(P))
-        assert shrink(e, P, lambda _: True) == e
-
-    def test_shrunk_output_always_typechecks(self):
-        cfg = GenConfig(max_depth=4)
-        for seed in range(30):
-            inst = gen_instance(cfg, seed)
-            small = shrink(inst.expr, inst.theta, lambda _: True, inst.target)
-            typecheck(inst.theta, small, inst.target)

@@ -4,10 +4,12 @@ The full-size runs live in test_acceptance; these keep the feedback loop
 fast while still exercising every driver.
 """
 
+import random
+
 from helam.generate import GenConfig, Instance, gen_instance
 from helam.metatheory import (
     PropertyReport, agreement_property, central_trajectory, check_metatheory,
-    masking_laws, parallelism_property,
+    masking_laws, parallelism_property, party_histories, scheduling_property,
 )
 from helam.network import Network, enumerate_net_steps, simulate
 from helam.projection import project_all
@@ -16,6 +18,7 @@ from helam.syntax import (
     App, Com, LUnit, Send, Unit, Val, parties, print_expr,
 )
 from helam.typecheck import typecheck
+from conftest import CORPUS_FILES
 
 
 def _fresh_reports(*names):
@@ -105,6 +108,62 @@ def test_parallelism_detects_a_step_that_disables_another(monkeypatch):
     parallelism_property(inst, report)
     assert len(report.failures) == 1
     assert "disables the other" in report.failures[0].detail
+
+
+# The recording `simulate` once made on every step, kept only as the oracle
+# for `party_histories`: the same scheduler choices, and a participant's
+# behavior appended whenever a step changes it.
+def simulate_with_histories(net, seed):
+    rng = random.Random(seed)
+    histories = {p: [net[p]] for p in net.parties()}
+    while steps := enumerate_net_steps(net):
+        nxt, info = steps[rng.randrange(len(steps))]
+        for p in (info.origin, *info.recipients):
+            if nxt[p] != net[p]:
+                histories[p].append(nxt[p])
+        net = nxt
+    return histories
+
+
+def test_replayed_histories_match_the_recorded_ones(corpus):
+    cfg = GenConfig(max_parties=4, max_depth=6)
+    nets = [Network(project_all(gen_instance(cfg, n).expr))
+            for n in range(200)]
+    nets += [Network(project_all(corpus(name).core))
+             for name in CORPUS_FILES if name != "bad_koc"]
+    moved = 0
+    for net in nets:
+        for seed in range(5):
+            recorded = simulate_with_histories(net, seed)
+            replayed = party_histories(net, simulate(net, seed).trace)
+            assert replayed == recorded, (seed, net)
+            moved += any(len(h) > 1 for h in recorded.values())
+    assert moved > len(nets)  # the comparison is not over empty histories
+
+
+def test_scheduling_detects_a_history_that_differs(monkeypatch):
+    prog = compile_text("let a = com[s][r] ()@[s]; "
+                        "let b = com[p][q] ()@[p]; ()@[p, q, r, s]")
+    inst = Instance(0, prog.theta, typecheck(prog.theta, prog.core),
+                    prog.core)
+    [report] = _fresh_reports("scheduling-independence")
+    scheduling_property(inst, report)
+    assert report.ok(), report.failures
+    calls = []
+
+    def dropping(net, trace):
+        # a broken replay: the second history loses one party's last entry
+        histories = party_histories(net, trace)
+        calls.append(trace)
+        if len(calls) == 2:
+            histories["s"].pop()
+        return histories
+
+    monkeypatch.setattr("helam.metatheory.party_histories", dropping)
+    scheduling_property(inst, report)
+    assert len(calls) == 2
+    assert len(report.failures) == 1
+    assert "differ across seeds" in report.failures[0].detail
 
 
 def test_masking_laws_driver():
