@@ -201,15 +201,14 @@ def _successor(net: Network, wanted: NetStep) -> Optional[Network]:
 def party_histories(net: Network,
                     trace: list[NetStep]) -> dict[str, list[Behavior]]:
     """Each party's behaviors along a recorded trace from net, starting
-    with its first; a step adds a participant's behavior only if it
-    changed."""
+    with its first; a step adds the new behavior of each of its
+    participants (the origin and the recipients), since a step changes
+    every one of them."""
     histories = {p: [net[p]] for p in net.parties()}
     for taken in trace:
-        nxt = _successor(net, taken)
+        net = _successor(net, taken)
         for p in (taken.origin, *taken.recipients):
-            if nxt[p] != net[p]:
-                histories[p].append(nxt[p])
-        net = nxt
+            histories[p].append(net[p])
     return histories
 
 

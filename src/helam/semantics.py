@@ -121,20 +121,26 @@ def step(e: ChorExpr) -> StepResult:
                         Case(guards, inner.expr, xl, ml, xr, mr, e.span),
                         inner.rule, inner.redex)
                 return inner
-            match scrut.value:
-                case Inl(payload):
-                    masked = mask_value(payload, guards)
-                    if masked is None:
-                        return Stuck("case payload does not mask to the guards")
-                    return Stepped(subst(ml, xl, masked), "CASEL", e)
-                case Inr(payload):
-                    masked = mask_value(payload, guards)
-                    if masked is None:
-                        return Stuck("case payload does not mask to the guards")
-                    return Stepped(subst(mr, xr, masked), "CASER", e)
-                case _:
-                    return Stuck("case scrutinee is not an injection")
+            return _step_case(e)
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _step_case(e: Case) -> StepResult:
+    """Contract a case whose scrutinee is a value."""
+    match e.scrutinee.value:
+        case Inl(payload):
+            masked = mask_value(payload, e.guards)
+            if masked is None:
+                return Stuck("case payload does not mask to the guards")
+            return Stepped(subst(e.left_body, e.left_var, masked), "CASEL", e)
+        case Inr(payload):
+            masked = mask_value(payload, e.guards)
+            if masked is None:
+                return Stuck("case payload does not mask to the guards")
+            return Stepped(subst(e.right_body, e.right_var, masked), "CASER",
+                           e)
+        case _:
+            return Stuck("case scrutinee is not an injection")
 
 
 def _step_redex(fn: ChorValue, arg: ChorValue, e: App) -> StepResult:
@@ -203,18 +209,59 @@ def _com_value(v: ChorValue, sender: str,
 
 def run(e: ChorExpr, fuel: Optional[int] = None,
         trace: Optional[list[tuple[str, str]]] = None) -> ChorValue:
-    """Step to a value; the fuel bound is a guard, never part of semantics."""
+    """Evaluate e to a value by refocusing (Danvy & Nielsen, BRICS RS-04-26):
+    the evaluation context is kept as a stack of parent nodes, so a step
+    descends from the last contractum rather than from the root.  Each
+    contraction goes through the rules `step` uses, and `trace` receives
+    the same (rule, printed redex) pairs a loop over `step` would record.
+
+    Fuel (default ten per node of e) is a guard, never part of the
+    semantics.  At most fuel + 1 contractions are made, each appended to
+    `trace`; after the last of them FuelExhausted is raised, even when it
+    produced a value.  So fuel=0 on a one-step term contracts once and then
+    raises.  A stuck redex raises StuckError before the fuel is checked."""
     if fuel is None:
         fuel = 10 * node_count(e)
-    current = e
-    for _ in range(fuel + 1):
-        result = step(current)
-        if isinstance(result, IsValue):
-            assert isinstance(current, Val)
-            return current.value
+    focus, parents, steps = e, [], 0
+    while True:
+        if isinstance(focus, Val):
+            if not parents:
+                return focus.value
+            # plug the value into the innermost parent's hole: the first
+            # of its children that is not a value
+            parent = parents.pop()
+            if isinstance(parent, Case):
+                focus = Case(parent.guards, focus, parent.left_var,
+                             parent.left_body, parent.right_var,
+                             parent.right_body, parent.span)
+            elif isinstance(parent.fn, Val):
+                focus = App(parent.fn, focus, parent.span)
+            else:
+                focus = App(focus, parent.arg, parent.span)
+            continue
+        if isinstance(focus, App):
+            if not isinstance(focus.fn, Val):
+                parents.append(focus)
+                focus = focus.fn
+                continue
+            if not isinstance(focus.arg, Val):
+                parents.append(focus)
+                focus = focus.arg
+                continue
+            result = _step_redex(focus.fn.value, focus.arg.value, focus)
+        elif isinstance(focus, Case):
+            if not isinstance(focus.scrutinee, Val):
+                parents.append(focus)
+                focus = focus.scrutinee
+                continue
+            result = _step_case(focus)
+        else:
+            raise TypeError(f"not an expression: {focus!r}")
         if isinstance(result, Stuck):
             raise StuckError(result.reason)
         if trace is not None:
             trace.append((result.rule, print_expr(result.redex)))
-        current = result.expr
-    raise FuelExhausted(f"no value after {fuel} steps")
+        steps += 1
+        if steps > fuel:
+            raise FuelExhausted(f"no value after {fuel} steps")
+        focus = result.expr

@@ -1,0 +1,23 @@
+"""`tools/curves.py` measures one point of each series against helam."""
+
+import importlib.util
+from pathlib import Path
+
+CURVES = Path(__file__).resolve().parent.parent / "tools" / "curves.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("curves", CURVES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_point_per_series(monkeypatch):
+    curves = _load()
+    monkeypatch.setattr(curves, "MIN_SECONDS", 0.0)
+    chain = curves.measure_point("chain", 50)
+    let = curves.measure_point("let", 50)
+    assert chain["steps"] == 50  # one COM1 per hop
+    assert let["steps"] == 51  # one APPABS per let, x0 to x50
+    assert chain["us_per_step"] > 0 and let["us_per_step"] > 0

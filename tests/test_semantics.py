@@ -1,15 +1,18 @@
-"""Substitution and central stepping, against hand-derived results."""
+"""Substitution and central stepping, against hand-derived results, and
+the refocused `run` against a loop over `step`."""
 
 import pytest
 
+from helam.generate import GenConfig, gen_instance
 from helam.masking import mask_value
 from helam.semantics import (
     FuelExhausted, IsValue, Stepped, Stuck, StuckError, run, step, subst,
 )
 from helam.syntax import (
-    App, Case, Com, DUnit, DataTy, Fst, Inl, Inr, Lam, Lookup, Pair, Snd,
-    Unit, Val, Var, Vec, node_count, parties,
+    App, Case, Com, DUnit, DataTy, Fst, FunTy, Inl, Inr, Lam, Lookup, Pair,
+    Snd, Unit, Val, Var, Vec, node_count, parties, print_expr,
 )
+from conftest import CORPUS_FILES
 
 P = parties("p")
 Q = parties("q")
@@ -148,11 +151,136 @@ class TestRun:
         with pytest.raises(FuelExhausted):
             run(e, fuel=0)
 
+    def test_fuel_counts_contractions_not_values(self):
+        # fuel=0 still contracts once, and the contraction that yields the
+        # value is not enough: the run raises after fuel + 1 contractions
+        e = App(Val(lam("x", UNIT_P, Val(Var("x")), P)), Val(Unit(P)))
+        trace = []
+        with pytest.raises(FuelExhausted, match="no value after 0 steps"):
+            run(e, fuel=0, trace=trace)
+        assert [rule for rule, _ in trace] == ["APPABS"]
+        assert run(e, fuel=1) == Unit(P)
+
+    def test_stuck_is_reported_before_the_fuel(self):
+        # one step, then a stuck redex: fuel=0 ends the run after the step,
+        # fuel=1 reaches the stuck redex before the fuel is checked
+        stuck = App(Val(Com("s", PQ)), Val(Unit(Q)))
+        e = App(Val(lam("x", UNIT_P, stuck, P)), Val(Unit(P)))
+        with pytest.raises(FuelExhausted):
+            run(e, fuel=0)
+        with pytest.raises(StuckError):
+            run(e, fuel=1)
+        with pytest.raises(StuckError):
+            run(stuck, fuel=0)
+
+    def test_deep_chain_runs_at_the_default_recursion_limit(self):
+        # built from the constructors: the parser still recurses per level
+        names = ("p", "q", "r")
+        e = Val(Unit(parties("p")))
+        for i in range(5000):
+            e = App(Val(Com(names[i % 3], parties(names[(i + 1) % 3]))), e)
+        assert run(e) == Unit(parties("r"))
+
+
+# ---------------------------------------------------------------------------
+# the refocused run against the step loop it replaced
+
+def _reference_run(e, fuel=None, trace=None):
+    """Step from the root until a value, as `run` did before refocusing."""
+    if fuel is None:
+        fuel = 10 * node_count(e)
+    current = e
+    for _ in range(fuel + 1):
+        result = step(current)
+        if isinstance(result, IsValue):
+            assert isinstance(current, Val)
+            return current.value
+        if isinstance(result, Stuck):
+            raise StuckError(result.reason)
+        if trace is not None:
+            trace.append((result.rule, print_expr(result.redex)))
+        current = result.expr
+    raise FuelExhausted(f"no value after {fuel} steps")
+
+
+def _outcome(runner, e, fuel=None):
+    """The value or the exception (type and message), with the trace."""
+    trace = []
+    try:
+        value = runner(e, fuel, trace)
+    except (StuckError, FuelExhausted) as err:
+        return type(err), str(err), trace
+    return value, print_expr(value), trace
+
+
+def _assert_runs_agree(e, fuel=None):
+    expected = _outcome(_reference_run, e, fuel)
+    assert _outcome(run, e, fuel) == expected
+    return expected
+
+
+class TestRefocusedRun:
+    def test_corpus(self, corpus):
+        steps = 0
+        for name in CORPUS_FILES:
+            steps += len(_assert_runs_agree(corpus(name).core)[2])
+        assert steps > 0
+
+    def test_every_hole_on_terms_that_reach_values(self):
+        # generated programs seldom reduce a function or a scrutinee in
+        # place, so these do: the function and the argument both step, and
+        # a case's scrutinee steps before the branch is taken
+        ident = lam("x", UNIT_P, Val(Var("x")), P)
+        fn_of_fn = lam("f", FunTy(UNIT_P, UNIT_P, P), Val(Var("f")), P)
+        both = App(App(Val(fn_of_fn), Val(ident)),
+                   App(Val(Com("q", P)), Val(Unit(Q))))
+        scrut = App(Val(Com("q", P)), Val(Inl(Unit(Q))))
+        branch = Case(P, scrut, "a", Val(Var("a")), "b", Val(Unit(PQ)))
+        nested = Case(P, App(Val(fn_of_fn), scrut), "a", both,
+                      "b", Val(Unit(PQ)))
+        for e in (both, branch, nested, App(Val(ident), nested)):
+            value, _, trace = _assert_runs_agree(e)
+            assert value == Unit(P) and len(trace) > 1
+
+    def test_stuck_terms_in_every_hole(self):
+        stuck = App(Val(Unit(P)), Val(Unit(P)))
+        step_then_stuck = App(Val(lam("x", UNIT_P, stuck, P)), Val(Unit(P)))
+        for inner in (stuck, step_then_stuck):
+            for e in (inner,
+                      App(inner, Val(Unit(P))),
+                      App(Val(Fst(P)), inner),
+                      Case(P, inner, "x", Val(Var("x")), "y", Val(Var("y"))),
+                      Case(P, Val(Unit(P)), "x", inner, "y", inner),
+                      Case(Q, Val(Inl(Unit(P))), "x", inner, "y", inner)):
+                assert _assert_runs_agree(e)[0] is StuckError
+
+    def test_generated_instances(self):
+        cfg = GenConfig(max_parties=4, max_depth=6)
+        kinds = set()
+        for n in range(1000):
+            outcome = _assert_runs_agree(gen_instance(cfg, n).expr)
+            kinds.update(rule for rule, _ in outcome[2])
+        # the instances exercise every rule, so no arm goes unchecked
+        assert kinds == {"APPABS", "CASEL", "CASER", "COM1", "COMPAIR",
+                         "COMINL", "COMINR", "PROJ1", "PROJ2", "PROJN"}
+
+    def test_small_fuel(self, corpus):
+        cfg = GenConfig(max_parties=4, max_depth=6)
+        terms = [gen_instance(cfg, n).expr for n in range(200)]
+        terms += [corpus(name).core for name in CORPUS_FILES]
+        exhausted = 0
+        for e in terms:
+            for fuel in range(4):
+                outcome = _assert_runs_agree(e, fuel)
+                exhausted += outcome[0] is FuelExhausted
+        assert exhausted > 0
+
 
 # ---------------------------------------------------------------------------
 # totality on arbitrary syntax: ill-typed terms get Stuck, never a crash
 
 from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 from strategies import exprs as _exprs  # noqa: E402
 
@@ -171,3 +299,9 @@ def test_projection_is_total(e):
     for p in ("p", "q", "elsewhere"):
         b = project(e, p)
         assert floor(b) == b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs, st.one_of(st.none(), st.integers(0, 3)))
+def test_refocused_run_agrees_on_raw_terms(e, fuel):
+    _assert_runs_agree(e, fuel)
