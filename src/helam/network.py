@@ -9,6 +9,16 @@ the matching send.  Every step builds its result floor-normal (see
 A behavior that is not `PENDING` is a finished local value with no action,
 and a redex returns its value as it is: the component it projects, the
 missing value `BOTTOM` after a send, or the payload a receive is given.
+
+A `Network` keeps each party focused (Danvy & Nielsen, "Refocusing in
+Reduction Semantics", BRICS RS-04-26, 2004): as its next redex, or its
+finished value, together with the evaluation context around it, a
+persistent stack of `Frame`s.  A step contracts the redex and refocuses the
+contractum under the same frames (`focus`), so it costs the contractum and
+the frames it pops rather than a descent from the root and a rebuilt spine.
+`next_action` on a whole behavior, congruence rules included, stays the
+one-step local relation and the oracle the focused stepper is tested
+against.
 """
 
 from __future__ import annotations
@@ -44,7 +54,8 @@ def is_data_local(l: LocalValue) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the one pending action of a behavior
+# the one pending action of a behavior; `next_action` gives its result as a
+# behavior, `_focused_action` as a focused pair
 
 @dataclass(frozen=True)
 class Silent:
@@ -74,7 +85,8 @@ Action = Silent | SendAction | RecvAction
 def next_action(b: Behavior) -> Optional[Action]:
     """The unique step b can take, if any.  Values have none.
 
-    Cached: behaviors are immutable and recur heavily across interleavings.
+    Cached: the focused stepper asks it about redexes alone, and the same
+    redex recurs under different frames and across interleavings.
     """
     match b:
         case BApp(fn, arg):
@@ -159,62 +171,170 @@ def _redex_action(fn: LocalValue, arg: LocalValue) -> Optional[Action]:
 
 
 # ---------------------------------------------------------------------------
+# focused behaviors: the next redex and the frames around it
+
+class Frame:
+    """One node of an evaluation context, with a hole where the focus goes:
+    `BApp(_, arg)` (hole "fn"), `BApp(fn, _)` ("arg") or
+    `BCase(_, xl, bl, xr, br)` ("scrut").  It keeps the node's other
+    children in `rest` and the enclosing frame in `parent` (None at the
+    root), so a context is a persistent stack that the states a party
+    passes through share.  A frame is never changed once built.  Its hash
+    covers the whole stack and is computed once; equality walks the stack
+    iteratively."""
+
+    __slots__ = ("hole", "rest", "parent", "_hash")
+
+    def __init__(self, hole: str, rest: tuple, parent: Optional[Frame]):
+        self.hole, self.rest, self.parent = hole, rest, parent
+        self._hash = hash((hole, rest, parent))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        a, b = self, other
+        while a is not b:
+            if not (isinstance(a, Frame) and isinstance(b, Frame)
+                    and a._hash == b._hash and a.hole == b.hole
+                    and a.rest == b.rest):
+                return False
+            a, b = a.parent, b.parent
+        return True
+
+
+# a behavior as (its next redex or its finished value, the frames around it)
+Focused = tuple[Behavior, Optional[Frame]]
+
+
+def focus(b: Behavior, frame: Optional[Frame] = None) -> Focused:
+    """Decompose b, in the context `frame`, into its next redex and the
+    frames around it: descend into the first pending child, as
+    `next_action` does.  A finished value is put back into its innermost
+    frame through `bapp`/`bcase`, so the collapse rules apply (a value under
+    a missing function becomes `BOTTOM`), and the search goes on from the
+    node it gives."""
+    while True:
+        if isinstance(b, BApp):
+            if isinstance(b.fn, PENDING):
+                frame, b = Frame("fn", (b.arg,), frame), b.fn
+            elif isinstance(b.arg, PENDING):
+                frame, b = Frame("arg", (b.fn,), frame), b.arg
+            else:
+                return b, frame
+        elif isinstance(b, BCase):
+            if not isinstance(b.scrutinee, PENDING):
+                return b, frame
+            frame, b = Frame("scrut", (b.left_var, b.left_body, b.right_var,
+                                       b.right_body), frame), b.scrutinee
+        elif frame is None:
+            return b, None
+        else:
+            if frame.hole == "fn":
+                b = bapp(b, frame.rest[0])
+            elif frame.hole == "arg":
+                b = bapp(frame.rest[0], b)
+            else:
+                b = bcase(b, *frame.rest)
+            frame = frame.parent
+
+
+def plug(focused: Focused) -> Behavior:
+    """The behavior a focused pair stands for.  Every node rebuilt has a
+    pending child in its hole, and such a node never collapses, so the
+    plain constructors build what `bapp`/`bcase` would."""
+    b, frame = focused
+    while frame is not None:
+        if frame.hole == "fn":
+            b = BApp(b, frame.rest[0])
+        elif frame.hole == "arg":
+            b = BApp(frame.rest[0], b)
+        else:
+            b = BCase(b, *frame.rest)
+        frame = frame.parent
+    return b
+
+
+@lru_cache(maxsize=1 << 16)
+def _focused_action(focused: Focused) -> Optional[Action]:
+    """The step of a focused behavior: its redex's action with the result
+    refocused under the same frames.  The rule is the redex's own, where
+    `next_action` on the plugged behavior names the outermost congruence
+    rule.  Cached per pair, as `next_action` is per behavior: acceptance
+    simulates each network many times over the same states."""
+    redex, frame = focused
+    match next_action(redex):
+        case None:
+            return None
+        case Silent(result, rule):
+            return Silent(focus(result, frame), rule)
+        case SendAction(recipients, payload, result, rule):
+            return SendAction(recipients, payload, focus(result, frame), rule)
+        case RecvAction(sender, resolve, rule):
+            return RecvAction(sender, lambda l: focus(resolve(l), frame),
+                              rule)
+
+
+# ---------------------------------------------------------------------------
 # networks
 
 class Network:
-    """Map from party to its floor-normal behavior.
+    """Map from party to its floor-normal behavior, each kept focused.
 
-    The constructor floors the behaviors it is given, since they may come
-    from anywhere.  Local steps build their results through projection's
-    smart constructors, so the networks that steps reach skip that pass.
+    Equal behaviors decompose into equal pairs, since the next redex is
+    unique, so equality, hashing and the step cache work on the pairs, whose
+    frames cache their hashes and are shared between the states a party
+    passes through.  `net[p]` plugs the pair back together.  The
+    constructor and `replace` floor and focus the behaviors they are given,
+    since they may come from anywhere; local steps arrive focused and
+    floor-normal, so the networks that steps reach skip both passes.
     """
 
-    __slots__ = ("procs", "_hash")
+    __slots__ = ("_parties", "_hash")
 
-    def __init__(self, procs: dict[str, Behavior], _normal: bool = False):
+    def __init__(self, procs: dict[str, Behavior], _focused: bool = False):
         if not procs:
             raise ValueError("a network needs at least one party")
-        if _normal:  # built by a local step, so already floor-normal
-            object.__setattr__(self, "procs", procs)
-        else:
-            object.__setattr__(self, "procs",
-                               {p: floor(b) for p, b in procs.items()})
+        if not _focused:
+            procs = {p: focus(floor(b)) for p, b in procs.items()}
+        object.__setattr__(self, "_parties", procs)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
 
     def __getitem__(self, party: str) -> Behavior:
-        return self.procs[party]
+        return plug(self._parties[party])
 
     def parties(self) -> tuple[str, ...]:
-        return tuple(sorted(self.procs))
+        return tuple(sorted(self._parties))
 
     def replace(self, updates: dict[str, Behavior]) -> "Network":
-        # step results come out of the local stepper already floor-normal
-        procs = dict(self.procs)
-        procs.update(updates)
-        return Network(procs, _normal=True)
+        return self._replace({p: focus(floor(b)) for p, b in updates.items()})
 
-    def freeze(self) -> tuple[tuple[str, Behavior], ...]:
-        return tuple(sorted(self.procs.items()))
+    def _replace(self, updates: dict[str, Focused]) -> "Network":
+        # a step's results are focused and floor-normal already
+        parties = dict(self._parties)
+        parties.update(updates)
+        return Network(parties, _focused=True)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Network) and self.procs == other.procs
+        return isinstance(other, Network) and self._parties == other._parties
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.freeze()))
+            object.__setattr__(self, "_hash",
+                               hash(tuple(sorted(self._parties.items()))))
         return self._hash
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{p}[{print_behavior(b)}]"
-                          for p, b in sorted(self.procs.items()))
+        inner = ", ".join(f"{p}[{print_behavior(self[p])}]"
+                          for p in self.parties())
         return f"Network({inner})"
 
     def stuck_parties(self) -> list[tuple[str, Behavior]]:
-        return [(p, b) for p, b in sorted(self.procs.items())
-                if isinstance(b, PENDING)]
+        return [(p, self[p]) for p in self.parties()
+                if isinstance(self._parties[p][0], PENDING)]
 
 
 @dataclass(frozen=True)
@@ -242,29 +362,30 @@ def enumerate_net_steps(net: Network) -> list[tuple[Network, NetStep]]:
 
 def _enumerate(net: Network) -> list[tuple[Network, NetStep]]:
     steps: list[tuple[Network, NetStep]] = []
+    focused = net._parties
     for p in net.parties():
-        act = next_action(net[p])
+        act = _focused_action(focused[p])
         match act:
             case None | RecvAction():
                 continue
             case Silent(result, _):
-                steps.append((net.replace({p: result}),
+                steps.append((net._replace({p: result}),
                               NetStep(p, "NPRO")))
             case SendAction(recipients, payload, result, _):
                 if not recipients:
                     # a multicast to nobody carries an empty send set and is
                     # already a real step on its own
-                    steps.append((net.replace({p: result}),
+                    steps.append((net._replace({p: result}),
                                   NetStep(p, "NPRO")))
                     continue
                 updates = {p: result}
                 for r in recipients:
-                    recv = next_action(net[r])
+                    recv = _focused_action(focused[r])
                     if not (isinstance(recv, RecvAction) and recv.sender == p):
                         break
                     updates[r] = recv.resolve(payload)
                 else:
-                    steps.append((net.replace(updates),
+                    steps.append((net._replace(updates),
                                   NetStep(p, "NCOM", recipients, payload)))
     return steps
 
@@ -338,14 +459,15 @@ def explore(net: Network, budget: int = 100_000) -> Exploration:
     state budget, by partial-order reduction: each state follows one
     persistent set, the first step `_enumerate` yields (sorted by party).
 
-    Sound because each party has exactly one pending action (`next_action`
-    reads only its behavior), a step's enabledness depends only on its
-    participants (the origin and its recipients), and a step changes only
-    its participants (`Network.replace`).  So two enabled steps never share
-    a participant and no step disables or changes another: every enabled
-    step is a persistent set on its own, and a persistent-set search keeps
-    every terminal state and every deadlock (Godefroid, *Partial-Order
-    Methods for the Verification of Concurrent Systems*, LNCS 1032, 1996).
+    Sound because each party has exactly one pending action (its focused
+    action reads only its own redex and frames), a step's enabledness
+    depends only on its participants (the origin and its recipients), and a
+    step changes only its participants (`_enumerate` swaps in their new
+    focused pairs alone).  So two enabled steps never share a participant
+    and no step disables or changes another: every enabled step is a
+    persistent set on its own, and a persistent-set search keeps every
+    terminal state and every deadlock (Godefroid, *Partial-Order Methods
+    for the Verification of Concurrent Systems*, LNCS 1032, 1996).
     The search is one path, and every interleaving ends in the terminal it
     reaches.  No sleep sets are needed, and the cycle proviso is moot
     because the budget still bounds the walk.

@@ -21,3 +21,13 @@ def test_one_point_per_series(monkeypatch):
     assert chain["steps"] == 50  # one COM1 per hop
     assert let["steps"] == 51  # one APPABS per let, x0 to x50
     assert chain["us_per_step"] > 0 and let["us_per_step"] > 0
+
+
+def test_one_simulate_point_per_series(monkeypatch):
+    curves = _load()
+    monkeypatch.setattr(curves, "MIN_SECONDS", 0.0)
+    chain = curves.measure_point("chain", 50, "simulate")
+    let = curves.measure_point("let", 50, "simulate")
+    assert chain["steps"] == 50  # one rendezvous per hop
+    assert let["steps"] == 51  # alice's one LABSAPP per let
+    assert chain["us_per_step"] > 0 and let["us_per_step"] > 0

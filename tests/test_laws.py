@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helam.generate import ExprGen, GenConfig, gen_instance, gen_type, gen_value
 from helam.masking import mask_value
+from helam.network import focus, plug
 from helam.projection import floor, local_subst, project, project_all, roles
 from helam.semantics import IsValue, Stepped, run, step, subst
 from helam.surface import uniquify
@@ -16,6 +17,7 @@ from helam.syntax import (
 from helam.typecheck import TypeEnv, typecheck
 
 from strategies import names, values
+from test_projection import _behaviors, _unfloored_subst
 
 CFG = GenConfig(max_depth=5)
 
@@ -137,3 +139,39 @@ def test_walkers_treat_a_value_as_its_wrapper(v, x, w, p, level):
     assert project(Val(v), p) == project(v, p)
     assert subst(Val(v), x, w) == Val(subst(v, x, w))
     assert uniquify(Val(v)) == Val(uniquify(v))
+
+
+# ---------------------------------------------------------------------------
+# focusing: a behavior is its next redex plugged into its frames
+
+def _copy(b):
+    """An equal behavior that shares no application, case or function node
+    with b: a substitution for a name b never uses rebuilds all of them."""
+    return _unfloored_subst(b, "absent", BOTTOM)
+
+
+def _check_focus_laws(b1, b2):
+    f1, f2 = focus(b1), focus(b2)
+    assert plug(f1) == b1
+    again = focus(_copy(b1))
+    assert again == f1 and hash(again) == hash(f1)
+    assert (f1 == f2) == (b1 == b2)
+    if b1 == b2:
+        assert hash(f1) == hash(f2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_behaviors, _behaviors)
+def test_focus_decomposes_raw_behaviors(b1, b2):
+    _check_focus_laws(b1, b2)
+    _check_focus_laws(b1, _copy(b1))
+
+
+def test_focus_decomposes_reachable_behaviors(reachable):
+    behaviors = {net[p] for states in reachable.values() for net in states
+                 for p in net.parties()}
+    ordered = sorted(behaviors, key=hash)
+    for b1, b2 in zip(ordered, ordered[1:] + ordered[:1]):
+        _check_focus_laws(b1, b2)
+    # distinct behaviors have distinct decompositions
+    assert len({focus(b) for b in behaviors}) == len(behaviors)

@@ -1,24 +1,29 @@
 """Local stepping, rendezvous matching, the scheduler, and deadlock detection."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings
 
 import helam
 from helam.generate import GenConfig, gen_instance
 from helam.network import (
     DeadlockReport, NetStep, Network, RecvAction, SendAction, Silent,
-    SimulationFault, _enumerate, _enumerate_cached, enumerate_net_steps,
-    explore, format_trace, next_action, simulate,
+    SimulationFault, _enumerate, _enumerate_cached, _focused_action,
+    enumerate_net_steps, explore, focus, format_trace, next_action, plug,
+    simulate,
 )
 from helam.projection import floor, project, project_all, roles
 from helam.semantics import run
 from helam.surface import compile_text
 from helam.syntax import (
-    PENDING, App, BApp, BOTTOM, Com, LInl, LLam, LPair, LUnit, LVar, Recv,
-    Send, SendSelf, Unit, Val, parties,
+    App, BApp, BOTTOM, Com, LInl, LLam, LPair, LUnit, LVar, Recv, Send,
+    SendSelf, Unit, Val, parties,
 )
 from helam.typecheck import typecheck
 
-from conftest import CORPUS_FILES
+from conftest import CONGRUENCE_PROGRAMS, oracle_networks
+from test_projection import _behaviors
 
 PQ = parties("p", "q")
 
@@ -92,6 +97,15 @@ class TestEnumerate:
             assert second.origin != first.origin
             finals.add(final)
         assert len(finals) == 1
+
+    def test_a_missing_function_collapses_once_it_has_stepped(self):
+        # the function position sends and is then missing, and so is the
+        # application of it to a finished argument
+        net = Network({"p": BApp(BApp(Send(("q",)), LUnit()), LUnit()),
+                       "q": BApp(Recv("p"), BOTTOM)})
+        out = simulate(net, seed=0)
+        assert out.deadlock is None
+        assert out.network == Network({"p": BOTTOM, "q": LUnit()})
 
     def test_sender_blocks_until_every_recipient_is_ready(self):
         busy_recv = BApp(Recv("s"), BApp(LLam("x", LVar("x")), LUnit()))
@@ -198,22 +212,9 @@ def explore_every_interleaving(net):
     return terminals, stuck
 
 
-def _oracle_networks(corpus):
-    cfg = GenConfig(max_parties=4, max_depth=6)
-    generated = [Network(project_all(gen_instance(cfg, seed).expr))
-                 for seed in range(200)]
-    programs = [Network(project_all(corpus(name).core))
-                for name in CORPUS_FILES if name != "bad_koc"]
-    # one pending party dropped: its partners wait forever, or not at all
-    perturbed = [net.replace({p: BOTTOM}) for net in generated + programs
-                 for p in net.parties() if isinstance(net[p], PENDING)]
-    return {"generated": generated, "corpus": programs,
-            "perturbed": perturbed}
-
-
 def test_reduced_exploration_matches_every_interleaving(corpus):
     deadlocking = 0
-    for group, nets in _oracle_networks(corpus).items():
+    for group, nets in oracle_networks(corpus).items():
         skipped = 0
         for net in nets:
             full = explore_every_interleaving(net)
@@ -270,6 +271,7 @@ class TestBuiltNormal:
         net = Network(project_all(core, members))
         # cached steps from other tests would hide a call
         next_action.cache_clear()
+        _focused_action.cache_clear()
         _enumerate_cached.cache_clear()
 
         def refuse(*args):
@@ -286,26 +288,10 @@ class TestBuiltNormal:
 
 
 class TestCongruence:
-    """Programs whose projections step inside a pending function position
-    (`LAPP2`) or a pending case guard (`LCASE`); generated programs and the
-    corpus reach neither."""
+    """The programs of `CONGRUENCE_PROGRAMS` reach their congruence rule."""
 
-    @pytest.mark.parametrize("text, rule", [
-        # the function position is a case that picks the function
-        ("(fn g : (() + ())@[p, q] . (case[p, q] g of "
-         "Inl a => (fn x : ()@[q] . com[q][p] x)@[p, q]; "
-         "Inr b => (fn x : ()@[q] . com[q][p] x)@[p, q]) ()@[q])@[p, q] "
-         "(Inl ()@[p, q])", "LAPP2"),
-        # the guard is a multicast still to be sent
-        ("let g : (() + ())@[p] = Inr ()@[p]; "
-         "case[p, q] (com[p][p, q] g) of "
-         "Inl a => com[p][p, q] ()@[p]; Inr b => com[q][p, q] ()@[q]",
-         "LCASE"),
-        # a curried application: the function position is an application
-        ("(fn x : ()@[p] . (fn y : ()@[q] . "
-         "Pair (com[p][r] x) (com[q][r] y))@[p, q, r])@[p, q, r] "
-         "()@[p] ()@[q]", "LAPP2"),
-    ], ids=["case-picks-the-function", "pending-guard", "curried"])
+    @pytest.mark.parametrize("text, rule", list(CONGRUENCE_PROGRAMS.values()),
+                             ids=list(CONGRUENCE_PROGRAMS))
     def test_network_steps_under_a_pending_position(self, tmp_path, text,
                                                     rule):
         source = tmp_path / "congruence.hll"
@@ -331,3 +317,109 @@ class TestCongruence:
                 break
             cur = steps[0][0]
         assert rule in seen
+
+
+# ---------------------------------------------------------------------------
+# the focused stepper against `next_action` on whole behaviors
+
+CONGRUENCE_RULES = {"fn": "LAPP2", "arg": "LAPP1", "scrut": "LCASE"}
+
+
+def _outermost(frame):
+    while frame.parent is not None:
+        frame = frame.parent
+    return frame
+
+
+def _payloads(net, p):
+    """What p's sender offers it in this state when p waits to receive, or
+    a stand-in when it offers nothing yet: a receive takes what arrives."""
+    act = _focused_action(net._parties[p])
+    if not isinstance(act, RecvAction):
+        return ()
+    offer = _focused_action(net._parties.get(act.sender, (LUnit(), None)))
+    if isinstance(offer, SendAction) and p in offer.recipients:
+        return (offer.payload,)
+    return (LUnit(),)
+
+
+def _check_focused_step(net, p, payloads):
+    """Compare p's focused step with `next_action` on its plugged behavior;
+    the oracle's rule, or None when p has no step."""
+    b = net[p]
+    stored = net._parties[p]
+    assert stored == focus(b) and hash(stored) == hash(focus(b))
+    oracle = next_action(b)
+    act = _focused_action(stored)
+    assert type(act) is type(oracle)
+    if oracle is None:
+        return None
+    redex, frame = stored
+    assert act.rule == next_action(redex).rule
+    if frame is None:
+        assert oracle.rule == act.rule
+    else:
+        assert oracle.rule == CONGRUENCE_RULES[_outermost(frame).hole]
+    if isinstance(oracle, RecvAction):
+        assert act.sender == oracle.sender
+        for payload in payloads:
+            assert plug(act.resolve(payload)) == oracle.resolve(payload)
+    else:
+        assert plug(act.result) == oracle.result
+    if isinstance(oracle, SendAction):
+        assert act.recipients == oracle.recipients
+        assert act.payload == oracle.payload
+    return oracle.rule
+
+
+def test_focused_steps_match_next_action(reachable):
+    """At every state `explore` and `simulate` reach, each party's focused
+    step agrees with `next_action` on its plugged behavior: kind, sender,
+    recipients, payload and result, a receive resolved with the payload its
+    sender offers.  A party met again in the same focused state, offered
+    the same payloads, is checked once."""
+    for group, states in reachable.items():
+        checked, rules = set(), set()
+        for net in states:
+            for p in net.parties():
+                key = (p, net._parties[p], _payloads(net, p))
+                if key not in checked:
+                    checked.add(key)
+                    rules.add(_check_focused_step(net, p, key[2]))
+        print(f"{group}: {len(states)} states, {len(checked)} party states,"
+              f" rules {sorted(map(str, rules))}")
+        if group == "congruence":
+            assert {"LAPP1", "LAPP2", "LCASE"} <= rules
+
+
+@settings(max_examples=200, deadline=None)
+@given(_behaviors)
+def test_focused_step_matches_next_action_on_raw_behaviors(b):
+    net = Network({"p": b})
+    try:
+        next_action(net["p"])
+    except SimulationFault:
+        with pytest.raises(SimulationFault):
+            _focused_action(net._parties["p"])
+        return
+    _check_focused_step(net, "p", (LUnit(), LInl(LUnit()), BOTTOM))
+
+
+def test_deep_chain_steps_at_the_default_recursion_limit():
+    # projection and floor still recurse once per level, the stepper not
+    names = ("p", "q", "r")
+    e = Val(Unit(parties("p")))
+    for i in range(5000):
+        e = App(Val(Com(names[i % 3], parties(names[(i + 1) % 3]))), e)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(50_000)
+    try:
+        net = Network(project_all(e))
+    finally:
+        sys.setrecursionlimit(limit)
+    goal = Network({"p": BOTTOM, "q": BOTTOM, "r": LUnit()})
+    out = simulate(net, seed=0)
+    assert out.deadlock is None and len(out.trace) == 5000
+    assert out.network == goal
+    result = explore(net, budget=10_000)
+    assert result.complete and result.terminals == {goal}

@@ -5,7 +5,8 @@ import pytest
 from helam.surface import compile_text
 from helam.syntax import (
     App, Case, Com, DProd, DSum, DUnit, DataTy, Fst, FunTy, Inl, Inr, Lam,
-    Lookup, Pair, Snd, TupleTy, Unit, Val, Var, Vec, parties, print_type,
+    BadPartyName, Lookup, Pair, Snd, TupleTy, Unit, Val, Var, Vec, parties,
+    print_type,
 )
 from helam.typecheck import (
     AMBIGUOUS_SUM, ARG_MISMATCH, GUARD_NOT_SUM, INDEX_OUT_OF_RANGE,
@@ -308,6 +309,16 @@ class TestCorpusAcceptance:
         text = (corpus_dir / "identity.hll").read_text()
         prog = compile_text(text, parties("p", "q", "r"))
         assert typecheck(prog.theta, prog.core) == unit_t(P)
+
+
+@pytest.mark.parametrize("applied", [False, True])
+def test_a_bad_sender_name_raises_every_time(applied):
+    # the sender's party set is memoized per name, but never a bad one
+    com = Val(Com("9p", Q))
+    e = App(com, Val(Unit(Q))) if applied else com
+    for _ in range(2):
+        with pytest.raises(BadPartyName):
+            typecheck(PQ, e)
 
 
 # ---------------------------------------------------------------------------

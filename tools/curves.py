@@ -1,13 +1,16 @@
-"""Scaling curves of the central evaluator: `run` microseconds per step
-over chain-n (n nested `com` hops) and let-n (n chained `let` bindings),
-for n = 50, 100, 200, ... 1600.
+"""Scaling curves of the two steppers: microseconds per step of the central
+`run` and of the network `simulate`, over chain-n (n nested `com` hops) and
+let-n (n chained `let` bindings), for n = 50, 100, 200, ... 1600.
 
 Each point runs in a fresh interpreter, so no cache or heap state carries
-over from a smaller point.  The program is compiled with the recursion limit
-raised (the parser still recurses once per nesting level); `run` is timed at
-the interpreter's default limit, so a point where `run` itself recurses too
-deep is recorded as an error.  A series ends at its first error or at the
-first point that does not finish within --max-seconds.
+over from a smaller point.  The program is compiled, and for `simulate`
+projected into a `Network`, with the recursion limit raised (the parser,
+projection and `floor` still recurse once per nesting level); the stage is
+timed at the interpreter's default limit, so a point where the stepper
+itself recurses too deep is recorded as an error.  The network's step
+caches are cleared before every timed run, so each one steps from scratch.
+A series ends at its first error or at the first point that does not finish
+within --max-seconds.
 
 Stdlib only.  Each invocation adds (or replaces) one labelled run in the
 output file, so a before/after pair is two invocations on the same machine:
@@ -32,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (50, 100, 200, 400, 800, 1600)
 SERIES = ("chain", "let")
+STAGES = ("run", "simulate")
 COMPILE_RECURSION_LIMIT = 100_000
 # A point is timed REPEATS times and for at least MIN_SECONDS; the fastest
 # run is reported, as timeit does.
@@ -58,8 +62,11 @@ def let_text(n: int) -> str:
 TEXTS = {"chain": chain_text, "let": let_text}
 
 
-def measure_point(series: str, n: int) -> dict:
-    """Time `run` on one program in this interpreter."""
+def measure_point(series: str, n: int, stage: str = "run") -> dict:
+    """Time one stage on one program in this interpreter."""
+    from helam import network
+    from helam.network import Network, simulate
+    from helam.projection import project_all
     from helam.semantics import run
     from helam.surface import compile_text
 
@@ -67,34 +74,54 @@ def measure_point(series: str, n: int) -> dict:
     sys.setrecursionlimit(COMPILE_RECURSION_LIMIT)
     try:
         core = compile_text(TEXTS[series](n)).core
+        if stage == "simulate":
+            net = Network(project_all(core))
     finally:
         sys.setrecursionlimit(default_limit)
-    trace: list = []
+    caches = [f for f in vars(network).values() if hasattr(f, "cache_clear")]
+
+    def steps_taken() -> int:
+        if stage == "simulate":
+            return len(simulate(net).trace)
+        trace: list = []
+        run(core, trace=trace)
+        return len(trace)
+
+    if stage == "simulate":
+        def once():
+            simulate(net)
+    else:
+        def once():
+            run(core)
+
     try:
-        run(core, trace=trace)  # untimed: counts the steps, warms up
+        steps = steps_taken()  # untimed: counts the steps, warms up
     except RecursionError as err:
-        return {"n": n, "error": f"RecursionError in run: {err}"}
+        return {"n": n, "error": f"RecursionError in {stage}: {err}"}
     best, runs, total = float("inf"), 0, 0.0
     gc.disable()
     try:
         while runs < REPEATS or total < MIN_SECONDS:
+            for cache in caches:
+                cache.cache_clear()
             start = time.perf_counter()
-            run(core)
+            once()
             took = time.perf_counter() - start
             best, runs, total = min(best, took), runs + 1, total + took
     finally:
         gc.enable()
-    return {"n": n, "steps": len(trace), "run_s": best,
-            "us_per_step": 1e6 * best / len(trace)}
+    return {"n": n, "steps": steps, f"{stage}_s": best,
+            "us_per_step": 1e6 * best / steps}
 
 
-def curve(series: str, src: Path, max_seconds: float) -> list[dict]:
+def curve(stage: str, series: str, src: Path,
+          max_seconds: float) -> list[dict]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     points = []
     for n in SIZES:
-        cmd = [sys.executable, __file__, "--point", series, str(n)]
+        cmd = [sys.executable, __file__, "--point", stage, series, str(n)]
         try:
             proc = subprocess.run(cmd, env=env, capture_output=True,
                                   text=True, timeout=max_seconds)
@@ -108,7 +135,7 @@ def curve(series: str, src: Path, max_seconds: float) -> list[dict]:
             break
         point = json.loads(proc.stdout)
         points.append(point)
-        print(series, json.dumps(point), file=sys.stderr)
+        print(stage, series, json.dumps(point), file=sys.stderr)
         if "error" in point:
             break
     return points
@@ -123,12 +150,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--note", default="", help="recorded with the run")
     parser.add_argument("--max-seconds", type=float, default=60.0,
                         help="cap on one point, compile and runs included")
-    parser.add_argument("--point", nargs=2, metavar=("SERIES", "N"),
+    parser.add_argument("--point", nargs=3, metavar=("STAGE", "SERIES", "N"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.point:
-        series, n = args.point
-        print(json.dumps(measure_point(series, int(n))))
+        stage, series, n = args.point
+        print(json.dumps(measure_point(series, int(n), stage)))
         return 0
     if not args.label or not args.out:
         parser.error("--label and --out are required")
@@ -139,8 +166,9 @@ def main(argv: list[str]) -> int:
         "recursion_limit": sys.getrecursionlimit(),
         "timing": f"fastest of at least {REPEATS} runs and {MIN_SECONDS} s,"
                   " gc off",
-        "series": {s: curve(s, args.src.resolve(), args.max_seconds)
-                   for s in SERIES},
+        "series": {stage: {s: curve(stage, s, args.src.resolve(),
+                                    args.max_seconds) for s in SERIES}
+                   for stage in STAGES},
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("runs", {})[args.label] = record
