@@ -4,21 +4,20 @@ Each behavior has at most one pending action (the scheduler only ever
 chooses *which party* moves), and a multicast only fires when every listed
 recipient is ready to receive, all in one atomic network step.  Receives are
 never materialized on their own: their value is a free parameter fixed by
-the matching send.  Every step builds its result floor-normal (see
-`projection`), so a behavior is floored only where it enters, in `Network`.
-A behavior that is not `PENDING` is a finished local value with no action,
-and a redex returns its value as it is: the component it projects, the
-missing value `BOTTOM` after a send, or the payload a receive is given.
+the matching send.  A behavior that is not `PENDING` is a finished local
+value with no action, and a redex returns its value as it is: the component
+it projects, the missing value `BOTTOM` after a send, or the payload a
+receive is given.
 
 A `Network` keeps each party focused (Danvy & Nielsen, "Refocusing in
 Reduction Semantics", BRICS RS-04-26, 2004): as its next redex, or its
 finished value, together with the evaluation context around it, a
-persistent stack of `Frame`s.  A step contracts the redex and refocuses the
-contractum under the same frames (`focus`), so it costs the contractum and
-the frames it pops rather than a descent from the root and a rebuilt spine.
-`next_action` on a whole behavior, congruence rules included, stays the
-one-step local relation and the oracle the focused stepper is tested
-against.
+persistent stack of `Frame`s.  A step contracts the redex (`next_action`)
+and refocuses the contractum under the same frames (`focus`), so it costs
+the contractum and the frames it pops rather than a descent from the root
+and a rebuilt spine.  The congruence rules are the frames themselves.
+Behaviors are taken floor-normal, as projection and every step build them
+(see `projection`), so a `Network` never floors.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
-from .projection import bapp, bcase, floor, local_subst
+from .projection import bapp, bcase, local_subst
 from .semantics import FuelExhausted
 from .syntax import (
     BOTTOM, PENDING, BApp, BCase, Behavior, Bottom, LFst, LInl, LInr, LLam,
@@ -54,8 +53,7 @@ def is_data_local(l: LocalValue) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the one pending action of a behavior; `next_action` gives its result as a
-# behavior, `_focused_action` as a focused pair
+# the action of a redex; `_focused_action` gives its result as a focused pair
 
 @dataclass(frozen=True)
 class Silent:
@@ -73,8 +71,8 @@ class SendAction:
 
 @dataclass(frozen=True)
 class RecvAction:
+    """A receive: it becomes the payload its sender's send delivers."""
     sender: str
-    resolve: Callable[[LocalValue], Behavior]
     rule: str = "LRECV"
 
 
@@ -83,50 +81,22 @@ Action = Silent | SendAction | RecvAction
 
 @lru_cache(maxsize=1 << 16)
 def next_action(b: Behavior) -> Optional[Action]:
-    """The unique step b can take, if any.  Values have none.
+    """The step of the redex b, if it has one; a finished value has none.
+    b is what `focus` leaves: a node with a pending child is no redex, and
+    `focus` descends into that child instead.
 
-    Cached: the focused stepper asks it about redexes alone, and the same
-    redex recurs under different frames and across interleavings.
+    Cached: the same redex recurs under different frames and across
+    interleavings.
     """
     match b:
         case BApp(fn, arg):
-            if isinstance(fn, PENDING):
-                inner = next_action(fn)
-                return _wrap(inner, lambda f2: bapp(f2, arg), "LAPP2")
-            if isinstance(arg, PENDING):
-                inner = next_action(arg)
-                return _wrap(inner, lambda a2: bapp(fn, a2), "LAPP1")
             return _redex_action(fn, arg)
-        case BCase(scrut, xl, bl, xr, br):
-            if isinstance(scrut, PENDING):
-                inner = next_action(scrut)
-                return _wrap(inner, lambda s2: bcase(s2, xl, bl, xr, br),
-                             "LCASE")
-            match scrut:
-                case LInl(payload):
-                    return Silent(local_subst(bl, xl, payload), "LCASEL")
-                case LInr(payload):
-                    return Silent(local_subst(br, xr, payload), "LCASER")
-                case _:
-                    return None
+        case BCase(LInl(payload), xl, bl, _, _):
+            return Silent(local_subst(bl, xl, payload), "LCASEL")
+        case BCase(LInr(payload), _, _, xr, br):
+            return Silent(local_subst(br, xr, payload), "LCASER")
         case _:
             return None
-
-
-def _wrap(inner: Optional[Action], ctx: Callable[[Behavior], Behavior],
-          rule: str) -> Optional[Action]:
-    # congruence: the send/receive label is inherited, the result rebuilt
-    # through a smart constructor, and the step is named for the outermost
-    # rule applied
-    match inner:
-        case None:
-            return None
-        case Silent(result, _):
-            return Silent(ctx(result), rule)
-        case SendAction(recipients, payload, result, _):
-            return SendAction(recipients, payload, ctx(result), rule)
-        case RecvAction(sender, resolve, _):
-            return RecvAction(sender, lambda l: ctx(resolve(l)), rule)
 
 
 def _redex_action(fn: LocalValue, arg: LocalValue) -> Optional[Action]:
@@ -165,7 +135,7 @@ def _redex_action(fn: LocalValue, arg: LocalValue) -> Optional[Action]:
                     f"cannot send non-data value {print_behavior(arg)}")
             return SendAction(recipients, arg, arg, "LSENDSELF")
         case Recv(sender):
-            return RecvAction(sender, lambda l: l)
+            return RecvAction(sender)
         case _:
             return None
 
@@ -209,8 +179,8 @@ Focused = tuple[Behavior, Optional[Frame]]
 
 def focus(b: Behavior, frame: Optional[Frame] = None) -> Focused:
     """Decompose b, in the context `frame`, into its next redex and the
-    frames around it: descend into the first pending child, as
-    `next_action` does.  A finished value is put back into its innermost
+    frames around it: descend into the first pending child, function
+    before argument.  A finished value is put back into its innermost
     frame through `bapp`/`bcase`, so the collapse rules apply (a value under
     a missing function becomes `BOTTOM`), and the search goes on from the
     node it gives."""
@@ -258,46 +228,42 @@ def plug(focused: Focused) -> Behavior:
 @lru_cache(maxsize=1 << 16)
 def _focused_action(focused: Focused) -> Optional[Action]:
     """The step of a focused behavior: its redex's action with the result
-    refocused under the same frames.  The rule is the redex's own, where
-    `next_action` on the plugged behavior names the outermost congruence
-    rule.  Cached per pair, as `next_action` is per behavior: acceptance
-    simulates each network many times over the same states."""
+    refocused under the same frames.  A receive's result is the payload,
+    which `_enumerate` refocuses.  Cached per pair, as `next_action` is per
+    redex: acceptance simulates each network many times over the same
+    states."""
     redex, frame = focused
     match next_action(redex):
-        case None:
-            return None
         case Silent(result, rule):
             return Silent(focus(result, frame), rule)
         case SendAction(recipients, payload, result, rule):
             return SendAction(recipients, payload, focus(result, frame), rule)
-        case RecvAction(sender, resolve, rule):
-            return RecvAction(sender, lambda l: focus(resolve(l), frame),
-                              rule)
+        case act:
+            return act
 
 
 # ---------------------------------------------------------------------------
 # networks
 
 class Network:
-    """Map from party to its floor-normal behavior, each kept focused.
+    """Map from party to its behavior, each kept focused.
 
-    Equal behaviors decompose into equal pairs, since the next redex is
-    unique, so equality, hashing and the step cache work on the pairs, whose
-    frames cache their hashes and are shared between the states a party
-    passes through.  `net[p]` plugs the pair back together.  The
-    constructor and `replace` floor and focus the behaviors they are given,
-    since they may come from anywhere; local steps arrive focused and
-    floor-normal, so the networks that steps reach skip both passes.
+    The behaviors must be floor-normal, as `project`, `project_all`,
+    `local_subst` and every step build them; a behavior built by hand goes
+    through `helam.floor` first.  Equal behaviors decompose into equal
+    pairs, since the next redex is unique, so equality, hashing and the
+    step cache work on the pairs, whose frames cache their hashes and are
+    shared between the states a party passes through.  `net[p]` plugs the
+    pair back together.
     """
 
     __slots__ = ("_parties", "_hash")
 
-    def __init__(self, procs: dict[str, Behavior], _focused: bool = False):
+    def __init__(self, procs: dict[str, Behavior]):
         if not procs:
             raise ValueError("a network needs at least one party")
-        if not _focused:
-            procs = {p: focus(floor(b)) for p, b in procs.items()}
-        object.__setattr__(self, "_parties", procs)
+        object.__setattr__(self, "_parties",
+                           {p: focus(b) for p, b in procs.items()})
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -309,14 +275,12 @@ class Network:
     def parties(self) -> tuple[str, ...]:
         return tuple(sorted(self._parties))
 
-    def replace(self, updates: dict[str, Behavior]) -> "Network":
-        return self._replace({p: focus(floor(b)) for p, b in updates.items()})
-
     def _replace(self, updates: dict[str, Focused]) -> "Network":
-        # a step's results are focused and floor-normal already
-        parties = dict(self._parties)
-        parties.update(updates)
-        return Network(parties, _focused=True)
+        # a step's results are focused already
+        net = object.__new__(Network)
+        object.__setattr__(net, "_parties", {**self._parties, **updates})
+        object.__setattr__(net, "_hash", None)
+        return net
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Network) and self._parties == other._parties
@@ -383,7 +347,7 @@ def _enumerate(net: Network) -> list[tuple[Network, NetStep]]:
                     recv = _focused_action(focused[r])
                     if not (isinstance(recv, RecvAction) and recv.sender == p):
                         break
-                    updates[r] = recv.resolve(payload)
+                    updates[r] = focus(payload, focused[r][1])
                 else:
                     steps.append((net._replace(updates),
                                   NetStep(p, "NCOM", recipients, payload)))

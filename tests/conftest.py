@@ -70,7 +70,8 @@ def oracle_networks(load):
                  for seed in range(200)]
     programs = [Network(project_all(load(name).core))
                 for name in CORPUS_FILES if name != "bad_koc"]
-    perturbed = [net.replace({p: BOTTOM}) for net in generated + programs
+    perturbed = [Network({**{q: net[q] for q in net.parties()}, p: BOTTOM})
+                 for net in generated + programs
                  for p in net.parties() if isinstance(net[p], PENDING)]
     return {"generated": generated, "corpus": programs,
             "perturbed": perturbed}

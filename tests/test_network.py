@@ -1,6 +1,8 @@
 """Local stepping, rendezvous matching, the scheduler, and deadlock detection."""
 
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -13,16 +15,16 @@ from helam.network import (
     enumerate_net_steps, explore, focus, format_trace, next_action, plug,
     simulate,
 )
-from helam.projection import floor, project, project_all, roles
+from helam.projection import bapp, bcase, floor, project, project_all, roles
 from helam.semantics import run
 from helam.surface import compile_text
 from helam.syntax import (
-    App, BApp, BOTTOM, Com, LInl, LLam, LPair, LUnit, LVar, Recv, Send,
-    SendSelf, Unit, Val, parties,
+    App, BApp, BCase, BOTTOM, PENDING, Com, LInl, LLam, LPair, LUnit, LVar,
+    Recv, Send, SendSelf, Unit, Val, parties,
 )
 from helam.typecheck import typecheck
 
-from conftest import CONGRUENCE_PROGRAMS, oracle_networks
+from conftest import CONGRUENCE_PROGRAMS, CORPUS_FILES, oracle_networks
 from test_projection import _behaviors
 
 PQ = parties("p", "q")
@@ -48,9 +50,11 @@ class TestLocalStep:
         assert (act.recipients, act.payload) == (("q",), LInl(LUnit()))
 
     def test_receive_is_symbolic(self):
-        act = next_action(BApp(Recv("s"), LUnit()))
-        assert isinstance(act, RecvAction) and act.sender == "s"
-        assert act.resolve(LInl(LUnit())) == LInl(LUnit())
+        assert next_action(BApp(Recv("s"), LUnit())) == RecvAction("s")
+        net = Network({"s": BApp(Send(("r",)), LInl(LUnit())),
+                       "r": BApp(Recv("s"), LUnit())})
+        [(after, _)] = enumerate_net_steps(net)
+        assert after["r"] == LInl(LUnit())
 
     def test_receive_from_wrong_sender_does_not_match(self):
         net = Network({"t": BApp(Send(("r",)), LUnit()),
@@ -58,8 +62,11 @@ class TestLocalStep:
         assert enumerate_net_steps(net) == []
 
     def test_receive_argument_is_ignored(self):
-        act = next_action(BApp(Recv("s"), BOTTOM))
-        assert act.resolve(LUnit()) == LUnit()
+        assert next_action(BApp(Recv("s"), BOTTOM)) == RecvAction("s")
+        net = Network({"s": BApp(Send(("r",)), LUnit()),
+                       "r": BApp(Recv("s"), BOTTOM)})
+        [(after, _)] = enumerate_net_steps(net)
+        assert after["r"] == LUnit()
 
     def test_beta_floors_the_result(self):
         b = BApp(LLam("x", LPair(LVar("x"), LVar("x"))), LUnit())
@@ -233,9 +240,12 @@ def test_reduced_exploration_matches_every_interleaving(corpus):
 
 
 class TestNetworkType:
-    def test_behaviors_are_floor_normalized_on_construction(self):
-        net = Network({"p": LPair(BOTTOM, BOTTOM)})
+    def test_floor_normalizes_behaviors_built_by_hand(self):
+        net = Network({"p": floor(LPair(BOTTOM, BOTTOM))})
         assert net["p"] == BOTTOM
+        assert net == Network({"p": BOTTOM})
+        # a network takes its behaviors as they are
+        assert Network({"p": LPair(BOTTOM, BOTTOM)}) != net
 
     def test_nonempty_domain_required(self):
         with pytest.raises(ValueError):
@@ -244,7 +254,8 @@ class TestNetworkType:
 
 class TestBuiltNormal:
     """Projection and every local step build floor-normal behaviors, so
-    `floor` only normalizes what enters a `Network` from outside."""
+    `floor` only normalizes behaviors built by hand, and a `Network` takes
+    its behaviors as they are."""
 
     def test_projections_and_reachable_states_are_floor_normal(self):
         cfg = GenConfig(max_parties=4, max_depth=6)
@@ -267,8 +278,7 @@ class TestBuiltNormal:
                                                     monkeypatch):
         core = corpus("kvs_put").core
         members = roles(core)
-        goal = Network({p: project(Val(run(core)), p) for p in members})
-        net = Network(project_all(core, members))
+        value = run(core)
         # cached steps from other tests would hide a call
         next_action.cache_clear()
         _focused_action.cache_clear()
@@ -277,14 +287,26 @@ class TestBuiltNormal:
         def refuse(*args):
             raise AssertionError("floor called on a built behavior")
 
-        for name in ("helam.projection.floor", "helam.network.floor"):
-            monkeypatch.setattr(name, refuse)
+        monkeypatch.setattr("helam.projection.floor", refuse)
+        goal = Network({p: project(Val(value), p) for p in members})
+        net = Network(project_all(core, members))
         out = simulate(net, seed=0)
         assert out.deadlock is None
         assert out.network == goal
         result = explore(net)
         assert result.complete and not result.deadlocks
         assert result.terminals == {goal}
+
+    def test_networks_of_projections_equal_their_floored_networks(
+            self, corpus):
+        cfg = GenConfig(max_parties=4, max_depth=6)
+        exprs = [gen_instance(cfg, seed).expr for seed in range(200)]
+        exprs += [corpus(name).core for name in CORPUS_FILES]
+        for e in exprs:
+            procs = project_all(e)
+            net = Network(procs)
+            floored = Network({p: floor(b) for p, b in procs.items()})
+            assert net == floored and hash(net) == hash(floored), e
 
 
 class TestCongruence:
@@ -310,7 +332,7 @@ class TestCongruence:
         # the rules each party would take next along explore's path
         seen, cur = set(), net
         while True:
-            actions = (next_action(cur[p]) for p in cur.parties())
+            actions = (reference_next_action(cur[p]) for p in cur.parties())
             seen |= {a.rule for a in actions if a is not None}
             steps = enumerate_net_steps(cur)
             if not steps:
@@ -320,7 +342,54 @@ class TestCongruence:
 
 
 # ---------------------------------------------------------------------------
-# the focused stepper against `next_action` on whole behaviors
+# the focused stepper against the one-step relation on whole behaviors
+
+@dataclass(frozen=True)
+class ReferenceRecv:
+    """A receive in the reference relation: the behavior it becomes, as a
+    function of the payload that arrives."""
+
+    sender: str
+    resolve: Callable
+    rule: str = "LRECV"
+
+
+def reference_next_action(b):
+    """The unique step of the whole behavior b, if any: `next_action`'s
+    redex rules under the congruence rules, which descend into the first
+    pending child, function before argument, and rebuild the node around
+    the child's result.  Kept only as the oracle for the focused stepper,
+    which finds the redex by `focus` instead."""
+    match b:
+        case BApp(fn, arg) if isinstance(fn, PENDING):
+            return _wrap(reference_next_action(fn),
+                         lambda f2: bapp(f2, arg), "LAPP2")
+        case BApp(fn, arg) if isinstance(arg, PENDING):
+            return _wrap(reference_next_action(arg),
+                         lambda a2: bapp(fn, a2), "LAPP1")
+        case BCase(scrut, xl, bl, xr, br) if isinstance(scrut, PENDING):
+            return _wrap(reference_next_action(scrut),
+                         lambda s2: bcase(s2, xl, bl, xr, br), "LCASE")
+    act = next_action(b)
+    if isinstance(act, RecvAction):
+        return ReferenceRecv(act.sender, lambda l: l)
+    return act
+
+
+def _wrap(inner, ctx, rule):
+    # congruence: the send/receive label is inherited, the result rebuilt
+    # through a smart constructor, and the step is named for the outermost
+    # rule applied
+    match inner:
+        case None:
+            return None
+        case Silent(result, _):
+            return Silent(ctx(result), rule)
+        case SendAction(recipients, payload, result, _):
+            return SendAction(recipients, payload, ctx(result), rule)
+        case ReferenceRecv(sender, resolve, _):
+            return ReferenceRecv(sender, lambda l: ctx(resolve(l)), rule)
+
 
 CONGRUENCE_RULES = {"fn": "LAPP2", "arg": "LAPP1", "scrut": "LCASE"}
 
@@ -344,15 +413,15 @@ def _payloads(net, p):
 
 
 def _check_focused_step(net, p, payloads):
-    """Compare p's focused step with `next_action` on its plugged behavior;
-    the oracle's rule, or None when p has no step."""
+    """Compare p's focused step with `reference_next_action` on its plugged
+    behavior; the oracle's rule, or None when p has no step."""
     b = net[p]
     stored = net._parties[p]
     assert stored == focus(b) and hash(stored) == hash(focus(b))
-    oracle = next_action(b)
+    oracle = reference_next_action(b)
     act = _focused_action(stored)
-    assert type(act) is type(oracle)
     if oracle is None:
+        assert act is None
         return None
     redex, frame = stored
     assert act.rule == next_action(redex).rule
@@ -360,11 +429,13 @@ def _check_focused_step(net, p, payloads):
         assert oracle.rule == act.rule
     else:
         assert oracle.rule == CONGRUENCE_RULES[_outermost(frame).hole]
-    if isinstance(oracle, RecvAction):
-        assert act.sender == oracle.sender
+    if isinstance(oracle, ReferenceRecv):
+        assert isinstance(act, RecvAction) and act.sender == oracle.sender
+        # the receiver becomes the payload, refocused as `_enumerate` does
         for payload in payloads:
-            assert plug(act.resolve(payload)) == oracle.resolve(payload)
+            assert plug(focus(payload, frame)) == oracle.resolve(payload)
     else:
+        assert type(act) is type(oracle)
         assert plug(act.result) == oracle.result
     if isinstance(oracle, SendAction):
         assert act.recipients == oracle.recipients
@@ -374,10 +445,10 @@ def _check_focused_step(net, p, payloads):
 
 def test_focused_steps_match_next_action(reachable):
     """At every state `explore` and `simulate` reach, each party's focused
-    step agrees with `next_action` on its plugged behavior: kind, sender,
-    recipients, payload and result, a receive resolved with the payload its
-    sender offers.  A party met again in the same focused state, offered
-    the same payloads, is checked once."""
+    step agrees with `reference_next_action` on its plugged behavior: kind,
+    sender, recipients, payload and result, a receive resolved with the
+    payload its sender offers.  A party met again in the same focused
+    state, offered the same payloads, is checked once."""
     for group, states in reachable.items():
         checked, rules = set(), set()
         for net in states:
@@ -395,9 +466,9 @@ def test_focused_steps_match_next_action(reachable):
 @settings(max_examples=200, deadline=None)
 @given(_behaviors)
 def test_focused_step_matches_next_action_on_raw_behaviors(b):
-    net = Network({"p": b})
+    net = Network({"p": floor(b)})
     try:
-        next_action(net["p"])
+        reference_next_action(net["p"])
     except SimulationFault:
         with pytest.raises(SimulationFault):
             _focused_action(net._parties["p"])
@@ -406,7 +477,8 @@ def test_focused_step_matches_next_action_on_raw_behaviors(b):
 
 
 def test_deep_chain_steps_at_the_default_recursion_limit():
-    # projection and floor still recurse once per level, the stepper not
+    # projection still recurses once per level; building the network and
+    # stepping it do not
     names = ("p", "q", "r")
     e = Val(Unit(parties("p")))
     for i in range(5000):
@@ -414,9 +486,10 @@ def test_deep_chain_steps_at_the_default_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(50_000)
     try:
-        net = Network(project_all(e))
+        procs = project_all(e)
     finally:
         sys.setrecursionlimit(limit)
+    net = Network(procs)
     goal = Network({"p": BOTTOM, "q": BOTTOM, "r": LUnit()})
     out = simulate(net, seed=0)
     assert out.deadlock is None and len(out.trace) == 5000

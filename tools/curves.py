@@ -4,8 +4,8 @@ let-n (n chained `let` bindings), for n = 50, 100, 200, ... 1600.
 
 Each point runs in a fresh interpreter, so no cache or heap state carries
 over from a smaller point.  The program is compiled, and for `simulate`
-projected into a `Network`, with the recursion limit raised (the parser,
-projection and `floor` still recurse once per nesting level); the stage is
+projected into a `Network`, with the recursion limit raised (the parser
+and projection still recurse once per nesting level); the stage is
 timed at the interpreter's default limit, so a point where the stepper
 itself recurses too deep is recorded as an error.  The network's step
 caches are cleared before every timed run, so each one steps from scratch.
