@@ -3,7 +3,8 @@ metatheory test driver.
 
 Exit codes: 0 on success, 1 on a language-level rejection (type error,
 stuck program, deadlock, failing property), 2 on usage or I/O errors, 3 when
-an exhaustive exploration hit its budget before finding a deadlock.
+an exhaustive exploration hit its budget before finding a deadlock, 4 when
+the input is nested too deeply for the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -200,6 +201,9 @@ def main(argv=None) -> int:
         return _fail(str(err), 2)
     except UnicodeDecodeError as err:
         return _fail(f"{args.file}: byte {err.start} is not UTF-8", 2)
+    except RecursionError:
+        return _fail("ResourceLimit: the input is nested too deeply for the "
+                     f"recursion limit of {sys.getrecursionlimit()}", 4)
 
 
 if __name__ == "__main__":

@@ -17,9 +17,11 @@ participant in scope.
 from __future__ import annotations
 
 import re
+import string
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from itertools import accumulate, compress
+from typing import Callable, NamedTuple, Optional, Union
 
 from .syntax import (
     App, Case, ChorExpr, ChorType, ChorValue, Com, DProd, DSum, DUnit,
@@ -54,57 +56,84 @@ class DesugarError(Exception):
 KEYWORDS = {"fn", "case", "of", "let", "alias", "Inl", "Inr", "Pair",
             "fst", "snd", "lookup", "com"}
 
-_TOKEN_RE = re.compile(r"""
-    [ \t\r\n]+ | \#[^\n]*              # skipped
-  | (?P<id>[A-Za-z_][A-Za-z0-9_$]*)
-  | (?P<int>[0-9]+)
-  | (?P<punct>=>|->|[()\[\],.;:=@+*])
-  | (?P<bad>.)                         # any other character is an error
-""", re.VERBOSE | re.DOTALL)
+# `re.split` on this pattern gives the gaps between tokens at even indices
+# and the tokens and comments at odd ones; a gap may hold only whitespace
+_TOKEN_RE = re.compile(r"""(
+    \#[^\n]*                           # a comment, dropped
+  | [A-Za-z_][A-Za-z0-9_$]*             # id
+  | [0-9]+                              # int
+  | =>|->|[()\[\],.;:=@+*]              # punctuation, its own kind
+)""", re.VERBOSE)
+_BAD_RE = re.compile(r"[^ \t\r\n]")
 _NEWLINE_RE = re.compile("\n")
+# a token's kind by its first character; punctuation is absent
+_KINDS = {**dict.fromkeys(string.ascii_letters + "_", "id"),
+          **dict.fromkeys(string.digits, "int")}
 
 
-class Token:
-    """A token: its kind ("id", "int", the punctuation itself, or "eof"),
-    its text and its offsets.  Its span is built only when it is read, from
-    the line starts that the tokens of one text share."""
+class Token(NamedTuple):
+    kind: str  # "id", "int", the punctuation itself, or "eof"
+    text: str
+    span: Span
 
-    __slots__ = ("kind", "text", "start", "end", "lines")
 
-    def __init__(self, kind: str, text: str, start: int, end: int,
-                 lines: list[int]):
-        self.kind = kind
-        self.text = text
-        self.start = start
-        self.end = end
+class Tokens:
+    """The tokens of one text, ending in `eof`, as parallel columns of
+    kinds, texts and offsets, with the offsets at which the text's lines
+    start.  No object is made per token: `tokens[i]` builds a read-only
+    `Token`, and `span(i)` builds the `Span` of position i."""
+
+    __slots__ = ("kinds", "texts", "starts", "ends", "lines")
+
+    def __init__(self, kinds: list[str], texts: list[str], starts: list[int],
+                 ends: list[int], lines: list[int]):
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+        self.ends = ends
         self.lines = lines
 
-    @property
-    def span(self) -> Span:
-        line = bisect_right(self.lines, self.start)
-        return Span(self.start, self.end, line,
-                    self.start - self.lines[line - 1] + 1)
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Token:
+        return Token(self.kinds[i], self.texts[i], self.span(i))
+
+    def span(self, i: int) -> Span:
+        start = self.starts[i]
+        line = bisect_right(self.lines, start)
+        return Span(start, self.ends[i], line,
+                    start - self.lines[line - 1] + 1)
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> Tokens:
     lines = [0]  # the offset at which each line starts
     lines += [m.end() for m in _NEWLINE_RE.finditer(text)]
-    tokens: list[Token] = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        word = m.group()
-        start, end = m.span()
-        if kind == "punct":
-            kind = word
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {word!r}",
-                             Token(kind, word, start, end, lines).span)
-        append(Token(kind, word, start, end, lines))
-    append(Token("eof", "", len(text), len(text), lines))
-    return tokens
+    parts = _TOKEN_RE.split(text)
+    offsets = list(accumulate(map(len, parts), initial=0))
+    gaps = parts[0::2]
+    if _BAD_RE.search("".join(gaps)):
+        for gap, at in zip(gaps, offsets[0::2]):
+            bad = _BAD_RE.search(gap)
+            if bad:
+                at += bad.start()
+                char = text[at]
+                span = Tokens(["bad"], [char], [at], [at + 1], lines).span(0)
+                raise ParseError(f"unexpected character {char!r}", span)
+    texts = parts[1::2]
+    starts = offsets[1:-1:2]
+    ends = offsets[2::2]
+    if "#" in text:  # drop the comments
+        keep = [word[0] != "#" for word in texts]
+        texts = list(compress(texts, keep))
+        starts = list(compress(starts, keep))
+        ends = list(compress(ends, keep))
+    kinds = [_KINDS.get(word[0], word) for word in texts]
+    kinds.append("eof")
+    texts.append("")
+    starts.append(len(text))
+    ends.append(len(text))
+    return Tokens(kinds, texts, starts, ends, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +212,18 @@ _NON_ATOM_KEYWORDS = {"fn", "case", "of", "let", "alias"}
 
 
 class Parser:
-    """Recursive descent over a token list that ends in `eof`.  It reads a
-    token's kind, text and span, and reads each token once."""
+    """Recursive descent over `Tokens`.  It keeps the current token's kind
+    and text and reads each token once.  A token is named by its position,
+    and a `Span` is built from a position only for a node or an error that
+    keeps one."""
 
-    def __init__(self, tokens: list[Token], aliases: dict[str, DataType]):
-        self.tokens = tokens
+    def __init__(self, tokens: Tokens, aliases: dict[str, DataType]):
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.span = tokens.span  # the span of the token at a position
         self.pos = 0
-        self.tok = tokens[0]  # the current token, `tokens[pos]`
+        self.kind = self.kinds[0]  # the current token, at `pos`
+        self.text = self.texts[0]
         self.aliases = aliases
         self.parties: list[str] = []
         # a program repeats a few party lists, and a lookup costs much less
@@ -198,39 +232,44 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def next(self) -> Token:
-        """Consume the current token; `eof` is never consumed."""
-        tok = self.tok
-        if tok.kind != "eof":
-            self.pos += 1
-            self.tok = self.tokens[self.pos]
-        return tok
+    def next(self) -> int:
+        """Consume the current token and return its position; `eof` is
+        never consumed."""
+        pos = self.pos
+        if self.kind != "eof":
+            self.pos = pos + 1
+            self.kind = self.kinds[pos + 1]
+            self.text = self.texts[pos + 1]
+        return pos
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.tok
-        if tok.kind != kind or text is not None and tok.text != text:
+    def expect(self, kind: str, text: Optional[str] = None) -> int:
+        pos = self.pos
+        if self.kind != kind or text is not None and self.text != text:
             want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text or 'eof'!r}",
-                             tok.span, (want,))
+            found = self.text or "eof"
+            raise ParseError(f"expected {want!r}, found {found!r}",
+                             self.span(pos), (want,))
         if kind != "eof":  # `next`, inlined: most tokens pass through here
-            self.pos += 1
-            self.tok = self.tokens[self.pos]
-        return tok
+            self.pos = pos + 1
+            self.kind = self.kinds[pos + 1]
+            self.text = self.texts[pos + 1]
+        return pos
 
     def name(self) -> str:
-        tok = self.expect("id")
-        if tok.text in KEYWORDS:
-            raise ParseError(f"{tok.text!r} is a keyword", tok.span)
-        return tok.text
+        text = self.text
+        pos = self.expect("id")
+        if text in KEYWORDS:
+            raise ParseError(f"{text!r} is a keyword", self.span(pos))
+        return text
 
     # -- parties -----------------------------------------------------------
 
     def party(self) -> str:
-        tok = self.tok
+        pos = self.pos
         name = self.name()
         # identifiers may hold `$` (the uniquifier's renames); parties may not
         if "$" in name:
-            raise ParseError(f"invalid party name {name!r}", tok.span,
+            raise ParseError(f"invalid party name {name!r}", self.span(pos),
                              fatal=True)
         self.parties.append(name)
         return name
@@ -238,7 +277,7 @@ class Parser:
     def party_list(self) -> PartySet:
         self.expect("[")
         names = [self.party()]
-        while self.tok.kind == ",":
+        while self.kind == ",":
             self.next()
             names.append(self.party())
         self.expect("]")
@@ -258,27 +297,28 @@ class Parser:
         return DataTy(t, self.party_list())
 
     def _type_or_data(self) -> tuple[Union[ChorType, DataType],
-                                     Optional[Token]]:
+                                     Optional[int]]:
         """A type, or a data type that an `@` may follow, in one pass.
 
         A `(` may open a parenthesized type or a parenthesized data type.
         They differ at the first `@`, which only a type holds inside its
         parentheses, so both readings go on together until then.  Returns
-        a data type with None, or a type with the `@` token at which the
-        data-type reading fails: that reading is the one the grammar falls
-        back to, so any later error in the type is reported there, as
-        "expected ')'".  Errors marked fatal are raised as they are.
+        a data type with None, or a type with the position of the `@` at
+        which the data-type reading fails: that reading is the one the
+        grammar falls back to, so any later error in the type is reported
+        there, as "expected ')'".  Errors marked fatal are raised as they
+        are.
         """
-        if self.tok.kind != "(":
+        if self.kind != "(":
             return self.dtype(), None
         self.next()
-        if self.tok.kind == ")":  # unit: a data type
+        if self.kind == ")":  # unit: a data type
             self.next()
             return self.dtype(DUnit()), None
         inner, at = self._type_or_data()
         located = at is None
         if located:
-            if self.tok.kind != "@":  # a parenthesized data type
+            if self.kind != "@":  # a parenthesized data type
                 self.expect(")")
                 return self.dtype(inner), None
             at = self.next()
@@ -289,23 +329,23 @@ class Parser:
         except ParseError as err:
             if err.fatal:
                 raise
-            raise ParseError("expected ')', found '@'", at.span,
+            raise ParseError("expected ')', found '@'", self.span(at),
                              (")",)) from None
 
     def _paren_type(self, first: ChorType) -> ChorType:
         """The rest of a parenthesized type after its first element."""
-        if self.tok.kind == "->":
+        if self.kind == "->":
             self.next()
             ret = self.type_()
             self.expect(")")
             self.expect("@")
             owners = self.party_list()
             return FunTy(first, ret, owners)
-        if self.tok.kind == ",":
+        if self.kind == ",":
             elems = [first]
-            while self.tok.kind == ",":
+            while self.kind == ",":
                 self.next()
-                if self.tok.kind == ")":
+                if self.kind == ")":
                     break  # trailing comma: one-element tuple
                 elems.append(self.type_())
             self.expect(")")
@@ -317,40 +357,41 @@ class Parser:
         """A data type; `first`, when given, is its first atom, already
         read."""
         left = self.dprod(first)
-        while self.tok.kind == "+":
+        while self.kind == "+":
             self.next()
             left = DSum(left, self.dprod())
         return left
 
     def dprod(self, first: Optional[DataType] = None) -> DataType:
         left = self.datom() if first is None else first
-        while self.tok.kind == "*":
+        while self.kind == "*":
             self.next()
             left = DProd(left, self.datom())
         return left
 
     def datom(self) -> DataType:
-        tok = self.tok
-        if tok.kind == "(":
+        kind, text = self.kind, self.text
+        if kind == "(":
             self.next()
-            if self.tok.kind == ")":
+            if self.kind == ")":
                 self.next()
                 return DUnit()
             inner = self.dtype()
             self.expect(")")
             return inner
-        if tok.kind == "id" and tok.text not in KEYWORDS:
-            self.next()
-            if tok.text not in self.aliases:
-                raise ParseError(f"unknown type alias {tok.text!r}", tok.span)
-            return self.aliases[tok.text]
-        raise ParseError(f"expected a data type, found {tok.text or 'eof'!r}",
-                         tok.span)
+        if kind == "id" and text not in KEYWORDS:
+            pos = self.next()
+            if text not in self.aliases:
+                raise ParseError(f"unknown type alias {text!r}",
+                                 self.span(pos))
+            return self.aliases[text]
+        raise ParseError(f"expected a data type, found {text or 'eof'!r}",
+                         self.span(self.pos))
 
     # -- expressions --------------------------------------------------------
 
     def expr(self) -> SurfaceExpr:
-        text = self.tok.text
+        text = self.text
         if text == "let":
             return self.let_()
         if text == "case":
@@ -361,14 +402,14 @@ class Parser:
         start = self.next()
         name = self.name()
         annot = None
-        if self.tok.kind == ":":
+        if self.kind == ":":
             self.next()
             annot = self.type_()
         self.expect("=")
         bound = self.expr()
         self.expect(";")
         body = self.expr()
-        return SLet(name, annot, bound, body, start.span)
+        return SLet(name, annot, bound, body, self.span(start))
 
     def case_(self) -> SCase:
         start = self.next()
@@ -385,29 +426,27 @@ class Parser:
         self.expect("=>")
         right_body = self.expr()
         return SCase(guards, scrut, left_var, left_body, right_var,
-                     right_body, start.span)
+                     right_body, self.span(start))
 
     def app(self) -> SurfaceExpr:
         first = self.atom()
         while True:
-            tok = self.tok
-            if tok.kind == "id":
-                if tok.text in _NON_ATOM_KEYWORDS:
+            kind = self.kind
+            if kind == "id":
+                if self.text in _NON_ATOM_KEYWORDS:
                     return first
-            elif tok.kind != "(":
+            elif kind != "(":
                 return first
             first = SApp(first, self.atom(), first.span)
 
     def atom(self) -> SurfaceExpr:
-        tok = self.tok
-        text = tok.text
-        if tok.kind == "(":
+        kind, text = self.kind, self.text
+        if kind == "(":
             return self._paren_atom()
-        if tok.kind != "id":
+        if kind != "id":
             raise ParseError(f"expected an expression, found {text or 'eof'!r}",
-                             tok.span)
-        self.next()
-        span = tok.span
+                             self.span(self.pos))
+        span = self.span(self.next())
         if text not in KEYWORDS:
             return SLeaf(Var(text, span=span), span)
         if text == "Inl" or text == "Inr":
@@ -419,12 +458,13 @@ class Parser:
             return SLeaf(proj(self.party_list(), span=span), span)
         if text == "lookup":
             self.expect("[")
-            index = self.expect("int")
-            if int(index.text) < 1:
-                raise ParseError("lookup indices are 1-based", index.span)
+            at = self.expect("int")
+            index = int(self.texts[at])
+            if index < 1:
+                raise ParseError("lookup indices are 1-based", self.span(at))
             self.expect("]")
             owners = self.party_list()
-            return SLeaf(Lookup(int(index.text), owners, span=span), span)
+            return SLeaf(Lookup(index, owners, span=span), span)
         if text == "com":
             self.expect("[")
             sender = self.party()
@@ -435,7 +475,7 @@ class Parser:
 
     def _paren_atom(self) -> SurfaceExpr:
         start = self.next()
-        if self.tok.text == "fn":
+        if self.text == "fn":
             self.next()
             param = self.name()
             self.expect(":")
@@ -445,40 +485,42 @@ class Parser:
             self.expect(")")
             self.expect("@")
             owners = self.party_list()
-            return SLam(param, ptype, body, owners, start.span)
-        if self.tok.kind == ")":  # unit
+            return SLam(param, ptype, body, owners, self.span(start))
+        if self.kind == ")":  # unit
             self.next()
             self.expect("@")
             owners = self.party_list()
-            span = start.span
+            span = self.span(start)
             return SLeaf(Unit(owners, span=span), span)
         first = self.expr()
-        if self.tok.kind == ",":
+        if self.kind == ",":
             elems = [first]
-            while self.tok.kind == ",":
+            while self.kind == ",":
                 self.next()
-                if self.tok.kind == ")":
+                if self.kind == ")":
                     break
                 elems.append(self.expr())
             self.expect(")")
-            return SCons(elems, _vec, start.span)
+            return SCons(elems, _vec, self.span(start))
         self.expect(")")
         return first
 
     # -- program ------------------------------------------------------------
 
     def program(self, source: str) -> SurfaceProgram:
-        while self.tok.text == "alias":
+        while self.text == "alias":
             self.next()
-            tok = self.expect("id")
-            if tok.text in KEYWORDS:
-                raise ParseError("alias name may not be a keyword", tok.span)
+            at = self.expect("id")
+            name = self.texts[at]
+            if name in KEYWORDS:
+                raise ParseError("alias name may not be a keyword",
+                                 self.span(at))
             self.expect("=")
             shape = self.dtype()
             self.expect(";")
-            if tok.text in self.aliases:
-                raise ParseError(f"duplicate alias {tok.text!r}", tok.span)
-            self.aliases[tok.text] = shape
+            if name in self.aliases:
+                raise ParseError(f"duplicate alias {name!r}", self.span(at))
+            self.aliases[name] = shape
         body = self.expr()
         self.expect("eof")
         return SurfaceProgram(self.aliases, body, source, self.parties)
@@ -621,8 +663,11 @@ def desugar(sp: SurfaceProgram,
 
 def uniquify(e: ChorExpr) -> ChorExpr:
     """Alpha-rename so every binder is globally distinct; free variables and
-    first occurrences keep their names."""
-    used = set(_all_names(e))
+    first occurrences keep their names.  When no binder name repeats,
+    nothing is renamed and `e` itself is returned."""
+    used, repeats = _all_names(e)
+    if not repeats:
+        return e
     counters: dict[str, int] = {}
     taken: set[str] = set()
 
@@ -677,17 +722,21 @@ def uniquify(e: ChorExpr) -> ChorExpr:
     return walk(e, {})
 
 
-def _all_names(e: ChorExpr) -> set[str]:
+def _all_names(e: ChorExpr) -> tuple[set[str], bool]:
+    """Every variable and binder name in e, and whether a binder name
+    occurs more than once."""
     names: set[str] = set()
+    binders: list[str] = []
     for node in nodes(e):
         match node:
             case Var():
                 names.add(node.name)
             case Lam():
-                names.add(node.param)
+                binders.append(node.param)
             case Case():
-                names.update((node.left_var, node.right_var))
-    return names
+                binders += (node.left_var, node.right_var)
+    distinct = set(binders)
+    return names | distinct, len(distinct) < len(binders)
 
 
 # ---------------------------------------------------------------------------

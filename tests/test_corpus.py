@@ -349,6 +349,19 @@ class TestCli:
         result = self.run_cli("check", "no/such/file.hll")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("command", ["check", "fmt"])
+    def test_too_deep_input_is_a_resource_limit(self, tmp_path, command):
+        text = "()@[a]"
+        for i in range(300):  # com hops nested 300 deep
+            text = f"com[{'ab'[i % 2]}][{'ba'[i % 2]}] ({text})"
+        source = tmp_path / "chain300.hll"
+        source.write_text(text, encoding="utf-8")
+        result = self.run_cli(command, str(source))
+        assert result.returncode == 4
+        assert result.stdout == ""
+        assert result.stderr.startswith("ResourceLimit: ")
+        assert len(result.stderr.splitlines()) == 1  # no traceback
+
     def test_non_utf8_file_is_a_usage_error(self, tmp_path, capsys):
         source = tmp_path / "latin1.hll"
         source.write_bytes(b"()@[p] \xff\n")

@@ -31,3 +31,15 @@ def test_one_simulate_point_per_series(monkeypatch):
     assert chain["steps"] == 50  # one rendezvous per hop
     assert let["steps"] == 51  # alice's one LABSAPP per let
     assert chain["us_per_step"] > 0 and let["us_per_step"] > 0
+
+
+def test_one_compile_point_per_series(monkeypatch):
+    curves = _load()
+    monkeypatch.setattr(curves, "MIN_SECONDS", 0.0)
+    chain = curves.measure_point("chain", 50, "compile")
+    let = curves.measure_point("let", 50, "compile")
+    # `com [ a ] [ b ] ( ... )` per hop, `( ) @ [ alice ]`, and eof
+    assert chain["tokens"] == 50 * 9 + 6 + 1
+    # `let x0 = ( ) @ [ alice ] ;`, `let x = x ;` per let, `x50` and eof
+    assert let["tokens"] == 10 + 50 * 5 + 2
+    assert chain["us_per_token"] > 0 and let["us_per_token"] > 0

@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 from helam.generate import GenConfig, gen_instance
 from helam.semantics import run
 from helam.surface import (
-    DesugarError, ParseError, Parser, compile_text, desugar, parse, tokenize,
-    uniquify,
+    DesugarError, ParseError, Parser, Tokens, compile_text, desugar, parse,
+    tokenize, uniquify,
 )
 from helam.syntax import (
-    App, Case, Com, DProd, DSum, DUnit, DataTy, Inl, Lam, Lookup, Span, Unit,
-    Val, Var, parties, print_expr, print_type,
+    App, Case, Com, DProd, DSum, DUnit, DataTy, Inl, Inr, Lam, Lookup, Pair,
+    Span, Unit, Val, Var, Vec, nodes, parties, print_expr, print_type,
 )
 from helam.typecheck import TypeErr, typecheck
+
+from strategies import exprs
 
 P = parties("p")
 
@@ -186,6 +188,113 @@ class TestUniquify:
         assert typecheck(theta, core) == typecheck(theta, uniquify(core))
 
 
+# ---------------------------------------------------------------------------
+# the always-rebuilding uniquifier, kept as the oracle for the one that
+# returns its input when nothing needs renaming
+
+def _reference_uniquify(e):
+    used = {n.name for n in nodes(e) if isinstance(n, Var)}
+    used |= set(_binders(e))
+    counters = {}
+    taken = set()
+
+    def fresh(base):
+        if base not in taken:
+            taken.add(base)
+            return base
+        n = counters.get(base, 0)
+        while True:
+            n += 1
+            candidate = f"{base}${n}"
+            if candidate not in used and candidate not in taken:
+                counters[base] = n
+                taken.add(candidate)
+                return candidate
+
+    def walk(node, ren):
+        match node:
+            case Val(v):
+                return Val(walk(v, ren), node.span)
+            case App(fn, arg):
+                return App(walk(fn, ren), walk(arg, ren), node.span)
+            case Lam(param, ptype, body, owners):
+                param2 = fresh(param)
+                return Lam(param2, ptype, walk(body, {**ren, param: param2}),
+                           owners, span=node.span)
+            case Pair(a, b):
+                return Pair(walk(a, ren), walk(b, ren), span=node.span)
+            case Inl(inner):
+                return Inl(walk(inner, ren), span=node.span)
+            case Inr(inner):
+                return Inr(walk(inner, ren), span=node.span)
+            case Var(name):
+                return Var(ren.get(name, name), span=node.span)
+            case Vec(elems):
+                return Vec(tuple(walk(x, ren) for x in elems), span=node.span)
+            case Case(guards, scrut, xl, ml, xr, mr):
+                scrut2 = walk(scrut, ren)
+                xl2 = fresh(xl)
+                ml2 = walk(ml, {**ren, xl: xl2})
+                xr2 = fresh(xr)
+                mr2 = walk(mr, {**ren, xr: xr2})
+                return Case(guards, scrut2, xl2, ml2, xr2, mr2, node.span)
+        return node  # Unit, Com, Fst, Snd, Lookup
+
+    return walk(e, {})
+
+
+def _binders(e):
+    names = []
+    for node in nodes(e):
+        if isinstance(node, Lam):
+            names.append(node.param)
+        elif isinstance(node, Case):
+            names += (node.left_var, node.right_var)
+    return names
+
+
+def _check_uniquify(e):
+    expected = _reference_uniquify(e)
+    got = uniquify(e)
+    assert got == expected
+    assert print_expr(got) == print_expr(expected)
+    binders = _binders(e)
+    assert (got is e) == (len(set(binders)) == len(binders))
+
+
+class TestUniquifyOracle:
+    @pytest.mark.parametrize("text", [
+        # a let rebinding its own name
+        "let x = ()@[p]; let x = x; x",
+        # two case branches whose variables share a name
+        "(fn g : (() + ())@[p] . case[p] g of Inl a => a; Inr a => a)@[p]",
+        # a binder reused in a nested lambda
+        "(fn x : ()@[p] . (fn y : ()@[p] . (fn x : ()@[p] . y)@[p] x)@[p])"
+        "@[p]",
+        # a binder equal to a free variable, renamed once and not at all
+        "(fn x : ()@[p] . x)@[p] x",
+        "(fn x : ()@[p] . (fn x : ()@[p] . x$1)@[p] x)@[p] x",
+    ])
+    def test_shadowing(self, text):
+        core, _ = desugar(parse(text), theta=P)
+        _check_uniquify(core)
+
+    def test_corpus(self, corpus_dir):
+        for path in sorted(corpus_dir.glob("*.hll")):
+            core, _ = desugar(parse(path.read_text(encoding="utf-8")))
+            _check_uniquify(core)
+
+    def test_generated_instances(self):
+        cfg = GenConfig(max_parties=4, max_depth=6)
+        for seed in range(1000):
+            _check_uniquify(gen_instance(cfg, seed).expr)
+
+    @settings(max_examples=300, deadline=None)
+    @given(exprs)
+    def test_raw_terms(self, e):
+        _check_uniquify(e)
+
+
 class TestRoundTrip:
     def test_corpus_round_trips(self, corpus, corpus_dir):
         for path in sorted(corpus_dir.glob("*.hll")):
@@ -254,7 +363,7 @@ class _ReferenceParser(Parser):
     without a fatal error, rewind and read a data type and its `@`."""
 
     def type_(self):
-        if self.tok.kind == "(":
+        if self.kind == "(":
             save = self.pos
             try:
                 self.expect("(")
@@ -262,7 +371,8 @@ class _ReferenceParser(Parser):
             except ParseError as err:
                 if err.fatal:
                     raise
-                self.pos, self.tok = save, self.tokens[save]
+                self.pos = save
+                self.kind, self.text = self.kinds[save], self.texts[save]
         shape = self.dtype()
         self.expect("@")
         return DataTy(shape, self.party_list())
@@ -275,10 +385,19 @@ def _lexed(lex, text):
         return str(err), err.span
 
 
+def _as_tokens(tokens, text):
+    """A token list as the parser's `Tokens` columns."""
+    lines = [0] + [m.end() for m in re.finditer("\n", text)]
+    return Tokens([t.kind for t in tokens], [t.text for t in tokens],
+                  [t.span.start for t in tokens], [t.span.end for t in tokens],
+                  lines)
+
+
 def _compiled(parser, lex, text):
     """The desugared program's print, or the diagnostic."""
     try:
-        core, theta = desugar(parser(lex(text), {}).program(text))
+        tokens = _as_tokens(lex(text), text)
+        core, theta = desugar(parser(tokens, {}).program(text))
         return print_expr(core), theta
     except (ParseError, DesugarError, TypeErr) as err:
         return type(err), str(err), err.span
@@ -384,6 +503,7 @@ class TestTypeParser:
 
         nested = "(" * 16 + "()" + " + ())" * 16 + "@[p]"
         text = f"(fn x : {nested} . x)@[p]"
-        tokens = Counted(tokenize(text))
+        tokens = tokenize(text)
+        tokens.kinds = Counted(tokens.kinds)
         Parser(tokens, {}).program(text)
         assert Counted.reads == len(tokens) == 98

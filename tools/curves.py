@@ -1,15 +1,18 @@
-"""Scaling curves of the two steppers: microseconds per step of the central
-`run` and of the network `simulate`, over chain-n (n nested `com` hops) and
-let-n (n chained `let` bindings), for n = 50, 100, 200, ... 1600.
+"""Scaling curves of the two steppers and of the frontend: microseconds per
+step of the central `run` and of the network `simulate`, and microseconds
+per token of `compile_text`, over chain-n (n nested `com` hops) and let-n
+(n chained `let` bindings), for n = 50, 100, 200, ... 1600.
 
 Each point runs in a fresh interpreter, so no cache or heap state carries
 over from a smaller point.  The program is compiled, and for `simulate`
 projected into a `Network`, with the recursion limit raised (the parser
-and projection still recurse once per nesting level); the stage is
-timed at the interpreter's default limit, so a point where the stepper
-itself recurses too deep is recorded as an error.  The network's step
-caches are cleared before every timed run, so each one steps from scratch.
-A series ends at its first error or at the first point that does not finish
+and projection still recurse once per nesting level); `run` and `simulate`
+are timed at the interpreter's default limit, so a point where the stepper
+itself recurses too deep is recorded as an error.  `compile` is timed at
+the raised limit, since at the default one the parser fails from chain-300
+on; its token count includes the closing `eof`.  The network's step caches
+are cleared before every timed run, so each one steps from scratch.  A
+series ends at its first error or at the first point that does not finish
 within --max-seconds.
 
 Stdlib only.  Each invocation adds (or replaces) one labelled run in the
@@ -35,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (50, 100, 200, 400, 800, 1600)
 SERIES = ("chain", "let")
-STAGES = ("run", "simulate")
+STAGES = ("run", "simulate", "compile")
 COMPILE_RECURSION_LIMIT = 100_000
 # A point is timed REPEATS times and for at least MIN_SECONDS; the fastest
 # run is reported, as timeit does.
@@ -62,18 +65,43 @@ def let_text(n: int) -> str:
 TEXTS = {"chain": chain_text, "let": let_text}
 
 
+def fastest(once, caches=()) -> float:
+    """The fastest of at least REPEATS runs of `once` and MIN_SECONDS, with
+    the caches cleared before each run and the cyclic GC off."""
+    best, runs, total = float("inf"), 0, 0.0
+    gc.disable()
+    try:
+        while runs < REPEATS or total < MIN_SECONDS:
+            for cache in caches:
+                cache.cache_clear()
+            start = time.perf_counter()
+            once()
+            took = time.perf_counter() - start
+            best, runs, total = min(best, took), runs + 1, total + took
+    finally:
+        gc.enable()
+    return best
+
+
 def measure_point(series: str, n: int, stage: str = "run") -> dict:
     """Time one stage on one program in this interpreter."""
     from helam import network
     from helam.network import Network, simulate
     from helam.projection import project_all
     from helam.semantics import run
-    from helam.surface import compile_text
+    from helam.surface import compile_text, tokenize
 
+    text = TEXTS[series](n)
     default_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(COMPILE_RECURSION_LIMIT)
     try:
-        core = compile_text(TEXTS[series](n)).core
+        if stage == "compile":
+            tokens = len(tokenize(text))
+            compile_text(text)  # warms up
+            best = fastest(lambda: compile_text(text))
+            return {"n": n, "tokens": tokens, "compile_s": best,
+                    "us_per_token": 1e6 * best / tokens}
+        core = compile_text(text).core
         if stage == "simulate":
             net = Network(project_all(core))
     finally:
@@ -98,18 +126,7 @@ def measure_point(series: str, n: int, stage: str = "run") -> dict:
         steps = steps_taken()  # untimed: counts the steps, warms up
     except RecursionError as err:
         return {"n": n, "error": f"RecursionError in {stage}: {err}"}
-    best, runs, total = float("inf"), 0, 0.0
-    gc.disable()
-    try:
-        while runs < REPEATS or total < MIN_SECONDS:
-            for cache in caches:
-                cache.cache_clear()
-            start = time.perf_counter()
-            once()
-            took = time.perf_counter() - start
-            best, runs, total = min(best, took), runs + 1, total + took
-    finally:
-        gc.enable()
+    best = fastest(once, caches)
     return {"n": n, "steps": steps, f"{stage}_s": best,
             "us_per_step": 1e6 * best / steps}
 
