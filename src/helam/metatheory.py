@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .generate import (
     ExprGen, GenConfig, Instance, gen_instance, gen_type, gen_value,
 )
 from .masking import mask_type, mask_value
-from .network import NetStep, Network, enumerate_net_steps, explore, simulate
+from .network import (
+    NetStep, Network, enumerate_net_steps, explore, simulate, successor,
+)
 from .projection import project, project_all, roles
 from .semantics import IsValue, Stuck, run, step, subst
 from .syntax import (
@@ -190,14 +191,6 @@ def agreement_property(inst: Instance, report_agree: PropertyReport,
         report_agree.note(inst, "exhaustive terminals disagree")
 
 
-def _successor(net: Network, wanted: NetStep) -> Optional[Network]:
-    """The network that step `wanted` reaches from net, if it is enabled."""
-    for nxt, info in enumerate_net_steps(net):
-        if info == wanted:
-            return nxt
-    return None
-
-
 def party_histories(net: Network,
                     trace: list[NetStep]) -> dict[str, list[Behavior]]:
     """Each party's behaviors along a recorded trace from net, starting
@@ -206,7 +199,7 @@ def party_histories(net: Network,
     every one of them."""
     histories = {p: [net[p]] for p in net.parties()}
     for taken in trace:
-        net = _successor(net, taken)
+        net = successor(net, taken)
         for p in (taken.origin, *taken.recipients):
             histories[p].append(net[p])
     return histories
@@ -235,8 +228,8 @@ def parallelism_property(inst: Instance, report: PropertyReport) -> None:
         steps = enumerate_net_steps(net)
         for i, (after_a, a) in enumerate(steps):
             for after_b, b in steps[i + 1:]:
-                ab = _successor(after_a, b)
-                ba = _successor(after_b, a)
+                ab = successor(after_a, b)
+                ba = successor(after_b, a)
                 if ab is None or ba is None:
                     report.note(inst, f"at state {n}, one of the steps of "
                                 f"{a.origin} and {b.origin} disables the other")
@@ -245,7 +238,7 @@ def parallelism_property(inst: Instance, report: PropertyReport) -> None:
                     report.note(inst, f"at state {n}, the steps of {a.origin} "
                                 f"and {b.origin} do not commute")
                     return
-        net = _successor(net, taken)
+        net = successor(net, taken)
 
 
 # ---------------------------------------------------------------------------

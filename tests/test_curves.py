@@ -43,3 +43,23 @@ def test_one_compile_point_per_series(monkeypatch):
     # `let x0 = ( ) @ [ alice ] ;`, `let x = x ;` per let, `x50` and eof
     assert let["tokens"] == 10 + 50 * 5 + 2
     assert chain["us_per_token"] > 0 and let["us_per_token"] > 0
+
+
+def test_one_par_point_per_network_stage(monkeypatch):
+    curves = _load()
+    monkeypatch.setattr(curves, "MIN_SECONDS", 0.0)
+    simulated = curves.measure_point("par", 4, "simulate")
+    explored = curves.measure_point("par", 4, "explore")
+    # per pair one rendezvous, and one silent step of each of the 2n
+    # parties per let: 2n^2 + n steps, n messages
+    assert (simulated["steps"], simulated["messages"]) == (36, 4)
+    assert explored["states"] == 37  # one per step of a single run, + 1
+    assert simulated["us_per_step"] > 0 and explored["us_per_state"] > 0
+
+
+def test_growth_per_doubling_is_the_mean_factor():
+    curves = _load()
+    points = [{"n": 2, "us_per_step": 10.0}, {"n": 4, "us_per_step": 20.0},
+              {"n": 8, "us_per_step": 40.0}, {"n": 16, "error": "too slow"}]
+    assert curves.growth_per_doubling("simulate", points) == 2.0
+    assert curves.growth_per_doubling("simulate", points[:1]) is None

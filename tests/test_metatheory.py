@@ -11,7 +11,7 @@ from helam.metatheory import (
     PropertyReport, agreement_property, central_trajectory, check_metatheory,
     masking_laws, parallelism_property, party_histories, scheduling_property,
 )
-from helam.network import Network, enumerate_net_steps, simulate
+from helam.network import Network, enumerate_net_steps, simulate, successor
 from helam.projection import project_all
 from helam.surface import compile_text
 from helam.syntax import (
@@ -103,8 +103,8 @@ def test_parallelism_detects_a_step_that_disables_another(monkeypatch):
     assert report.ok(), report.failures
     # a broken stepper: every step from the start disables the other one
     monkeypatch.setattr(
-        "helam.metatheory.enumerate_net_steps",
-        lambda net: enumerate_net_steps(net) if net == start else [])
+        "helam.metatheory.successor",
+        lambda net, step: successor(net, step) if net == start else None)
     parallelism_property(inst, report)
     assert len(report.failures) == 1
     assert "disables the other" in report.failures[0].detail

@@ -1,5 +1,6 @@
 """Local stepping, rendezvous matching, the scheduler, and deadlock detection."""
 
+import random
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 import helam
 from helam.generate import GenConfig, gen_instance
 from helam.network import (
-    DeadlockReport, NetStep, Network, RecvAction, SendAction, Silent,
-    SimulationFault, _enumerate, _enumerate_cached, _focused_action,
-    enumerate_net_steps, explore, focus, format_trace, next_action, plug,
-    simulate,
+    DeadlockReport, Exploration, NetStep, Network, RecvAction, SendAction,
+    SimOutcome, Silent, SimulationFault, _enumerate, _enumerate_cached,
+    _focused_action, enumerate_net_steps, explore, focus, format_trace,
+    next_action, plug, simulate, take,
 )
 from helam.projection import bapp, bcase, floor, project, project_all, roles
 from helam.semantics import run
@@ -209,7 +210,7 @@ def explore_every_interleaving(net):
             terminals.add(cur)
             if cur.stuck_parties():
                 stuck.add(tuple(cur.stuck_parties()))
-        for nxt, _ in steps:
+        for nxt in (take(cur, s) for s in steps):
             if nxt in seen:
                 continue
             if len(seen) >= ORACLE_BUDGET:
@@ -237,6 +238,99 @@ def test_reduced_exploration_matches_every_interleaving(corpus):
               f"past {ORACLE_BUDGET} states")
         assert skipped < len(nets) // 10, group
     assert deadlocking > 0  # the perturbations reach real deadlocks
+
+
+# The eager stepper that built every enabled step's successor at once, and
+# the runs on it, kept only as the oracle for the lazy successors of
+# `simulate`, `explore` and `enumerate_net_steps`.
+def _reference_pairs(net):
+    pairs = []
+    focused = net._parties
+    for p in net.parties():
+        act = _focused_action(focused[p])
+        match act:
+            case None | RecvAction():
+                continue
+            case Silent(result, _):
+                pairs.append((net._replace({p: result}), NetStep(p, "NPRO")))
+            case SendAction(recipients, payload, result, _):
+                if not recipients:
+                    pairs.append((net._replace({p: result}),
+                                  NetStep(p, "NPRO")))
+                    continue
+                updates = {p: result}
+                for r in recipients:
+                    recv = _focused_action(focused[r])
+                    if not (isinstance(recv, RecvAction) and recv.sender == p):
+                        break
+                    updates[r] = focus(payload, focused[r][1])
+                else:
+                    pairs.append((net._replace(updates),
+                                  NetStep(p, "NCOM", recipients, payload)))
+    return pairs
+
+
+def _reference_simulate(net, seed=0, fuel=100_000):
+    rng = random.Random(seed)
+    trace = []
+    nondet = False
+    for _ in range(fuel + 1):
+        steps = _reference_pairs(net)
+        if not steps:
+            stuck = net.stuck_parties()
+            report = DeadlockReport(tuple(stuck)) if stuck else None
+            return SimOutcome(net, trace, report, nondet)
+        if len(steps) > 1:
+            nondet = True
+        net, info = steps[rng.randrange(len(steps))]
+        trace.append(info)
+    raise helam.FuelExhausted(f"network still active after {fuel} steps")
+
+
+def _reference_explore(net, budget=100_000):
+    states = 1
+    while steps := _reference_pairs(net):
+        if states >= budget:
+            return Exploration(set(), [], states, False)
+        net = steps[0][0]
+        states += 1
+    stuck = net.stuck_parties()
+    deadlocks = [DeadlockReport(tuple(stuck))] if stuck else []
+    return Exploration({net}, deadlocks, states, True)
+
+
+def test_lazy_successors_match_the_eager_stepper():
+    """On the acceptance instances, `simulate` (seeds 0-9) and `explore`
+    give what the eager stepper gives, and `enumerate_net_steps` equals
+    its pairs at every state those runs reach."""
+    cfg = GenConfig(max_parties=4, max_depth=6)
+    compared = 0
+    for n in range(120):
+        net = Network(project_all(gen_instance(cfg, n).expr))
+        reached = {net}
+        for seed in range(10):
+            lazy, eager = simulate(net, seed), _reference_simulate(net, seed)
+            assert lazy.trace == eager.trace, (n, seed)
+            assert lazy.network == eager.network, (n, seed)
+            assert lazy.nondeterministic == eager.nondeterministic, (n, seed)
+            assert lazy.deadlock == eager.deadlock, (n, seed)
+            cur = net
+            for taken in eager.trace:
+                cur = next(nxt for nxt, info in _reference_pairs(cur)
+                           if info == taken)
+                reached.add(cur)
+        lazy, eager = explore(net), _reference_explore(net)
+        assert (lazy.states, lazy.terminals, lazy.deadlocks, lazy.complete) \
+            == (eager.states, eager.terminals, eager.deadlocks,
+                eager.complete), n
+        cur = net
+        while pairs := _reference_pairs(cur):
+            cur = pairs[0][0]
+            reached.add(cur)
+        for state in reached:
+            assert enumerate_net_steps(state) == _reference_pairs(state), n
+        compared += len(reached)
+    print(f"{compared} states compared")
 
 
 class TestNetworkType:

@@ -1,14 +1,21 @@
 """Scaling curves of the two steppers and of the frontend: microseconds per
 step of the central `run` and of the network `simulate`, and microseconds
 per token of `compile_text`, over chain-n (n nested `com` hops) and let-n
-(n chained `let` bindings), for n = 50, 100, 200, ... 1600.
+(n chained `let` bindings), for n = 50, 100, 200, ... 1600; and, over
+par-n (n disjoint sender/receiver pairs, 2n parties) for n = 2, 4, ... 32,
+microseconds per step of `simulate` and per state of `explore`, with the
+steps, messages and states of each point.  Each series also reports its
+growth per doubling: the factor by which its cost per step (state, token)
+grows each time n doubles, the geometric mean from its first point to its
+last, a ratio within one invocation and so steadier than the raw points.
 
 Each point runs in a fresh interpreter, so no cache or heap state carries
 over from a smaller point.  The program is compiled, and for `simulate`
-projected into a `Network`, with the recursion limit raised (the parser
-and projection still recurse once per nesting level); `run` and `simulate`
-are timed at the interpreter's default limit, so a point where the stepper
-itself recurses too deep is recorded as an error.  `compile` is timed at
+and `explore` projected into a `Network`, with the recursion limit raised
+(the parser and projection still recurse once per nesting level); `run`,
+`simulate` and `explore` are timed at the interpreter's default limit, so
+a point where the stepper itself recurses too deep is recorded as an
+error.  `compile` is timed at
 the raised limit, since at the default one the parser fails from chain-300
 on; its token count includes the closing `eof`.  The network's step caches
 are cleared before every timed run, so each one steps from scratch.  A
@@ -28,17 +35,25 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (50, 100, 200, 400, 800, 1600)
-SERIES = ("chain", "let")
-STAGES = ("run", "simulate", "compile")
+SIZES = {"chain": (50, 100, 200, 400, 800, 1600),
+         "let": (50, 100, 200, 400, 800, 1600),
+         "par": (2, 4, 8, 16, 32)}
+# the series of each stage
+STAGES = {"run": ("chain", "let"), "simulate": ("chain", "let", "par"),
+          "compile": ("chain", "let"), "explore": ("par",)}
+# the cost per unit of each stage, by which the growth is measured
+COST = {"run": "us_per_step", "simulate": "us_per_step",
+        "compile": "us_per_token", "explore": "us_per_state"}
 COMPILE_RECURSION_LIMIT = 100_000
 # A point is timed REPEATS times and for at least MIN_SECONDS; the fastest
 # run is reported, as timeit does.
@@ -62,7 +77,15 @@ def let_text(n: int) -> str:
     return "\n".join(lines) + f"\nx{n}"
 
 
-TEXTS = {"chain": chain_text, "let": let_text}
+def par_text(n: int) -> str:
+    """n disjoint pairs, each sending one value from p{2i} to p{2i+1}."""
+    lines = [f"let x{i} = com[p{2 * i}][p{2 * i + 1}] ()@[p{2 * i}];"
+             for i in range(n)]
+    everyone = ", ".join(f"p{i}" for i in range(2 * n))
+    return "\n".join(lines) + f"\n()@[{everyone}]"
+
+
+TEXTS = {"chain": chain_text, "let": let_text, "par": par_text}
 
 
 def fastest(once, caches=()) -> float:
@@ -86,7 +109,7 @@ def fastest(once, caches=()) -> float:
 def measure_point(series: str, n: int, stage: str = "run") -> dict:
     """Time one stage on one program in this interpreter."""
     from helam import network
-    from helam.network import Network, simulate
+    from helam.network import Network, explore, simulate
     from helam.projection import project_all
     from helam.semantics import run
     from helam.surface import compile_text, tokenize
@@ -102,33 +125,45 @@ def measure_point(series: str, n: int, stage: str = "run") -> dict:
             return {"n": n, "tokens": tokens, "compile_s": best,
                     "us_per_token": 1e6 * best / tokens}
         core = compile_text(text).core
-        if stage == "simulate":
+        if stage in ("simulate", "explore"):
             net = Network(project_all(core))
     finally:
         sys.setrecursionlimit(default_limit)
     caches = [f for f in vars(network).values() if hasattr(f, "cache_clear")]
 
-    def steps_taken() -> int:
+    def counts() -> dict:
         if stage == "simulate":
-            return len(simulate(net).trace)
+            out = simulate(net)
+            return {"steps": len(out.trace), "messages": out.messages}
+        if stage == "explore":
+            return {"states": explore(net).states}
         trace: list = []
         run(core, trace=trace)
-        return len(trace)
+        return {"steps": len(trace)}
 
-    if stage == "simulate":
-        def once():
-            simulate(net)
-    else:
-        def once():
-            run(core)
-
+    once = {"simulate": lambda: simulate(net), "explore": lambda: explore(net),
+            "run": lambda: run(core)}[stage]
     try:
-        steps = steps_taken()  # untimed: counts the steps, warms up
+        point = {"n": n, **counts()}  # untimed: counts, warms up
     except RecursionError as err:
         return {"n": n, "error": f"RecursionError in {stage}: {err}"}
     best = fastest(once, caches)
-    return {"n": n, "steps": steps, f"{stage}_s": best,
-            "us_per_step": 1e6 * best / steps}
+    unit = "states" if stage == "explore" else "steps"
+    point[f"{stage}_s"] = best
+    point[COST[stage]] = 1e6 * best / point[unit]
+    return point
+
+
+def growth_per_doubling(stage: str, points: list[dict]) -> Optional[float]:
+    """The factor by which the cost per unit grows each time n doubles,
+    from the first timed point to the last: (last / first) ** (1 /
+    doublings).  None with fewer than two timed points."""
+    timed = [p for p in points if COST[stage] in p]
+    if len(timed) < 2:
+        return None
+    first, last = timed[0], timed[-1]
+    doublings = math.log2(last["n"] / first["n"])
+    return (last[COST[stage]] / first[COST[stage]]) ** (1 / doublings)
 
 
 def curve(stage: str, series: str, src: Path,
@@ -137,7 +172,7 @@ def curve(stage: str, series: str, src: Path,
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     points = []
-    for n in SIZES:
+    for n in SIZES[series]:
         cmd = [sys.executable, __file__, "--point", stage, series, str(n)]
         try:
             proc = subprocess.run(cmd, env=env, capture_output=True,
@@ -184,9 +219,13 @@ def main(argv: list[str]) -> int:
         "timing": f"fastest of at least {REPEATS} runs and {MIN_SECONDS} s,"
                   " gc off",
         "series": {stage: {s: curve(stage, s, args.src.resolve(),
-                                    args.max_seconds) for s in SERIES}
+                                    args.max_seconds) for s in STAGES[stage]}
                    for stage in STAGES},
     }
+    record["growth_per_doubling"] = {
+        stage: {s: growth_per_doubling(stage, points)
+                for s, points in by_series.items()}
+        for stage, by_series in record["series"].items()}
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("runs", {})[args.label] = record
     args.out.write_text(json.dumps(data, indent=2) + "\n")
