@@ -96,33 +96,52 @@ def subst(m: ChorExpr | ChorValue, x: str,
 # stepping
 
 def step(e: ChorExpr) -> StepResult:
-    match e:
-        case Val(_):
+    """One step of e: descend from the root to the redex, contract it and
+    plug the contractum back into the nodes passed on the way down."""
+    parents: list[Union[App, Case]] = []
+    result = _descend(e, parents)
+    if not isinstance(result, Stepped) or not parents:
+        return result
+    expr = result.expr
+    for parent in reversed(parents):
+        expr = _plug(parent, expr)
+    return Stepped(expr, result.rule, result.redex)
+
+
+def _descend(focus: ChorExpr, parents: list[Union[App, Case]]) -> StepResult:
+    """Contract the redex of focus, pushing onto parents each node passed
+    on the way down to it; IsValue when focus itself is a value.  A node's
+    hole is the first of its children that is not a value."""
+    while True:
+        if isinstance(focus, App):
+            if not isinstance(focus.fn, Val):
+                parents.append(focus)
+                focus = focus.fn
+            elif not isinstance(focus.arg, Val):
+                parents.append(focus)
+                focus = focus.arg
+            else:
+                return _step_redex(focus.fn.value, focus.arg.value, focus)
+        elif isinstance(focus, Case):
+            if not isinstance(focus.scrutinee, Val):
+                parents.append(focus)
+                focus = focus.scrutinee
+            else:
+                return _step_case(focus)
+        elif isinstance(focus, Val):
             return IsValue()
-        case App(fn, arg):
-            if not isinstance(fn, Val):
-                inner = step(fn)
-                if isinstance(inner, Stepped):
-                    return Stepped(App(inner.expr, arg, e.span), inner.rule,
-                                   inner.redex)
-                return inner
-            if not isinstance(arg, Val):
-                inner = step(arg)
-                if isinstance(inner, Stepped):
-                    return Stepped(App(fn, inner.expr, e.span), inner.rule,
-                                   inner.redex)
-                return inner
-            return _step_redex(fn.value, arg.value, e)
-        case Case(guards, scrut, xl, ml, xr, mr):
-            if not isinstance(scrut, Val):
-                inner = step(scrut)
-                if isinstance(inner, Stepped):
-                    return Stepped(
-                        Case(guards, inner.expr, xl, ml, xr, mr, e.span),
-                        inner.rule, inner.redex)
-                return inner
-            return _step_case(e)
-    raise TypeError(f"not an expression: {e!r}")
+        else:
+            raise TypeError(f"not an expression: {focus!r}")
+
+
+def _plug(parent: Union[App, Case], child: ChorExpr) -> ChorExpr:
+    """parent with child in its hole, where `_descend` passed it."""
+    if isinstance(parent, Case):
+        return Case(parent.guards, child, parent.left_var, parent.left_body,
+                    parent.right_var, parent.right_body, parent.span)
+    if isinstance(parent.fn, Val):
+        return App(parent.fn, child, parent.span)
+    return App(child, parent.arg, parent.span)
 
 
 def _step_case(e: Case) -> StepResult:
@@ -211,9 +230,9 @@ def run(e: ChorExpr, fuel: Optional[int] = None,
         trace: Optional[list[tuple[str, str]]] = None) -> ChorValue:
     """Evaluate e to a value by refocusing (Danvy & Nielsen, BRICS RS-04-26):
     the evaluation context is kept as a stack of parent nodes, so a step
-    descends from the last contractum rather than from the root.  Each
-    contraction goes through the rules `step` uses, and `trace` receives
-    the same (rule, printed redex) pairs a loop over `step` would record.
+    descends from the last contractum rather than from the root.  It is a
+    loop over the descent and plug of `step`, and `trace` receives the same
+    (rule, printed redex) pairs a loop over `step` would record.
 
     Fuel (default ten per node of e) is a guard, never part of the
     semantics.  At most fuel + 1 contractions are made, each appended to
@@ -227,36 +246,9 @@ def run(e: ChorExpr, fuel: Optional[int] = None,
         if isinstance(focus, Val):
             if not parents:
                 return focus.value
-            # plug the value into the innermost parent's hole: the first
-            # of its children that is not a value
-            parent = parents.pop()
-            if isinstance(parent, Case):
-                focus = Case(parent.guards, focus, parent.left_var,
-                             parent.left_body, parent.right_var,
-                             parent.right_body, parent.span)
-            elif isinstance(parent.fn, Val):
-                focus = App(parent.fn, focus, parent.span)
-            else:
-                focus = App(focus, parent.arg, parent.span)
+            focus = _plug(parents.pop(), focus)
             continue
-        if isinstance(focus, App):
-            if not isinstance(focus.fn, Val):
-                parents.append(focus)
-                focus = focus.fn
-                continue
-            if not isinstance(focus.arg, Val):
-                parents.append(focus)
-                focus = focus.arg
-                continue
-            result = _step_redex(focus.fn.value, focus.arg.value, focus)
-        elif isinstance(focus, Case):
-            if not isinstance(focus.scrutinee, Val):
-                parents.append(focus)
-                focus = focus.scrutinee
-                continue
-            result = _step_case(focus)
-        else:
-            raise TypeError(f"not an expression: {focus!r}")
+        result = _descend(focus, parents)
         if isinstance(result, Stuck):
             raise StuckError(result.reason)
         if trace is not None:

@@ -21,7 +21,7 @@ import string
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 from .syntax import (
     App, Case, ChorExpr, ChorType, ChorValue, Com, DProd, DSum, DUnit,
@@ -29,15 +29,14 @@ from .syntax import (
     Snd, Span, TupleTy, Unit, Val, Var, Vec, nodes,
 )
 from .typecheck import (
-    AMBIGUOUS_SUM, TypeEnv, TypeErr, case_scopes, has_hole, synth,
+    AMBIGUOUS_SUM, TypeEnv, TypeErr, case_scopes, has_hole, lam_scope, synth,
 )
 
 
 class ParseError(Exception):
     def __init__(self, message: str, span: Optional[Span] = None,
-                 expected: tuple[str, ...] = (), fatal: bool = False):
+                 fatal: bool = False):
         self.span = span
-        self.expected = expected
         self.fatal = fatal  # no other parse of the same tokens can succeed
         where = f" at {span}" if span else ""
         super().__init__(f"{message}{where}")
@@ -71,17 +70,11 @@ _KINDS = {**dict.fromkeys(string.ascii_letters + "_", "id"),
           **dict.fromkeys(string.digits, "int")}
 
 
-class Token(NamedTuple):
-    kind: str  # "id", "int", the punctuation itself, or "eof"
-    text: str
-    span: Span
-
-
 class Tokens:
     """The tokens of one text, ending in `eof`, as parallel columns of
     kinds, texts and offsets, with the offsets at which the text's lines
-    start.  No object is made per token: `tokens[i]` builds a read-only
-    `Token`, and `span(i)` builds the `Span` of position i."""
+    start.  A kind is "id", "int", the punctuation itself, or "eof".  No
+    object is made per token: `span(i)` builds the `Span` of position i."""
 
     __slots__ = ("kinds", "texts", "starts", "ends", "lines")
 
@@ -95,9 +88,6 @@ class Tokens:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, i: int) -> Token:
-        return Token(self.kinds[i], self.texts[i], self.span(i))
 
     def span(self, i: int) -> Span:
         start = self.starts[i]
@@ -248,7 +238,7 @@ class Parser:
             want = text or kind
             found = self.text or "eof"
             raise ParseError(f"expected {want!r}, found {found!r}",
-                             self.span(pos), (want,))
+                             self.span(pos))
         if kind != "eof":  # `next`, inlined: most tokens pass through here
             self.pos = pos + 1
             self.kind = self.kinds[pos + 1]
@@ -329,8 +319,8 @@ class Parser:
         except ParseError as err:
             if err.fatal:
                 raise
-            raise ParseError("expected ')', found '@'", self.span(at),
-                             (")",)) from None
+            raise ParseError("expected ')', found '@'",
+                             self.span(at)) from None
 
     def _paren_type(self, first: ChorType) -> ChorType:
         """The rest of a parenthesized type after its first element."""
@@ -557,8 +547,14 @@ class _Elab:
                 return Val(value, span)
             case SLam(param, ptype, body, owners, span):
                 inner = env.with_theta(owners).bind(param, ptype)
-                return Val(Lam(param, ptype, self.expr(body, inner), owners,
-                               span=span), span)
+                try:
+                    core = self.expr(body, inner)
+                except TypeErr:
+                    # the check applies the lambda's rule before it types
+                    # the body, so an error of that rule goes first
+                    lam_scope(env, param, ptype, owners, span)
+                    raise
+                return Val(Lam(param, ptype, core, owners, span=span), span)
             case SApp(fn, arg, span):
                 return App(self.expr(fn, env), self.expr(arg, env), span)
             case SCons():

@@ -195,7 +195,8 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
             if isinstance(head, Com):
                 return _com_app(env, head, arg, want, node.span)
             if want is not None and isinstance(head, Lam):
-                inner = _lam_body_env(env, head, node.span)
+                inner = lam_scope(env, head.param, head.param_type,
+                                  head.owners, node.span)
                 check_arg(env, arg, head.param_type, head.owners)
                 return _walk(inner, head.body, want, node.span)
             if want is not None and want.exact:
@@ -304,7 +305,8 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
                              or not _same(node.param_type, expected.arg)):
                 raise TypeErr(ARG_MISMATCH, "function literal does not fit "
                               f"{print_type(expected)}", here)
-            inner = _lam_body_env(env, node, here)
+            inner = lam_scope(env, node.param, node.param_type, node.owners,
+                              here)
             if checking:
                 _walk(inner, node.body, Want(expected.ret))
                 return expected
@@ -627,13 +629,15 @@ def _sides(shape, cls):
     return None
 
 
-def _lam_body_env(env: TypeEnv, lam: Lam, span: Optional[Span]) -> TypeEnv:
-    """Check a lambda's owners and parameter type; its body's environment."""
-    _require_subset(lam.owners, env.theta, span)
-    if not is_noop(lam.param_type, lam.owners):
-        raise TypeErr(NOOP_VIOLATION, f"{print_type(lam.param_type)} is not "
-                      f"fixed by masking to {lam.owners}", span)
-    return env.with_theta(lam.owners).bind(lam.param, lam.param_type)
+def lam_scope(env: TypeEnv, param: str, param_type: ChorType,
+              owners: PartySet, span: Optional[Span]) -> TypeEnv:
+    """The environment of a lambda's body.  Raises TypeErr unless the
+    owners are in scope and masking to them fixes the parameter type."""
+    _require_subset(owners, env.theta, span)
+    if not is_noop(param_type, owners):
+        raise TypeErr(NOOP_VIOLATION, f"{print_type(param_type)} is not "
+                      f"fixed by masking to {owners}", span)
+    return env.with_theta(owners).bind(param, param_type)
 
 
 def _require_index(kw: Lookup, length: int, span: Optional[Span]) -> None:

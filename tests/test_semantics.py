@@ -1,12 +1,16 @@
 """Substitution and central stepping, against hand-derived results, and
-the refocused `run` against a loop over `step`."""
+the refocused `step` and `run` against the recursive stepper they
+replaced."""
+
+import sys
 
 import pytest
 
 from helam.generate import GenConfig, gen_instance
 from helam.masking import mask_value
 from helam.semantics import (
-    FuelExhausted, IsValue, Stepped, Stuck, StuckError, run, step, subst,
+    FuelExhausted, IsValue, Stepped, Stuck, StuckError, _step_case,
+    _step_redex, run, step, subst,
 )
 from helam.syntax import (
     App, Case, Com, DUnit, DataTy, Fst, FunTy, Inl, Inr, Lam, Lookup, Pair,
@@ -174,16 +178,91 @@ class TestRun:
             run(stuck, fuel=0)
 
     def test_deep_chain_runs_at_the_default_recursion_limit(self):
-        # built from the constructors: the parser still recurses per level
-        names = ("p", "q", "r")
-        e = Val(Unit(parties("p")))
-        for i in range(5000):
-            e = App(Val(Com(names[i % 3], parties(names[(i + 1) % 3]))), e)
-        assert run(e) == Unit(parties("r"))
+        assert run(_chain(5000)) == Unit(parties("r"))
+
+
+def _chain(hops):
+    """A chain of nested `com`s, built from the constructors: the parser
+    still recurses per level."""
+    names = ("p", "q", "r")
+    e = Val(Unit(parties("p")))
+    for i in range(hops):
+        e = App(Val(Com(names[i % 3], parties(names[(i + 1) % 3]))), e)
+    return e
 
 
 # ---------------------------------------------------------------------------
-# the refocused run against the step loop it replaced
+# the refocused step and run against the recursive stepper they replaced
+
+def reference_step(e):
+    match e:
+        case Val(_):
+            return IsValue()
+        case App(fn, arg):
+            if not isinstance(fn, Val):
+                inner = reference_step(fn)
+                if isinstance(inner, Stepped):
+                    return Stepped(App(inner.expr, arg, e.span), inner.rule,
+                                   inner.redex)
+                return inner
+            if not isinstance(arg, Val):
+                inner = reference_step(arg)
+                if isinstance(inner, Stepped):
+                    return Stepped(App(fn, inner.expr, e.span), inner.rule,
+                                   inner.redex)
+                return inner
+            return _step_redex(fn.value, arg.value, e)
+        case Case(guards, scrut, xl, ml, xr, mr):
+            if not isinstance(scrut, Val):
+                inner = reference_step(scrut)
+                if isinstance(inner, Stepped):
+                    return Stepped(
+                        Case(guards, inner.expr, xl, ml, xr, mr, e.span),
+                        inner.rule, inner.redex)
+                return inner
+            return _step_case(e)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _assert_steps_agree(e):
+    """`step` and `reference_step` give the same result kind, expression,
+    rule, stuck reason and redex (which `Stepped` equality ignores)."""
+    got, expected = step(e), reference_step(e)
+    assert got == expected
+    if isinstance(expected, Stepped):
+        assert got.redex == expected.redex
+    return got
+
+
+class TestRefocusedStep:
+    def test_every_state_of_generated_instances(self):
+        states, kinds = 0, set()
+        for cfg in (GenConfig(max_parties=4, max_depth=6), GenConfig()):
+            for n in range(1000):
+                e = gen_instance(cfg, n).expr
+                for _ in range(10 * node_count(e) + 1):
+                    result = _assert_steps_agree(e)
+                    states += 1
+                    kinds.add(type(result))
+                    if not isinstance(result, Stepped):
+                        break
+                    e = result.expr
+        assert states == 7660
+        assert kinds == {Stepped, IsValue}
+
+    def test_deep_chain_steps_at_the_default_recursion_limit(self):
+        e = _chain(5000)
+        got = step(e)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(50_000)
+        try:
+            expected = reference_step(e)
+            # a bool: a failing assert would explain the 5,000-deep terms
+            same = got == expected and got.redex == expected.redex
+        finally:
+            sys.setrecursionlimit(limit)
+        assert same and got.rule == "COM1"
+
 
 def _reference_run(e, fuel=None, trace=None):
     """Step from the root until a value, as `run` did before refocusing."""
@@ -191,7 +270,7 @@ def _reference_run(e, fuel=None, trace=None):
         fuel = 10 * node_count(e)
     current = e
     for _ in range(fuel + 1):
-        result = step(current)
+        result = reference_step(current)
         if isinstance(result, IsValue):
             assert isinstance(current, Val)
             return current.value
@@ -253,6 +332,7 @@ class TestRefocusedRun:
                       Case(P, Val(Unit(P)), "x", inner, "y", inner),
                       Case(Q, Val(Inl(Unit(P))), "x", inner, "y", inner)):
                 assert _assert_runs_agree(e)[0] is StuckError
+                _assert_steps_agree(e)
 
     def test_generated_instances(self):
         cfg = GenConfig(max_parties=4, max_depth=6)
@@ -288,7 +368,7 @@ from strategies import exprs as _exprs  # noqa: E402
 @settings(max_examples=150, deadline=None)
 @given(_exprs)
 def test_step_is_total(e):
-    result = step(e)
+    result = _assert_steps_agree(e)
     assert isinstance(result, (Stepped, IsValue, Stuck))
 
 

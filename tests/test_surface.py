@@ -19,7 +19,7 @@ from helam.syntax import (
     App, Case, Com, DProd, DSum, DUnit, DataTy, Inl, Inr, Lam, Lookup, Pair,
     Span, Unit, Val, Var, Vec, nodes, parties, print_expr, print_type,
 )
-from helam.typecheck import TypeErr, typecheck
+from helam.typecheck import NOOP_VIOLATION, TypeErr, typecheck
 
 from strategies import exprs
 
@@ -150,6 +150,19 @@ class TestDesugar:
         typecheck(parties("r", "s"), core)
         names = print_expr(core)
         assert "tmp$1" in names and "tmp$2" in names
+
+    @pytest.mark.parametrize("annot", ["", " : ()@[p, q]"])
+    def test_lambda_rule_goes_before_an_error_in_its_body(self, annot):
+        # the check applies a lambda's rule before it types the body; the
+        # unannotated let synthesizes its type while the body elaborates,
+        # and must not report the case's error first
+        text = ("(fn g : (() + ())@[p, q] . case[p, q] g of "
+                f"Inl a => ()@[p, q]; Inr c => let d{annot} = c; d)@[p]")
+        with pytest.raises(TypeErr) as err:
+            prog = compile_text(text)
+            typecheck(prog.theta, prog.core)
+        assert (err.value.kind, str(err.value.span)) == (NOOP_VIOLATION,
+                                                         "1:1")
 
 
 class TestUniquify:
@@ -380,13 +393,19 @@ class _ReferenceParser(Parser):
 
 def _lexed(lex, text):
     try:
-        return [(t.kind, t.text, str(t.span), t.span) for t in lex(text)]
+        tokens = lex(text)
     except ParseError as err:
         return str(err), err.span
+    if isinstance(tokens, Tokens):  # read the columns
+        spans = [tokens.span(i) for i in range(len(tokens))]
+        return [(kind, word, str(span), span) for kind, word, span
+                in zip(tokens.kinds, tokens.texts, spans)]
+    return [(t.kind, t.text, str(t.span), t.span) for t in tokens]
 
 
-def _as_tokens(tokens, text):
-    """A token list as the parser's `Tokens` columns."""
+def _reference_columns(text):
+    """The reference lexer's tokens as the parser's `Tokens` columns."""
+    tokens = _reference_tokenize(text)
     lines = [0] + [m.end() for m in re.finditer("\n", text)]
     return Tokens([t.kind for t in tokens], [t.text for t in tokens],
                   [t.span.start for t in tokens], [t.span.end for t in tokens],
@@ -396,8 +415,7 @@ def _as_tokens(tokens, text):
 def _compiled(parser, lex, text):
     """The desugared program's print, or the diagnostic."""
     try:
-        tokens = _as_tokens(lex(text), text)
-        core, theta = desugar(parser(tokens, {}).program(text))
+        core, theta = desugar(parser(lex(text), {}).program(text))
         return print_expr(core), theta
     except (ParseError, DesugarError, TypeErr) as err:
         return type(err), str(err), err.span
@@ -437,7 +455,7 @@ class TestLexerOracle:
                                    text[:at] + char + text[at:],
                                    text[:at] + char + text[at + 1:]))
                 assert (_compiled(Parser, tokenize, edit)
-                        == _compiled(_ReferenceParser, _reference_tokenize,
+                        == _compiled(_ReferenceParser, _reference_columns,
                                      edit)), (path.stem, edit)
 
 
