@@ -20,8 +20,10 @@ Behaviors are taken floor-normal, as projection and every step build them
 (see `projection`), so a `Network` never floors.
 
 A network's enabled steps are enumerated, and cached, without the networks
-they reach: `take` builds a step's successor, and the cache keeps it, the
-first time a run takes that step.
+they reach.  The cache is a graph that runs walk: the first time a run takes
+a step, `take` builds its successor and the step's slot links to the
+successor's own cached record, so a run that comes back to the step reads
+its next record from a list, with no hash, no comparison and no call.
 """
 
 from __future__ import annotations
@@ -266,8 +268,10 @@ class Network:
     def __init__(self, procs: dict[str, Behavior]):
         if not procs:
             raise ValueError("a network needs at least one party")
+        # kept in party order: `_replace` only overwrites keys, so every
+        # network a step reaches keeps it too
         object.__setattr__(self, "_parties",
-                           {p: focus(b) for p, b in procs.items()})
+                           {p: focus(procs[p]) for p in sorted(procs)})
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -277,7 +281,7 @@ class Network:
         return plug(self._parties[party])
 
     def parties(self) -> tuple[str, ...]:
-        return tuple(sorted(self._parties))
+        return tuple(self._parties)
 
     def _replace(self, updates: dict[str, Focused]) -> "Network":
         # a step's results are focused already
@@ -292,7 +296,7 @@ class Network:
     def __hash__(self) -> int:
         if self._hash is None:
             object.__setattr__(self, "_hash",
-                               hash(tuple(sorted(self._parties.items()))))
+                               hash(tuple(self._parties.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -319,41 +323,68 @@ class NetStep:
 
 
 class _Moves:
-    """The enabled steps of one network, in party order, and a slot per
-    step for the network it reaches, filled the first time a run takes it.
+    """The cached record of one network, `net`: its enabled steps, in party
+    order, and a slot per step for the record of the network the step
+    reaches, filled the first time a run takes it.
 
-    The slot is what pays on acceptance, which revisits states: a stored
-    successor is the very object the cache is keyed by, with its hash
-    kept, where a rebuilt one costs a dict copy, a hash and a full
-    comparison.  Caching the steps alone and calling `take` on every
-    step read 0.977 s `wall_s` against 0.727 s with the slots (median of
-    10 alternating pairs of 10-s runs, seed 1, 2-vCPU VM, CPython 3.11.7;
-    the slots were faster in all 10 pairs)."""
+    A run walks the records: after one cache lookup at its start, a step
+    it has taken before is one list read, with no hash, no comparison and
+    no call.  That is what pays on acceptance, which revisits states.
+    With parties kept in order (`Network`) and `simulate`'s `_randbelow`
+    draw on both sides, its `wall_s` read 0.670 s walking against 0.699 s
+    with a slot per step for the successor network, looked up in the
+    cache at every step, and its `program_p50_ms` 2.32 against 2.49 ms
+    (medians of 10 alternating pairs of 10-s runs, seed 1, 2-vCPU VM,
+    CPython 3.11.7; the walk was faster in all 10 pairs on both).  A
+    revisited step no longer looks the cache up, so
+    `_enumerate_cached.cache_info()` counts only run entries and first
+    takes.
 
-    __slots__ = ("steps", "succ")
+    A link keeps the record it points to alive, so links are bounded as
+    the cache is: `_linked` holds the record of every link made, and the
+    link past _MAX_LINKS drops them all, after which runs link again as
+    they go.  Unbounded, a root looked up by every run kept every state of
+    every run alive: 100 seeds of `simulate` on par-32 (207,870 states)
+    peaked at 591 MB, against 74 MB with the successor-network slots and
+    74 MB with the bound.  Weak links bound memory too, at the same
+    `wall_s`, but a weak reference per record is one more object for the
+    cyclic GC to track: an acceptance pass ran 188-189 collections with
+    them against 168 with the bound."""
 
-    def __init__(self, steps: tuple[NetStep, ...]):
-        self.steps = steps
-        self.succ: list[Optional[Network]] = [None] * len(steps)
+    __slots__ = ("net", "steps", "succ")
 
-    def after(self, net: Network, i: int) -> Network:
-        """The network that step i reaches from net, this record's key."""
+    def __init__(self, net: Network, steps: tuple[NetStep, ...]):
+        self.net, self.steps = net, steps
+        self.succ: list[Optional[_Moves]] = [None] * len(steps)
+
+    def after(self, i: int) -> _Moves:
+        """The record of the network that step i reaches from `net`."""
         nxt = self.succ[i]
         if nxt is None:
-            nxt = self.succ[i] = take(net, self.steps[i])
+            nxt = _enumerate_cached(take(self.net, self.steps[i]))
+            if len(_linked) >= _MAX_LINKS:
+                for moves in _linked:
+                    moves.succ = [None] * len(moves.steps)
+                _linked.clear()
+            _linked.append(self)
+            self.succ[i] = nxt
         return nxt
+
+
+_MAX_LINKS = 1 << 14  # the cache's own bound
+_linked: list[_Moves] = []  # the record of every link made since the last drop
 
 
 @lru_cache(maxsize=1 << 14)
 def _enumerate_cached(net: Network) -> _Moves:
-    return _Moves(tuple(_enumerate(net)))
+    return _Moves(net, tuple(_enumerate(net)))
 
 
 def enumerate_net_steps(net: Network) -> list[tuple[Network, NetStep]]:
     """Every network step with no unmatched sends left over, each with the
     network it reaches."""
     moves = _enumerate_cached(net)
-    return [(moves.after(net, i), s) for i, s in enumerate(moves.steps)]
+    return [(moves.after(i).net, s) for i, s in enumerate(moves.steps)]
 
 
 def successor(net: Network, step: NetStep) -> Optional[Network]:
@@ -362,7 +393,7 @@ def successor(net: Network, step: NetStep) -> Optional[Network]:
     moves = _enumerate_cached(net)
     if step not in moves.steps:
         return None
-    return moves.after(net, moves.steps.index(step))
+    return moves.after(moves.steps.index(step)).net
 
 
 def take(net: Network, step: NetStep) -> Network:
@@ -379,10 +410,11 @@ def take(net: Network, step: NetStep) -> Network:
 @lru_cache(maxsize=None)
 def _npro(p: str) -> NetStep:
     """The silent step of party p.  Steps are frozen, so every state shares
-    it: acceptance keeps 259 `NetStep`s instead of 46,782, and its `wall_s`
-    read 0.719 s against 0.825 s with a new step per state (peak RSS 33.1
-    against 38.1 MB; median of 10 alternating pairs of 10-s runs, seed 1,
-    2-vCPU VM, CPython 3.11.7; shared was faster in all 10 pairs)."""
+    it: the 14,664 states an acceptance pass (seed 1) enumerates list
+    46,527 silent steps, which are 4 objects.  Its `wall_s` read 0.650 s
+    against 0.808 s with a new step per state (peak RSS 31.0 against 36.0
+    MB; median of 5 alternating pairs of 10-s runs, seed 1, 2-vCPU VM,
+    CPython 3.11.7; shared was faster in all 5 pairs)."""
     return NetStep(p, "NPRO")
 
 
@@ -445,21 +477,24 @@ class SimOutcome:
 def simulate(net: Network, seed: int = 0,
              fuel: int = 100_000) -> SimOutcome:
     """Run to quiescence under a seeded uniform scheduler."""
-    rng = random.Random(seed)
+    # `_randbelow(n)` is what `randrange(n)` returns for n >= 1, from the
+    # same bits, without its argument checks
+    draw = random.Random(seed)._randbelow
     trace: list[NetStep] = []
     nondet = False
+    moves = _enumerate_cached(net)
     for _ in range(fuel + 1):
-        moves = _enumerate_cached(net)
-        n = len(moves.steps)
+        steps = moves.steps
+        n = len(steps)
         if not n:
-            stuck = net.stuck_parties()
+            stuck = moves.net.stuck_parties()
             report = DeadlockReport(tuple(stuck)) if stuck else None
-            return SimOutcome(net, trace, report, nondet)
+            return SimOutcome(moves.net, trace, report, nondet)
         if n > 1:
             nondet = True
-        i = rng.randrange(n)
-        trace.append(moves.steps[i])
-        net = moves.after(net, i)
+        i = draw(n)
+        trace.append(steps[i])
+        moves = moves.succ[i] or moves.after(i)
     raise FuelExhausted(f"network still active after {fuel} steps")
 
 
@@ -491,14 +526,15 @@ def explore(net: Network, budget: int = 100_000) -> Exploration:
     because the budget still bounds the walk.
     """
     states = 1
-    while (moves := _enumerate_cached(net)).steps:
+    moves = _enumerate_cached(net)
+    while moves.steps:
         if states >= budget:
             return Exploration(set(), [], states, False)
-        net = moves.after(net, 0)
+        moves = moves.succ[0] or moves.after(0)
         states += 1
-    stuck = net.stuck_parties()
+    stuck = moves.net.stuck_parties()
     deadlocks = [DeadlockReport(tuple(stuck))] if stuck else []
-    return Exploration({net}, deadlocks, states, True)
+    return Exploration({moves.net}, deadlocks, states, True)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ class TestMaskValue:
         theta = parties("s", "r")
         assert mask_value(com, theta) == com
         assert mask_value(com, parties("s")) is None
+        assert mask_value(com, parties("r")) is None  # the sender is absent
 
     def test_pair_needs_both_components(self):
         pair = Pair(Unit(P), Unit(Q))

@@ -1,5 +1,6 @@
 """Local stepping, rendezvous matching, the scheduler, and deadlock detection."""
 
+import gc
 import random
 import sys
 from dataclasses import dataclass
@@ -331,6 +332,81 @@ def test_lazy_successors_match_the_eager_stepper():
             assert enumerate_net_steps(state) == _reference_pairs(state), n
         compared += len(reached)
     print(f"{compared} states compared")
+
+
+def test_the_scheduler_draw_is_randrange():
+    """`simulate` draws with `Random._randbelow`, which must give the same
+    numbers as `randrange`, bits consumed included, or every recorded
+    trace would move."""
+    for seed in range(100):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            for n in range(1, 41):
+                assert fast._randbelow(n) == slow.randrange(n), (seed, n)
+
+
+def test_a_repeated_run_walks_the_cached_records(monkeypatch):
+    """A run over steps already taken hashes only the network it starts
+    from, to find its record, and builds no successor."""
+    cfg = GenConfig(max_parties=4, max_depth=6)
+    nets = [Network(project_all(gen_instance(cfg, n).expr))
+            for n in range(20)]
+    first = {(n, seed): simulate(net, seed)
+             for n, net in enumerate(nets) for seed in range(5)}
+    calls = {"hash": 0, "take": 0}
+    network_hash, network_take = Network.__hash__, helam.network.take
+
+    def counted_hash(net):
+        calls["hash"] += 1
+        return network_hash(net)
+
+    def counted_take(net, step):
+        calls["take"] += 1
+        return network_take(net, step)
+
+    monkeypatch.setattr(Network, "__hash__", counted_hash)
+    monkeypatch.setattr(helam.network, "take", counted_take)
+    for (n, seed), out in first.items():
+        calls["hash"] = 0
+        again = simulate(nets[n], seed)
+        assert calls["hash"] <= 1 and calls["take"] == 0, (n, seed)
+        assert again.trace == out.trace and again.network == out.network
+
+
+def test_links_between_records_are_bounded(monkeypatch):
+    """A link keeps the record it points to alive, so links are bounded:
+    the link past _MAX_LINKS drops them all.  A record the cache keeps
+    then keeps at most that many others alive, and runs are unchanged."""
+    text = "".join(f"let x{i} = com[u{2 * i}][u{2 * i + 1}] ()@[u{2 * i}];\n"
+                   for i in range(3)) + "()@[u0, u1, u2, u3, u4, u5]"
+    net = Network(project_all(compile_text(text).core))
+    expected = [_reference_simulate(net, seed) for seed in range(10)]
+    monkeypatch.setattr(helam.network, "_MAX_LINKS", 3)
+    monkeypatch.setattr(helam.network, "_linked", [])
+    _enumerate_cached.cache_clear()
+    root = _enumerate_cached(net)
+    for seed, out in enumerate(expected):
+        again = simulate(net, seed)
+        assert len(helam.network._linked) <= 3
+        assert again.trace == out.trace and again.network == out.network
+    _enumerate_cached.cache_clear()
+    gc.collect()
+    live = [o for o in gc.get_objects() if isinstance(o, helam.network._Moves)
+            and o.net.parties() == root.net.parties()]
+    assert len(live) <= 1 + 2 * 3, len(live)
+
+
+def test_party_order_does_not_depend_on_insertion_order():
+    cfg = GenConfig(max_parties=4, max_depth=6)
+    for n in range(20):
+        procs = project_all(gen_instance(cfg, n).expr)
+        built = []
+        for order in (sorted(procs), sorted(procs, reverse=True)):
+            _enumerate_cached.cache_clear()
+            net = Network({p: procs[p] for p in order})
+            built.append((hash(net), net.parties(), enumerate_net_steps(net)))
+        assert built[0] == built[1], n
+        assert built[0][1] == tuple(sorted(procs)), n
 
 
 class TestNetworkType:
