@@ -20,10 +20,11 @@ Behaviors are taken floor-normal, as projection and every step build them
 (see `projection`), so a `Network` never floors.
 
 A network's enabled steps are enumerated, and cached, without the networks
-they reach.  The cache is a graph that runs walk: the first time a run takes
-a step, `take` builds its successor and the step's slot links to the
-successor's own cached record, so a run that comes back to the step reads
-its next record from a list, with no hash, no comparison and no call.
+they reach: the cache keeps one network per state and stores its steps on
+it.  The cache is a graph that runs walk: the first time a run takes a
+step, `take` builds its successor and the step's slot links to the
+successor's cached network, so a run that comes back to the step reads its
+next state from a list, with no hash, no comparison and no call.
 """
 
 from __future__ import annotations
@@ -261,9 +262,13 @@ class Network:
     step cache work on the pairs, whose frames cache their hashes and are
     shared between the states a party passes through.  `net[p]` plugs the
     pair back together.
+
+    Immutable as a value.  `_hash`, and `_steps` and `_succ` on the network
+    `_enumerate_cached` keeps for a state, hold derived data that `==` and
+    `hash` ignore.
     """
 
-    __slots__ = ("_parties", "_hash")
+    __slots__ = ("_parties", "_hash", "_steps", "_succ")
 
     def __init__(self, procs: dict[str, Behavior]):
         if not procs:
@@ -322,78 +327,72 @@ class NetStep:
         return len(self.recipients)
 
 
-class _Moves:
-    """The cached record of one network, `net`: its enabled steps, in party
-    order, and a slot per step for the record of the network the step
-    reaches, filled the first time a run takes it.
+@lru_cache(maxsize=1 << 14)
+def _enumerate_cached(net: Network) -> Network:
+    """The network the cache keeps for net's state, with its enabled steps
+    in `_steps`, in party order, and in `_succ` a slot per step for the
+    network it reaches, filled the first time a run takes it (`_after`).
 
-    A run walks the records: after one cache lookup at its start, a step
-    it has taken before is one list read, with no hash, no comparison and
-    no call.  That is what pays on acceptance, which revisits states.
-    With parties kept in order (`Network`) and `simulate`'s `_randbelow`
-    draw on both sides, its `wall_s` read 0.670 s walking against 0.699 s
-    with a slot per step for the successor network, looked up in the
-    cache at every step, and its `program_p50_ms` 2.32 against 2.49 ms
-    (medians of 10 alternating pairs of 10-s runs, seed 1, 2-vCPU VM,
-    CPython 3.11.7; the walk was faster in all 10 pairs on both).  A
-    revisited step no longer looks the cache up, so
-    `_enumerate_cached.cache_info()` counts only run entries and first
-    takes.
+    Runs walk these links: after one lookup at its start, a run reads a
+    step it has taken before from a list, with no hash, no comparison and
+    no call, so `cache_info()` counts only run entries and first takes.
+    That pays on acceptance, which revisits states: with parties kept in
+    order and the `_randbelow` draw on both sides, its `wall_s` read 0.670
+    s walking against 0.699 s with a slot per step for the successor
+    network, looked up at every step, and its `program_p50_ms` 2.32
+    against 2.49 ms (medians of 10 alternating pairs of 10-s runs, seed 1,
+    2-vCPU VM, CPython 3.11.7; the walk was faster in all 10 pairs on
+    both; measured with the steps and links in a record beside each
+    network).
 
-    A link keeps the record it points to alive, so links are bounded as
-    the cache is: `_linked` holds the record of every link made, and the
-    link past _MAX_LINKS drops them all, after which runs link again as
-    they go.  Unbounded, a root looked up by every run kept every state of
-    every run alive: 100 seeds of `simulate` on par-32 (207,870 states)
-    peaked at 591 MB, against 74 MB with the successor-network slots and
-    74 MB with the bound.  Weak links bound memory too, at the same
-    `wall_s`, but a weak reference per record is one more object for the
-    cyclic GC to track: an acceptance pass ran 188-189 collections with
-    them against 168 with the bound."""
-
-    __slots__ = ("net", "steps", "succ")
-
-    def __init__(self, net: Network, steps: tuple[NetStep, ...]):
-        self.net, self.steps = net, steps
-        self.succ: list[Optional[_Moves]] = [None] * len(steps)
-
-    def after(self, i: int) -> _Moves:
-        """The record of the network that step i reaches from `net`."""
-        nxt = self.succ[i]
-        if nxt is None:
-            nxt = _enumerate_cached(take(self.net, self.steps[i]))
-            if len(_linked) >= _MAX_LINKS:
-                for moves in _linked:
-                    moves.succ = [None] * len(moves.steps)
-                _linked.clear()
-            _linked.append(self)
-            self.succ[i] = nxt
-        return nxt
+    A link keeps its target alive, so links are bounded as the cache is:
+    `_linked` holds every network that has made a link, and the link past
+    _MAX_LINKS drops them all.  Unbounded, a root looked up by every run
+    kept every state of every run alive: 100 seeds of `simulate` on par-32
+    (207,870 states) peaked at 591 MB, against 72 MB with the bound.  Weak
+    links bound memory too, at the same `wall_s`, but a weak reference per
+    state is one more object for the cyclic GC to track: an acceptance
+    pass ran 188-189 collections with them against 168 with the bound."""
+    steps = tuple(_enumerate(net))
+    object.__setattr__(net, "_steps", steps)
+    object.__setattr__(net, "_succ", [None] * len(steps))
+    return net
 
 
 _MAX_LINKS = 1 << 14  # the cache's own bound
-_linked: list[_Moves] = []  # the record of every link made since the last drop
+_linked: list[Network] = []  # every network that linked since the last drop
 
 
-@lru_cache(maxsize=1 << 14)
-def _enumerate_cached(net: Network) -> _Moves:
-    return _Moves(net, tuple(_enumerate(net)))
+def _after(net: Network, i: int) -> Network:
+    """The canonical network that step i of net's `_steps` reaches."""
+    nxt = net._succ[i]
+    if nxt is None:
+        nxt = _enumerate_cached(take(net, net._steps[i]))
+        if len(_linked) >= _MAX_LINKS:
+            for linked in _linked:
+                linked._succ[:] = [None] * len(linked._succ)
+            _linked.clear()
+        _linked.append(net)
+        net._succ[i] = nxt
+    return nxt
 
 
 def enumerate_net_steps(net: Network) -> list[tuple[Network, NetStep]]:
     """Every network step with no unmatched sends left over, each with the
     network it reaches."""
-    moves = _enumerate_cached(net)
-    return [(moves.after(i).net, s) for i, s in enumerate(moves.steps)]
+    net = _enumerate_cached(net)
+    return [(_after(net, i), s) for i, s in enumerate(net._steps)]
 
 
 def successor(net: Network, step: NetStep) -> Optional[Network]:
     """The network that `step` reaches from net, if it is one of net's
     enabled steps, built once and cached as `simulate` builds it."""
-    moves = _enumerate_cached(net)
-    if step not in moves.steps:
+    net = _enumerate_cached(net)
+    try:
+        i = net._steps.index(step)
+    except ValueError:
         return None
-    return moves.after(moves.steps.index(step)).net
+    return _after(net, i)
 
 
 def take(net: Network, step: NetStep) -> Network:
@@ -482,19 +481,19 @@ def simulate(net: Network, seed: int = 0,
     draw = random.Random(seed)._randbelow
     trace: list[NetStep] = []
     nondet = False
-    moves = _enumerate_cached(net)
+    net = _enumerate_cached(net)
     for _ in range(fuel + 1):
-        steps = moves.steps
+        steps = net._steps
         n = len(steps)
         if not n:
-            stuck = moves.net.stuck_parties()
+            stuck = net.stuck_parties()
             report = DeadlockReport(tuple(stuck)) if stuck else None
-            return SimOutcome(moves.net, trace, report, nondet)
+            return SimOutcome(net, trace, report, nondet)
         if n > 1:
             nondet = True
         i = draw(n)
         trace.append(steps[i])
-        moves = moves.succ[i] or moves.after(i)
+        net = net._succ[i] or _after(net, i)
     raise FuelExhausted(f"network still active after {fuel} steps")
 
 
@@ -526,15 +525,15 @@ def explore(net: Network, budget: int = 100_000) -> Exploration:
     because the budget still bounds the walk.
     """
     states = 1
-    moves = _enumerate_cached(net)
-    while moves.steps:
+    net = _enumerate_cached(net)
+    while net._steps:
         if states >= budget:
             return Exploration(set(), [], states, False)
-        moves = moves.succ[0] or moves.after(0)
+        net = net._succ[0] or _after(net, 0)
         states += 1
-    stuck = moves.net.stuck_parties()
+    stuck = net.stuck_parties()
     deadlocks = [DeadlockReport(tuple(stuck))] if stuck else []
-    return Exploration({moves.net}, deadlocks, states, True)
+    return Exploration({net}, deadlocks, states, True)
 
 
 # ---------------------------------------------------------------------------

@@ -587,7 +587,14 @@ class _Elab:
                     s.span)
 
     def _let(self, s: SLet, env: TypeEnv) -> ChorExpr:
-        bound = self.expr(s.bound, env)
+        try:
+            bound = self.expr(s.bound, env)
+        except TypeErr:
+            if s.annot is not None:
+                # an annotated let is a lambda the check applies first, as
+                # in `expr`'s lambda arm
+                lam_scope(env, s.name, s.annot, env.theta, s.span)
+            raise
         t = s.annot or self._infer(
             env, bound, f"cannot infer a type for let {s.name}; "
             "add an annotation", s.span)

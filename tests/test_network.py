@@ -374,8 +374,8 @@ def test_a_repeated_run_walks_the_cached_records(monkeypatch):
 
 
 def test_links_between_records_are_bounded(monkeypatch):
-    """A link keeps the record it points to alive, so links are bounded:
-    the link past _MAX_LINKS drops them all.  A record the cache keeps
+    """A link keeps the network it points to alive, so links are bounded:
+    the link past _MAX_LINKS drops them all.  A network the cache keeps
     then keeps at most that many others alive, and runs are unchanged."""
     text = "".join(f"let x{i} = com[u{2 * i}][u{2 * i + 1}] ()@[u{2 * i}];\n"
                    for i in range(3)) + "()@[u0, u1, u2, u3, u4, u5]"
@@ -391,9 +391,27 @@ def test_links_between_records_are_bounded(monkeypatch):
         assert again.trace == out.trace and again.network == out.network
     _enumerate_cached.cache_clear()
     gc.collect()
-    live = [o for o in gc.get_objects() if isinstance(o, helam.network._Moves)
-            and o.net.parties() == root.net.parties()]
+    live = [o for o in gc.get_objects() if isinstance(o, Network)
+            and hasattr(o, "_succ") and o.parties() == root.parties()]
     assert len(live) <= 1 + 2 * 3, len(live)
+
+
+def test_the_cache_keeps_one_network_per_state():
+    """`_enumerate_cached` hands back one network per state, a run ends on
+    that network, and the steps and links kept on it take no part in
+    equality or hashing."""
+    cfg = GenConfig(max_parties=4, max_depth=6)
+    _enumerate_cached.cache_clear()
+    for n in range(20):
+        procs = project_all(gen_instance(cfg, n).expr)
+        first, second = Network(procs), Network(procs)
+        kept = _enumerate_cached(first)
+        assert kept is first and _enumerate_cached(second) is kept, n
+        assert hasattr(kept, "_succ") and not hasattr(second, "_succ"), n
+        assert kept == second and hash(kept) == hash(second), n
+        for seed in range(5):
+            end = simulate(second, seed).network
+            assert end is _enumerate_cached(end), (n, seed)
 
 
 def test_party_order_does_not_depend_on_insertion_order():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helam.cli import main
 from helam.generate import GenConfig, gen_instance
 from helam.semantics import run
 from helam.surface import (
@@ -163,6 +164,19 @@ class TestDesugar:
             typecheck(prog.theta, prog.core)
         assert (err.value.kind, str(err.value.span)) == (NOOP_VIOLATION,
                                                          "1:1")
+
+    @pytest.mark.parametrize("annot", ["", " : ()@[p]"])
+    def test_let_rule_goes_before_an_error_in_its_bound(self, annot,
+                                                        tmp_path, capsys):
+        # an annotated let is a lambda, whose rule the check applies before
+        # it types the bound expression; the unannotated let inside it
+        # must not report its unbound variable first
+        source = tmp_path / "let.hll"
+        source.write_text("(fn x : ()@[p] . let y : ()@[p, q] = "
+                          f"(let z{annot} = nope; z); y)@[p]\n")
+        assert main(["check", str(source)]) == 1
+        assert capsys.readouterr().err.split("\t")[:2] == ["NoopViolation",
+                                                            "1:18"]
 
 
 class TestUniquify:
