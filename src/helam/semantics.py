@@ -13,7 +13,7 @@ from typing import Optional, Union
 from .masking import mask_value
 from .syntax import (
     App, Case, ChorExpr, ChorValue, Com, Fst, Inl, Inr, Lam, Lookup, Pair,
-    Snd, Unit, Val, Var, Vec, node_count, print_expr,
+    Snd, Unit, Val, Var, Vec, nodes, print_expr,
 )
 
 
@@ -238,9 +238,12 @@ def run(e: ChorExpr, fuel: Optional[int] = None,
     semantics.  At most fuel + 1 contractions are made, each appended to
     `trace`; after the last of them FuelExhausted is raised, even when it
     produced a value.  So fuel=0 on a one-step term contracts once and then
-    raises.  A stuck redex raises StuckError before the fuel is checked."""
+    raises.  A stuck redex raises StuckError before the fuel is checked.
+    The default is counted as the run goes, one node of e per ten steps,
+    so a short run of a large term does not walk all of it."""
+    uncounted = None
     if fuel is None:
-        fuel = 10 * node_count(e)
+        uncounted, fuel = nodes(e), 0
     focus, parents, steps = e, [], 0
     while True:
         if isinstance(focus, Val):
@@ -255,5 +258,7 @@ def run(e: ChorExpr, fuel: Optional[int] = None,
             trace.append((result.rule, print_expr(result.redex)))
         steps += 1
         if steps > fuel:
-            raise FuelExhausted(f"no value after {fuel} steps")
+            if uncounted is None or next(uncounted, None) is None:
+                raise FuelExhausted(f"no value after {fuel} steps")
+            fuel += 10
         focus = result.expr

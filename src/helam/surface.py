@@ -2,16 +2,20 @@
 
 The surface language adds to the core: `let x (: T)? = M; M` sugar, named
 finite-sum aliases, expressions in value positions (pulled out to fresh
-temporaries), and `#` line comments.  Its AST has six node kinds: a leaf
-that already holds its core value (a variable, a unit, or a keyword), a
-constructor that holds its parts and the core constructor to build (Inl,
-Inr, Pair, tuples), and lambda, application, case and let.  The parser
-records every party name it reads; they form the default party set.
-Desugaring synthesizes the types of unannotated let bindings, so it
-threads a typing environment, and it takes a case branch's environment
-from `typecheck.case_scopes`, the checker's own rule.  The let-lambda is
-annotated with the ambient party set so the continuation keeps every
-participant in scope.
+temporaries), and `#` line comments.  The parser builds core terms, and
+keeps a surface node only on the path from the root down to a piece of
+sugar, a let or a constructor with a part that is not a value.  There are
+five surface node kinds: a constructor that holds its parts and the core
+constructor to build (Inl, Inr, Pair, tuples), and lambda, application,
+case and let; their children may be core.  So sugar-free text parses
+straight to its core term, and the desugarer returns a core subtree as it
+is.  The parser records every party name it reads, which form the default
+party set, and every binder name, so that `compile_text` renames only when
+one repeats.  Desugaring synthesizes the types of unannotated let bindings,
+so it threads a typing environment, and it takes a case branch's
+environment from `typecheck.case_scopes`, the checker's own rule.  The
+let-lambda is annotated with the ambient party set so the continuation
+keeps every participant in scope.
 """
 
 from __future__ import annotations
@@ -130,12 +134,6 @@ def tokenize(text: str) -> Tokens:
 # surface AST
 
 @dataclass
-class SLeaf:
-    value: ChorValue  # a variable, a unit, or fst/snd/lookup/com
-    span: Span
-
-
-@dataclass
 class SCons:
     """Inl, Inr, Pair or a tuple: its parts, which may be expressions, and
     the core constructor that builds it from their values."""
@@ -180,11 +178,22 @@ class SLet:
     span: Span
 
 
-SurfaceExpr = Union[SLeaf, SCons, SLam, SApp, SCase, SLet]
+SurfaceExpr = Union[Val, App, Case, SCons, SLam, SApp, SCase, SLet]
+_CORE = (Val, App, Case)  # a node with no sugar below it
 
 
 def _vec(*elems: ChorValue, span: Span) -> Vec:
     return Vec(elems, span=span)
+
+
+def _construct(parts: list[SurfaceExpr], build: Callable[..., ChorValue],
+               span: Span) -> SurfaceExpr:
+    """A constructor: its core value when every part is a value, else an
+    `SCons` for the desugarer to pull the other parts out of."""
+    for part in parts:
+        if not isinstance(part, Val):
+            return SCons(parts, build, span)
+    return Val(build(*[part.value for part in parts], span=span), span)
 
 
 @dataclass
@@ -193,6 +202,7 @@ class SurfaceProgram:
     body: SurfaceExpr
     source: str
     parties: list[str]  # every party name the program mentions
+    binders: list[str]  # every fn parameter, let name and case variable
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +226,7 @@ class Parser:
         self.text = self.texts[0]
         self.aliases = aliases
         self.parties: list[str] = []
+        self.binders: list[str] = []
         # a program repeats a few party lists, and a lookup costs much less
         # than building and validating a PartySet
         self._party_sets: dict[tuple[str, ...], PartySet] = {}
@@ -391,6 +402,7 @@ class Parser:
     def let_(self) -> SLet:
         start = self.next()
         name = self.name()
+        self.binders.append(name)
         annot = None
         if self.kind == ":":
             self.next()
@@ -401,7 +413,7 @@ class Parser:
         body = self.expr()
         return SLet(name, annot, bound, body, self.span(start))
 
-    def case_(self) -> SCase:
+    def case_(self) -> Union[Case, SCase]:
         start = self.next()
         guards = self.party_list()
         scrut = self.app()
@@ -415,8 +427,12 @@ class Parser:
         right_var = self.name()
         self.expect("=>")
         right_body = self.expr()
-        return SCase(guards, scrut, left_var, left_body, right_var,
-                     right_body, self.span(start))
+        self.binders += (left_var, right_var)
+        node = Case if (isinstance(scrut, _CORE)
+                        and isinstance(left_body, _CORE)
+                        and isinstance(right_body, _CORE)) else SCase
+        return node(guards, scrut, left_var, left_body, right_var,
+                    right_body, self.span(start))
 
     def app(self) -> SurfaceExpr:
         first = self.atom()
@@ -427,7 +443,10 @@ class Parser:
                     return first
             elif kind != "(":
                 return first
-            first = SApp(first, self.atom(), first.span)
+            arg = self.atom()
+            node = App if (isinstance(first, _CORE)
+                           and isinstance(arg, _CORE)) else SApp
+            first = node(first, arg, first.span)
 
     def atom(self) -> SurfaceExpr:
         kind, text = self.kind, self.text
@@ -438,14 +457,15 @@ class Parser:
                              self.span(self.pos))
         span = self.span(self.next())
         if text not in KEYWORDS:
-            return SLeaf(Var(text, span=span), span)
+            return Val(Var(text, span=span), span)
         if text == "Inl" or text == "Inr":
-            return SCons([self.atom()], Inl if text == "Inl" else Inr, span)
+            return _construct([self.atom()], Inl if text == "Inl" else Inr,
+                              span)
         if text == "Pair":
-            return SCons([self.atom(), self.atom()], Pair, span)
+            return _construct([self.atom(), self.atom()], Pair, span)
         if text == "fst" or text == "snd":
             proj = Fst if text == "fst" else Snd
-            return SLeaf(proj(self.party_list(), span=span), span)
+            return Val(proj(self.party_list(), span=span), span)
         if text == "lookup":
             self.expect("[")
             at = self.expect("int")
@@ -454,13 +474,13 @@ class Parser:
                 raise ParseError("lookup indices are 1-based", self.span(at))
             self.expect("]")
             owners = self.party_list()
-            return SLeaf(Lookup(index, owners, span=span), span)
+            return Val(Lookup(index, owners, span=span), span)
         if text == "com":
             self.expect("[")
             sender = self.party()
             self.expect("]")
             recipients = self.party_list()
-            return SLeaf(Com(sender, recipients, span=span), span)
+            return Val(Com(sender, recipients, span=span), span)
         raise ParseError(f"unexpected keyword {text!r}", span)
 
     def _paren_atom(self) -> SurfaceExpr:
@@ -468,6 +488,7 @@ class Parser:
         if self.text == "fn":
             self.next()
             param = self.name()
+            self.binders.append(param)
             self.expect(":")
             ptype = self.type_()
             self.expect(".")
@@ -475,13 +496,16 @@ class Parser:
             self.expect(")")
             self.expect("@")
             owners = self.party_list()
-            return SLam(param, ptype, body, owners, self.span(start))
+            span = self.span(start)
+            if isinstance(body, _CORE):
+                return Val(Lam(param, ptype, body, owners, span=span), span)
+            return SLam(param, ptype, body, owners, span)
         if self.kind == ")":  # unit
             self.next()
             self.expect("@")
             owners = self.party_list()
             span = self.span(start)
-            return SLeaf(Unit(owners, span=span), span)
+            return Val(Unit(owners, span=span), span)
         first = self.expr()
         if self.kind == ",":
             elems = [first]
@@ -491,7 +515,7 @@ class Parser:
                     break
                 elems.append(self.expr())
             self.expect(")")
-            return SCons(elems, _vec, self.span(start))
+            return _construct(elems, _vec, self.span(start))
         self.expect(")")
         return first
 
@@ -513,7 +537,8 @@ class Parser:
             self.aliases[name] = shape
         body = self.expr()
         self.expect("eof")
-        return SurfaceProgram(self.aliases, body, source, self.parties)
+        return SurfaceProgram(self.aliases, body, source, self.parties,
+                              self.binders)
 
 
 def parse(text: str) -> SurfaceProgram:
@@ -543,8 +568,8 @@ class _Elab:
 
     def expr(self, s: SurfaceExpr, env: TypeEnv) -> ChorExpr:
         match s:
-            case SLeaf(value, span):
-                return Val(value, span)
+            case Val() | App() | Case():
+                return s  # no sugar below: nothing to elaborate
             case SLam(param, ptype, body, owners, span):
                 inner = env.with_theta(owners).bind(param, ptype)
                 try:
@@ -651,8 +676,11 @@ def desugar(sp: SurfaceProgram,
     theta overrides both.
     """
     if theta is None:
-        if isinstance(sp.body, SLam):
-            theta = sp.body.owners
+        body = sp.body
+        if isinstance(body, SLam):
+            theta = body.owners
+        elif isinstance(body, Val) and isinstance(body.value, Lam):
+            theta = body.value.owners
         elif not sp.parties:
             raise DesugarError("program names no parties")
         else:
@@ -667,7 +695,10 @@ def desugar(sp: SurfaceProgram,
 def uniquify(e: ChorExpr) -> ChorExpr:
     """Alpha-rename so every binder is globally distinct; free variables and
     first occurrences keep their names.  When no binder name repeats,
-    nothing is renamed and `e` itself is returned."""
+    nothing is renamed and `e` itself is returned.  That check is a walk,
+    which `compile_text` saves: it knows the binder names from the parser,
+    and calls this only when one repeats.  A term built another way has no
+    such list, so the check stays here too."""
     used, repeats = _all_names(e)
     if not repeats:
         return e
@@ -753,7 +784,12 @@ class CompiledProgram:
 
 def compile_text(text: str,
                  theta: Optional[PartySet] = None) -> CompiledProgram:
-    """parse -> desugar -> uniquify."""
+    """parse -> desugar -> uniquify.  Text without sugar is parsed straight
+    to its core term.  The uniquifier runs only when a binder name repeats
+    in the text: a desugarer temporary is named by what the text does not
+    hold, so it repeats no binder."""
     sp = parse(text)
     core, theta_out = desugar(sp, theta)
-    return CompiledProgram(uniquify(core), theta_out)
+    if len(set(sp.binders)) < len(sp.binders):
+        core = uniquify(core)
+    return CompiledProgram(core, theta_out)

@@ -20,7 +20,6 @@ the walk synthesizes first and pushes the expectation in only on ambiguity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -74,21 +73,41 @@ class TypeErr(Exception):
         return f"{self.kind}\t{where}\t{self.detail}"
 
 
-@dataclass(frozen=True)
 class TypeEnv:
-    theta: PartySet
-    bindings: tuple[tuple[str, ChorType], ...] = ()
+    """The parties in scope and the variable bindings.  A binding is a
+    `(name, type, outer)` link to the binding before it, so `bind` is O(1)
+    and an environment shares every outer binding with the one it
+    extends."""
+
+    __slots__ = ("theta", "_last")
+
+    def __init__(self, theta: PartySet,
+                 _last: Optional[tuple[str, ChorType, tuple]] = None):
+        self.theta = theta
+        self._last = _last  # the innermost binding, or None
 
     def bind(self, name: str, t: ChorType) -> "TypeEnv":
-        return TypeEnv(self.theta, self.bindings + ((name, t),))
+        return TypeEnv(self.theta, (name, t, self._last))
 
     def with_theta(self, theta: PartySet) -> "TypeEnv":
-        return TypeEnv(theta, self.bindings)
+        return TypeEnv(theta, self._last)
+
+    @property
+    def bindings(self) -> tuple[tuple[str, ChorType], ...]:
+        """Every `(name, type)` bound, outermost first, shadowed ones too."""
+        found = []
+        link = self._last
+        while link is not None:
+            found.append(link[:2])
+            link = link[2]
+        return tuple(reversed(found))
 
     def lookup(self, name: str, span: Optional[Span] = None) -> ChorType:
-        for bound, t in reversed(self.bindings):
-            if bound == name:
-                return t
+        link = self._last
+        while link is not None:
+            if link[0] == name:
+                return link[1]
+            link = link[2]
         raise TypeErr(UNBOUND_VAR, f"unbound variable {name}", span)
 
 

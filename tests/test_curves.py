@@ -1,6 +1,7 @@
 """`tools/curves.py` measures one point of each series against helam."""
 
 import importlib.util
+import statistics
 from pathlib import Path
 
 CURVES = Path(__file__).resolve().parent.parent / "tools" / "curves.py"
@@ -63,3 +64,33 @@ def test_growth_per_doubling_is_the_mean_factor():
               {"n": 8, "us_per_step": 40.0}, {"n": 16, "error": "too slow"}]
     assert curves.growth_per_doubling("simulate", points) == 2.0
     assert curves.growth_per_doubling("simulate", points[:1]) is None
+
+
+def test_against_alternates_the_trees(monkeypatch):
+    curves = _load()
+    calls = []
+
+    def fake_point(stage, series, n, src, max_seconds):
+        calls.append(src)
+        cost = {"new": 1.0, "old": 2.0}[src] + len(calls) / 100
+        return {"n": n, "tokens": 10, "us_per_token": cost}
+
+    monkeypatch.setattr(curves, "fresh_point", fake_point)
+    monkeypatch.setattr(curves, "ROUNDS", 4)
+    point = curves.paired_point("compile", "let", 50, "new", "old", 60.0)
+    # the tree that goes first alternates from pair to pair
+    assert calls == ["old", "new", "new", "old"] * 2
+    assert point["us_per_token"] == 1.02  # each side's fastest run
+    assert point["against"]["us_per_token"] == 2.01
+    ratios = [1.02 / 2.01, 1.03 / 2.04, 1.06 / 2.05, 1.07 / 2.08]
+    assert point["ratio"] == statistics.median(ratios)
+
+
+def test_against_times_both_trees(monkeypatch):
+    curves = _load()
+    monkeypatch.setattr(curves, "ROUNDS", 1)
+    monkeypatch.setitem(curves.SIZES, "let", (50,))
+    src = curves.ROOT / "src"
+    (point,) = curves.curve("compile", "let", src, 60.0, against=src)
+    assert point["tokens"] == point["against"]["tokens"] == 10 + 50 * 5 + 2
+    assert point["ratio"] > 0

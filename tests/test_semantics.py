@@ -355,6 +355,17 @@ class TestRefocusedRun:
                 exhausted += outcome[0] is FuelExhausted
         assert exhausted > 0
 
+    def test_default_fuel_on_a_diverging_term(self):
+        # `run` counts the default fuel as it goes; it must run out at the
+        # same step as ten per node counted up front
+        omega = Val(lam("x", FunTy(UNIT_P, UNIT_P, P),
+                        App(Val(Var("x")), Val(Var("x"))), P))
+        e = App(omega, omega)
+        assert node_count(e) == 15
+        kind, message, trace = _assert_runs_agree(e)
+        assert (kind, message) == (FuelExhausted, "no value after 150 steps")
+        assert len(trace) == 151
+
 
 # ---------------------------------------------------------------------------
 # totality on arbitrary syntax: ill-typed terms get Stuck, never a crash

@@ -13,8 +13,8 @@ from helam.cli import main
 from helam.generate import GenConfig, gen_instance
 from helam.semantics import run
 from helam.surface import (
-    DesugarError, ParseError, Parser, Tokens, compile_text, desugar, parse,
-    tokenize, uniquify,
+    CompiledProgram, DesugarError, ParseError, Parser, SApp, SCase, SCons,
+    SLam, SLet, Tokens, compile_text, desugar, parse, tokenize, uniquify,
 )
 from helam.syntax import (
     App, Case, Com, DProd, DSum, DUnit, DataTy, Inl, Inr, Lam, Lookup, Pair,
@@ -22,6 +22,7 @@ from helam.syntax import (
 )
 from helam.typecheck import NOOP_VIOLATION, TypeErr, typecheck
 
+from conftest import CORPUS_FILES
 from strategies import exprs
 
 P = parties("p")
@@ -426,15 +427,6 @@ def _reference_columns(text):
                   lines)
 
 
-def _compiled(parser, lex, text):
-    """The desugared program's print, or the diagnostic."""
-    try:
-        core, theta = desugar(parser(lex(text), {}).program(text))
-        return print_expr(core), theta
-    except (ParseError, DesugarError, TypeErr) as err:
-        return type(err), str(err), err.span
-
-
 _LEX_ALPHABET = (" \n\r\t" + string.digits + string.punctuation
                  + "abpxIL_é\x00")
 
@@ -458,8 +450,10 @@ class TestLexerOracle:
 
     def test_one_character_edits(self, corpus_dir):
         """Delete, insert or replace one character of each corpus file:
-        the program, or its diagnostic with its span, is the same."""
+        the program, or its diagnostic with its span, is the one the
+        reference lexer and the two-tree frontend give (see below)."""
         rng = random.Random(0)
+        failed = 0
         for path in sorted(corpus_dir.glob("*.hll")):
             text = path.read_text(encoding="utf-8")
             for _ in range(50):
@@ -468,9 +462,11 @@ class TestLexerOracle:
                 edit = rng.choice((text[:at] + text[at + 1:],
                                    text[:at] + char + text[at:],
                                    text[:at] + char + text[at + 1:]))
-                assert (_compiled(Parser, tokenize, edit)
-                        == _compiled(_ReferenceParser, _reference_columns,
-                                     edit)), (path.stem, edit)
+                expected = _compile_outcome(_two_tree_compile, edit)
+                assert (_compile_outcome(compile_text, edit)
+                        == expected), (path.stem, edit)
+                failed += not isinstance(expected[0], str)
+        assert failed > 0  # the edits reach the diagnostics too
 
 
 # Types as token lists, well formed or with one token edited: a `(` opens
@@ -539,3 +535,154 @@ class TestTypeParser:
         tokens.kinds = Counted(tokens.kinds)
         Parser(tokens, {}).program(text)
         assert Counted.reads == len(tokens) == 98
+
+
+# ---------------------------------------------------------------------------
+# the two-tree frontend, kept as the oracle for the parser that builds core
+# terms: every compound node is a surface node, `desugar` elaborates all of
+# them, and `uniquify` always walks the result; `TestLexerOracle`'s
+# one-character edits are checked against it too
+
+class _TwoTreeParser(_ReferenceParser):
+    """Builds `SApp`, `SLam`, `SCase` and `SCons` whatever their children
+    are; a leaf is its core `Val`, as the desugarer made it."""
+
+    def case_(self):
+        start = self.next()
+        guards = self.party_list()
+        scrut = self.app()
+        self.expect("id", "of")
+        self.expect("id", "Inl")
+        left_var = self.name()
+        self.expect("=>")
+        left_body = self.expr()
+        self.expect(";")
+        self.expect("id", "Inr")
+        right_var = self.name()
+        self.expect("=>")
+        right_body = self.expr()
+        return SCase(guards, scrut, left_var, left_body, right_var,
+                     right_body, self.span(start))
+
+    def app(self):
+        first = self.atom()
+        while self.kind == "(" or (self.kind == "id" and self.text not in
+                                   {"fn", "case", "of", "let", "alias"}):
+            first = SApp(first, self.atom(), first.span)
+        return first
+
+    def atom(self):
+        text = self.text
+        if self.kind == "(":
+            return self._paren_atom()
+        if self.kind != "id" or text not in ("Inl", "Inr", "Pair"):
+            return super().atom()  # a leaf, or an error
+        span = self.span(self.next())
+        if text == "Pair":
+            return SCons([self.atom(), self.atom()], Pair, span)
+        return SCons([self.atom()], Inl if text == "Inl" else Inr, span)
+
+    def _paren_atom(self):
+        start = self.next()
+        if self.text == "fn":
+            self.next()
+            param = self.name()
+            self.expect(":")
+            ptype = self.type_()
+            self.expect(".")
+            body = self.expr()
+            self.expect(")")
+            self.expect("@")
+            owners = self.party_list()
+            return SLam(param, ptype, body, owners, self.span(start))
+        if self.kind == ")":
+            self.next()
+            self.expect("@")
+            owners = self.party_list()
+            span = self.span(start)
+            return Val(Unit(owners, span=span), span)
+        first = self.expr()
+        if self.kind == ",":
+            elems = [first]
+            while self.kind == ",":
+                self.next()
+                if self.kind == ")":
+                    break
+                elems.append(self.expr())
+            self.expect(")")
+            return SCons(elems, lambda *xs, span: Vec(xs, span=span),
+                         self.span(start))
+        self.expect(")")
+        return first
+
+
+def _two_tree_compile(text):
+    sp = _TwoTreeParser(_reference_columns(text), {}).program(text)
+    core, theta = desugar(sp)
+    return CompiledProgram(uniquify(core), theta)
+
+
+def _compile_outcome(compile_, text):
+    """The core's print, theta and every node's kind and span, or the
+    diagnostic's type, message and span."""
+    try:
+        prog = compile_(text)
+    except (ParseError, DesugarError, TypeErr) as err:
+        return type(err), str(err), err.span
+    spans = [(type(node), node.span) for node in nodes(prog.core)]
+    return print_expr(prog.core), prog.theta, spans
+
+
+def _assert_one_tree_agrees(text):
+    expected = _compile_outcome(_two_tree_compile, text)
+    assert _compile_outcome(compile_text, text) == expected, text
+    return expected
+
+
+def _corpus_texts(corpus_dir):
+    return [path.read_text(encoding="utf-8")
+            for path in sorted(corpus_dir.glob("*.hll"))]
+
+
+class TestTwoTreeOracle:
+    def test_corpus(self, corpus_dir):
+        for text in _corpus_texts(corpus_dir):
+            assert isinstance(_assert_one_tree_agrees(text)[0], str)
+
+    def test_generated_instances(self):
+        for text in _generated_texts(1000):
+            assert isinstance(_assert_one_tree_agrees(text)[0], str)
+
+    @settings(max_examples=300, deadline=None)
+    @given(exprs)
+    def test_printed_raw_terms(self, e):
+        _assert_one_tree_agrees(print_expr(e))
+
+
+_SURFACE_NODES = (SCons, SLam, SApp, SCase, SLet)
+
+
+class TestCoreParse:
+    def test_sugar_free_text_parses_to_core(self, corpus):
+        texts = _generated_texts(1000)
+        texts += [print_expr(corpus(name).core) for name in CORPUS_FILES]
+        for text in texts:
+            assert not any(isinstance(node, _SURFACE_NODES)
+                           for node in nodes(parse(text).body)), text
+
+    def test_compile_is_desugar_then_uniquify(self, corpus_dir):
+        for text in _corpus_texts(corpus_dir) + _generated_texts(1000):
+            core, _ = desugar(parse(text))
+            assert compile_text(text).core == uniquify(core), text
+
+    @pytest.mark.parametrize("text, renamed", [
+        ("let x = ()@[p]; let x = x; x",
+         "(fn x: ()@[p]. (fn x$1: ()@[p]. x$1)@[p] x)@[p] ()@[p]"),
+        ("(fn g : (() + ())@[p] . case[p] g of "
+         "Inl a => a; Inr a => let a = a; a)@[p]",
+         "(fn g: (() + ())@[p]. case[p] g of Inl a => a; "
+         "Inr a$1 => (fn a$2: ()@[p]. a$2)@[p] a$1)@[p]"),
+    ])
+    def test_repeated_binder_is_renamed(self, text, renamed):
+        assert len(set(parse(text).binders)) < len(parse(text).binders)
+        assert print_expr(compile_text(text).core) == renamed

@@ -23,11 +23,20 @@ series ends at its first error or at the first point that does not finish
 within --max-seconds.
 
 Stdlib only.  Each invocation adds (or replaces) one labelled run in the
-output file, so a before/after pair is two invocations on the same machine:
+output file, so a before/after pair can be two invocations on the same
+machine:
 
     python3 tools/curves.py --label before --src OLD_CHECKOUT/src \\
         --out BENCH_x.json
     python3 tools/curves.py --label after --out BENCH_x.json
+
+The machine's speed drifts between two invocations, so a difference of
+less than about 40% per point says little that way.  With `--against
+OLD_CHECKOUT/src`, one invocation times each point on both trees instead:
+ROUNDS pairs of fresh interpreters, which tree goes first alternating from
+pair to pair.  The point keeps this tree's fastest run, adds the other
+tree's fastest under "against", and the median over the pairs of this
+tree's cost over the other's as "ratio".
 """
 
 from __future__ import annotations
@@ -38,9 +47,11 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -59,6 +70,7 @@ COMPILE_RECURSION_LIMIT = 100_000
 # run is reported, as timeit does.
 REPEATS = 5
 MIN_SECONDS = 0.5
+ROUNDS = 4  # pairs of interpreters per point with --against
 
 
 def chain_text(n: int) -> str:
@@ -166,29 +178,60 @@ def growth_per_doubling(stage: str, points: list[dict]) -> Optional[float]:
     return (last[COST[stage]] / first[COST[stage]]) ** (1 / doublings)
 
 
-def curve(stage: str, series: str, src: Path,
-          max_seconds: float) -> list[dict]:
+def fresh_point(stage: str, series: str, n: int, src: Path,
+                max_seconds: float) -> dict:
+    """One point measured in a fresh interpreter that imports `src`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
+    cmd = [sys.executable, __file__, "--point", stage, series, str(n)]
+    try:
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                              timeout=max_seconds)
+    except subprocess.TimeoutExpired:
+        return {"n": n, "error": f"over {max_seconds:g} s"}
+    if proc.returncode != 0:
+        tail = proc.stderr.strip().splitlines()[-1:] or ["no output"]
+        return {"n": n, "error": f"exit {proc.returncode}: {tail[0]}"}
+    return json.loads(proc.stdout)
+
+
+def paired_point(stage: str, series: str, n: int, src: Path, against: Path,
+                 max_seconds: float) -> dict:
+    """One point on `src` and on `against`, in ROUNDS pairs of fresh
+    interpreters; the tree that goes first alternates, so a drift in the
+    machine's speed weighs on both alike.  This tree's fastest point, with
+    the other's fastest and the median ratio of their costs."""
+    cost = COST[stage]
+    mine, theirs, ratios = [], [], []
+    for i in range(ROUNDS):
+        if i % 2:
+            ours = fresh_point(stage, series, n, src, max_seconds)
+            other = fresh_point(stage, series, n, against, max_seconds)
+        else:
+            other = fresh_point(stage, series, n, against, max_seconds)
+            ours = fresh_point(stage, series, n, src, max_seconds)
+        if "error" in ours or "error" in other:
+            return {**ours, "against": other}
+        mine.append(ours)
+        theirs.append(other)
+        ratios.append(ours[cost] / other[cost])
+    key = itemgetter(cost)
+    return {**min(mine, key=key), "against": min(theirs, key=key),
+            "ratio": statistics.median(ratios)}
+
+
+def curve(stage: str, series: str, src: Path, max_seconds: float,
+          against: Optional[Path] = None) -> list[dict]:
     points = []
     for n in SIZES[series]:
-        cmd = [sys.executable, __file__, "--point", stage, series, str(n)]
-        try:
-            proc = subprocess.run(cmd, env=env, capture_output=True,
-                                  text=True, timeout=max_seconds)
-        except subprocess.TimeoutExpired:
-            points.append({"n": n, "error": f"over {max_seconds:g} s"})
-            break
-        if proc.returncode != 0:
-            tail = proc.stderr.strip().splitlines()[-1:] or ["no output"]
-            points.append({"n": n, "error": f"exit {proc.returncode}: "
-                                             f"{tail[0]}"})
-            break
-        point = json.loads(proc.stdout)
+        if against is None:
+            point = fresh_point(stage, series, n, src, max_seconds)
+        else:
+            point = paired_point(stage, series, n, src, against, max_seconds)
         points.append(point)
         print(stage, series, json.dumps(point), file=sys.stderr)
-        if "error" in point:
+        if "error" in point or "error" in point.get("against", {}):
             break
     return points
 
@@ -198,6 +241,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--label", help="name of this run in the output")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the helam source tree to measure")
+    parser.add_argument("--against", type=Path, metavar="OLD_SRC",
+                        help="a second source tree to time each point "
+                             "against, in alternating interpreters")
     parser.add_argument("--out", type=Path, help="JSON file to add the run to")
     parser.add_argument("--note", default="", help="recorded with the run")
     parser.add_argument("--max-seconds", type=float, default=60.0,
@@ -218,10 +264,17 @@ def main(argv: list[str]) -> int:
         "recursion_limit": sys.getrecursionlimit(),
         "timing": f"fastest of at least {REPEATS} runs and {MIN_SECONDS} s,"
                   " gc off",
-        "series": {stage: {s: curve(stage, s, args.src.resolve(),
-                                    args.max_seconds) for s in STAGES[stage]}
-                   for stage in STAGES},
     }
+    against = args.against and args.against.resolve()
+    if against:
+        record["against"] = str(args.against)
+        record["timing"] += (f"; {ROUNDS} pairs of interpreters alternating "
+                             "with the other tree, fastest of each side, "
+                             "ratio the median of the pairs")
+    record["series"] = {
+        stage: {s: curve(stage, s, args.src.resolve(), args.max_seconds,
+                         against) for s in series}
+        for stage, series in STAGES.items()}
     record["growth_per_doubling"] = {
         stage: {s: growth_per_doubling(stage, points)
                 for s, points in by_series.items()}
