@@ -91,7 +91,9 @@ def central_trajectory(inst: Instance,
 
 def substitution_property(inst: Instance, cfg: GenConfig,
                           report: PropertyReport) -> None:
-    """Substituting a well-typed value for a variable preserves the type."""
+    """Substituting a well-typed value for a variable preserves the type,
+    and substituting for a variable that is not free returns the term
+    itself."""
     rng = random.Random(inst.seed ^ 0x5EED)
     gen = ExprGen(rng)
     tx = gen_type(rng, inst.theta, 1)
@@ -106,6 +108,10 @@ def substitution_property(inst: Instance, cfg: GenConfig,
             inst.seed, f"generated open term does not check: {err}",
             print_expr(m)))
         return
+    if subst(m, "absent$", v) is not m:
+        report.failures.append(Failure(
+            inst.seed, "substitution for an absent variable copied the term",
+            print_expr(m)))
     out = subst(m, x, v)
     try:
         check(TypeEnv(inst.theta), out, inst.target)

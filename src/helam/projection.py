@@ -24,7 +24,8 @@ from .syntax import (
     PENDING, App, BApp, BCase, BOTTOM, Behavior, Bottom, Case, ChorExpr,
     ChorValue, Com, Fst, Inl, Inr, LFst, LInl, LInr, LLam, LLookup, LPair,
     LSnd, LUnit, LVar, LVec, Lam, LocalValue, Lookup, Pair, PartySet, Recv,
-    Send, SendSelf, Snd, Unit, Val, Var, Vec, nodes, type_parties,
+    Send, SendSelf, Snd, Unit, Val, Var, Vec, WRAPPER_FREE_VARS_RULE,
+    bind_var, fill_free_vars, nodes, type_parties, union_all_vars, union_vars,
 )
 
 
@@ -176,21 +177,49 @@ def project_all(e: ChorExpr,
 # ---------------------------------------------------------------------------
 # substitution in the local language (no masking; locations are gone)
 
+def local_fv(b: Behavior) -> frozenset[str]:
+    """The variables free in b, cached on each node as `free_vars` caches
+    them on the central ones, and filled the same way, without recursing."""
+    fv = getattr(b, "_fv", None)
+    if fv is None:
+        fv = fill_free_vars(b, _LOCAL_FREE_VARS_RULES)
+    return fv
+
+
+_LOCAL_FREE_VARS_RULES = {
+    BApp: (lambda b: (b.fn, b.arg),
+           lambda b: union_vars(b.fn._fv, b.arg._fv)),
+    LVar: (lambda b: (), lambda b: frozenset((b.name,))),
+    LLam: (lambda b: (b.body,), lambda b: bind_var(b.body._fv, b.param)),
+    BCase: (lambda b: (b.scrutinee, b.left_body, b.right_body),
+            lambda b: union_vars(b.scrutinee._fv, union_vars(
+                bind_var(b.left_body._fv, b.left_var),
+                bind_var(b.right_body._fv, b.right_var)))),
+    LInl: WRAPPER_FREE_VARS_RULE,
+    LInr: WRAPPER_FREE_VARS_RULE,
+    LPair: (lambda b: (b.first, b.second),
+            lambda b: union_vars(b.first._fv, b.second._fv)),
+    LVec: (lambda b: b.elems, lambda b: union_all_vars(b.elems)),
+}
+
+
 def local_subst(b: Behavior, x: str, l: LocalValue) -> Behavior:
-    """b with l for x; floor-normal when b and l are."""
+    """b with l for x; floor-normal when b and l are.  b itself, not a copy,
+    when x is not free in b: each node it passes first reads its cached set
+    (`local_fv`), so a subterm without x is not walked."""
+    if x not in local_fv(b):
+        return b
     match b:
-        case LVar(name):
-            return l if name == x else b
         case BApp(fn, arg):
             return bapp(local_subst(fn, x, l), local_subst(arg, x, l))
+        case LVar():
+            return l
         case BCase(scrut, xl, bl, xr, br):
             return bcase(
                 local_subst(scrut, x, l),
                 xl, bl if xl == x else local_subst(bl, x, l),
                 xr, br if xr == x else local_subst(br, x, l))
         case LLam(param, body):
-            if param == x:
-                return b
             return LLam(param, local_subst(body, x, l))
         case LInl(inner):
             return linl(local_subst(inner, x, l))
@@ -200,5 +229,4 @@ def local_subst(b: Behavior, x: str, l: LocalValue) -> Behavior:
             return lpair(local_subst(first, x, l), local_subst(second, x, l))
         case LVec(elems):
             return lvec(tuple(local_subst(e, x, l) for e in elems))
-        case _:
-            return b
+    raise AssertionError(f"{x} free in {b!r}")  # no other node has a free x

@@ -13,7 +13,7 @@ from typing import Optional, Union
 from .masking import mask_value
 from .syntax import (
     App, Case, ChorExpr, ChorValue, Com, Fst, Inl, Inr, Lam, Lookup, Pair,
-    Snd, Unit, Val, Var, Vec, nodes, print_expr,
+    Snd, Unit, Val, Var, Vec, free_vars, nodes, print_expr,
 )
 
 
@@ -52,17 +52,20 @@ class FuelExhausted(RuntimeError):
 
 def subst(m: ChorExpr | ChorValue, x: str,
           v: ChorValue) -> ChorExpr | ChorValue:
+    """m with v for x, v masked to the owners of each lambda and the guards
+    of each case it passes.  m itself, not a copy, when x is not free in m:
+    each node it passes first reads its cached set (`free_vars`, filled
+    without recursion on first demand), so a subterm without x is neither
+    walked nor masked."""
+    if x not in free_vars(m):
+        return m
     # the arms go roughly by how often the node occurs in generated terms
     match m:
         case Val(inner):
             return Val(subst(inner, x, v), m.span)
-        case Unit():
-            return m
         case App(fn, arg):
             return App(subst(fn, x, v), subst(arg, x, v), m.span)
         case Lam(param, ptype, body, owners):
-            if param == x:
-                return m
             masked = mask_value(v, owners)
             if masked is None:
                 return m
@@ -73,10 +76,8 @@ def subst(m: ChorExpr | ChorValue, x: str,
             return Inl(subst(inner, x, v), m.span)
         case Inr(inner):
             return Inr(subst(inner, x, v), m.span)
-        case Var(name):
-            return v if name == x else m
-        case Com() | Fst() | Snd() | Lookup():
-            return m
+        case Var():
+            return v
         case Case(guards, scrut, xl, ml, xr, mr):
             # the scrutinee always receives the unmasked value; the branches
             # only see it masked to the guard set, or not at all
@@ -89,7 +90,7 @@ def subst(m: ChorExpr | ChorValue, x: str,
             return Case(guards, scrut2, xl, ml2, xr, mr2, m.span)
         case Vec(elems):
             return Vec(tuple(subst(e, x, v) for e in elems), m.span)
-    raise TypeError(f"not an expression or value: {m!r}")
+    raise AssertionError(f"{x} free in {m!r}")  # no other node has a free x
 
 
 # ---------------------------------------------------------------------------

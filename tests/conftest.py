@@ -6,7 +6,9 @@ from helam.generate import GenConfig, gen_instance
 from helam.network import Network, enumerate_net_steps, simulate
 from helam.projection import project_all
 from helam.surface import compile_text
-from helam.syntax import BOTTOM, PENDING
+from helam.syntax import (
+    BOTTOM, PENDING, App, Com, DUnit, DataTy, Lam, Unit, Val, Var, parties,
+)
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -40,6 +42,27 @@ CONGRUENCE_PROGRAMS = {
         "Inl a => com[p][p, q] ()@[p]; Inr b => com[q][p, q] ()@[q]",
         "LCASE"),
 }
+
+
+def let_chain(n):
+    """The core of `let x0 = ()@[p]; let x1 = x0; ... xn`, built from the
+    constructors, which do not recurse: the parser does, once per let."""
+    p = parties("p")
+    unit = DataTy(DUnit(), p)
+    e = Val(Var(f"x{n}"))
+    for i in range(n, 0, -1):
+        e = App(Val(Lam(f"x{i}", unit, e, p)), Val(Var(f"x{i - 1}")))
+    return App(Val(Lam("x0", unit, e, p)), Val(Unit(p)))
+
+
+def com_chain(hops):
+    """hops nested `com`s rotating over three parties, built from the
+    constructors."""
+    names = ("p", "q", "r")
+    e = Val(Unit(parties("p")))
+    for i in range(hops):
+        e = App(Val(Com(names[i % 3], parties(names[(i + 1) % 3]))), e)
+    return e
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,17 @@ def test_one_point_per_series(monkeypatch):
     assert chain["us_per_step"] > 0 and let["us_per_step"] > 0
 
 
+def test_let_800_counts_and_times_at_the_default_recursion_limit(
+        monkeypatch):
+    # the count drives `step` on let chains: a traced `run` would print
+    # each redex, and a let's redex holds the rest of the program
+    curves = _load()
+    monkeypatch.setattr(curves, "MIN_SECONDS", 0.0)
+    for stage in ("run", "simulate"):
+        point = curves.measure_point("let", 800, stage)
+        assert "error" not in point and point["steps"] == 801
+
+
 def test_one_simulate_point_per_series(monkeypatch):
     curves = _load()
     monkeypatch.setattr(curves, "MIN_SECONDS", 0.0)

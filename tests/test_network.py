@@ -17,17 +17,23 @@ from helam.network import (
     _focused_action, enumerate_net_steps, explore, focus, format_trace,
     next_action, plug, simulate, take,
 )
-from helam.projection import bapp, bcase, floor, project, project_all, roles
+from helam.projection import (
+    bapp, bcase, floor, local_fv, local_subst, project, project_all, roles,
+)
 from helam.semantics import run
 from helam.surface import compile_text
 from helam.syntax import (
-    App, BApp, BCase, BOTTOM, PENDING, Com, LInl, LLam, LPair, LUnit, LVar,
-    Recv, Send, SendSelf, Unit, Val, parties,
+    App, BApp, BCase, BOTTOM, PENDING, Com, LInl, LInr, LLam, LPair, LUnit,
+    LVar, Recv, Send, SendSelf, Unit, Val, parties,
 )
 from helam.typecheck import typecheck
 
-from conftest import CONGRUENCE_PROGRAMS, CORPUS_FILES, oracle_networks
-from test_projection import _behaviors
+from conftest import (
+    CONGRUENCE_PROGRAMS, CORPUS_FILES, com_chain, let_chain, oracle_networks,
+)
+from test_projection import (
+    _behaviors, reference_local_fv, reference_local_subst,
+)
 
 PQ = parties("p", "q")
 
@@ -664,13 +670,90 @@ def test_focused_step_matches_next_action_on_raw_behaviors(b):
     _check_focused_step(net, "p", (LUnit(), LInl(LUnit()), BOTTOM))
 
 
+# ---------------------------------------------------------------------------
+# local substitution against the walk that never skips a subterm
+
+def _local_substitution(redex):
+    """The body, variable and value that `next_action` substitutes for
+    redex, for the rules that substitute."""
+    match redex:
+        case BApp(LLam(param, body), arg):
+            return body, param, arg
+        case BCase(LInl(payload), xl, bl, _, _):
+            return bl, xl, payload
+        case BCase(LInr(payload), _, _, xr, br):
+            return br, xr, payload
+
+
+def test_local_substitutions_match_the_reference(reachable):
+    """At every reachable state, each party's substitution equals the
+    reference's, and one for a variable not free is its body itself."""
+    substituted = 0
+    for states in reachable.values():
+        for net in states:
+            for redex, _ in net._parties.values():
+                found = _local_substitution(redex)
+                if found is None:
+                    continue
+                body, x, value = found
+                assert local_fv(body) == reference_local_fv(body)
+                assert local_subst(body, x, value) == \
+                    reference_local_subst(body, x, value)
+                assert local_subst(body, "absent", value) is body
+                substituted += 1
+    assert substituted > 10_000
+
+
+def _clear_step_caches():
+    next_action.cache_clear()
+    _focused_action.cache_clear()
+    _enumerate_cached.cache_clear()
+
+
+def test_simulations_are_the_reference_substitutions(monkeypatch):
+    """Instances 0-999 simulate to the same traces and networks, and
+    explore to the same states, with each substitution made by the walk
+    that never skips."""
+    cfg = GenConfig(max_parties=4, max_depth=6)
+    nets = [Network(project_all(gen_instance(cfg, n).expr))
+            for n in range(1000)]
+
+    def outcomes():
+        _clear_step_caches()
+        runs = [simulate(net, seed) for net in nets for seed in range(3)]
+        explored = [explore(net) for net in nets]
+        return ([(r.trace, r.network, r.deadlock) for r in runs],
+                [(e.states, e.terminals, e.deadlocks) for e in explored])
+
+    expected = outcomes()
+    monkeypatch.setattr("helam.network.local_subst", reference_local_subst)
+    try:
+        assert outcomes() == expected
+    finally:
+        _clear_step_caches()
+
+
+def test_deep_let_chain_at_the_default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(50_000)
+    try:
+        procs = project_all(let_chain(800))
+    finally:
+        sys.setrecursionlimit(limit)
+    net = Network(procs)
+    _clear_step_caches()
+    out = simulate(net)
+    assert out.deadlock is None and len(out.trace) == 801
+    assert out.network == Network({"p": LUnit()})
+    _clear_step_caches()
+    result = explore(net)
+    assert result.complete and result.states == 802
+
+
 def test_deep_chain_steps_at_the_default_recursion_limit():
     # projection still recurses once per level; building the network and
     # stepping it do not
-    names = ("p", "q", "r")
-    e = Val(Unit(parties("p")))
-    for i in range(5000):
-        e = App(Val(Com(names[i % 3], parties(names[(i + 1) % 3]))), e)
+    e = com_chain(5000)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(50_000)
     try:

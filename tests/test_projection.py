@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helam.projection import (
-    EmptyRoles, floor, local_subst, project, project_all, roles,
+    EmptyRoles, floor, local_fv, local_subst, project, project_all, roles,
 )
 from helam.syntax import (
     App, BApp, BCase, BOTTOM, Case, Com, DUnit, DataTy, Inl,
-    LInl, LInr, LLam, LPair, LUnit, LVar, LVec, Pair, Recv, Send, SendSelf,
-    Unit, Val, Var, parties, print_behavior,
+    LInl, LInr, LLam, LPair, LUnit, LVar, LVec, NO_VARS, Pair, Recv, Send,
+    SendSelf, Unit, Val, Var, parties, print_behavior,
 )
 
 P = parties("p")
@@ -229,13 +229,52 @@ def _unfloored_subst(b, x, l):
             return b
 
 
+def reference_local_subst(b, x, l):
+    """b with l for x, rebuilding every node whether x occurs below or not,
+    then floored: the oracle for `local_subst` on floor-normal b and l."""
+    return floor(_unfloored_subst(b, x, l))
+
+
+def reference_local_fv(b):
+    """The free variables of b by recursion, caching nothing."""
+    match b:
+        case LVar(name):
+            return frozenset({name})
+        case BApp(a, c) | LPair(a, c):
+            return reference_local_fv(a) | reference_local_fv(c)
+        case BCase(s, xl, bl, xr, br):
+            return (reference_local_fv(s) | (reference_local_fv(bl) - {xl})
+                    | (reference_local_fv(br) - {xr}))
+        case LLam(param, body):
+            return reference_local_fv(body) - {param}
+        case LInl(inner) | LInr(inner):
+            return reference_local_fv(inner)
+        case LVec(elems):
+            return frozenset().union(*map(reference_local_fv, elems))
+        case _:
+            return frozenset()
+
+
 @settings(max_examples=150, deadline=None)
 @given(_behaviors, _locals)
 def test_substitution_keeps_normal_terms_normal(b, l):
     # every name, and the missing value besides l: a drawn name and value
     # make a collapse in fewer than 1 in 100 examples, these in about 1 in 6
     b, l = floor(b), floor(l)
+    assert local_fv(b) == reference_local_fv(b)
     for x in ("x", "y", "z"):
         for value in (l, BOTTOM):
             assert local_subst(b, x, value) == \
-                floor(_unfloored_subst(b, x, value))
+                reference_local_subst(b, x, value)
+            if x not in reference_local_fv(b):
+                assert local_subst(b, x, value) is b
+    assert local_subst(b, "absent", l) is b
+
+
+def test_local_sets_are_filled_on_first_demand():
+    lam = LLam("y", BApp(LVar("y"), LVar("x")))
+    b = BApp(lam, LPair(LVar("x"), LUnit()))
+    assert not hasattr(b, "_fv") and not hasattr(lam, "_fv")
+    assert local_fv(b) == {"x"}
+    assert b._fv is lam._fv and b.arg._fv is b.arg.first._fv
+    assert b.arg.second._fv is NO_VARS

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from helam import semantics
 from helam.generate import GenConfig, gen_instance
 from helam.masking import mask_value
 from helam.semantics import (
@@ -14,9 +15,10 @@ from helam.semantics import (
 )
 from helam.syntax import (
     App, Case, Com, DUnit, DataTy, Fst, FunTy, Inl, Inr, Lam, Lookup, Pair,
-    Snd, Unit, Val, Var, Vec, node_count, parties, print_expr,
+    Snd, Unit, Val, Var, Vec, free_vars, node_count, parties, print_expr,
 )
-from conftest import CORPUS_FILES
+from conftest import CORPUS_FILES, com_chain, let_chain
+from test_syntax import reference_free_vars
 
 P = parties("p")
 Q = parties("q")
@@ -64,6 +66,23 @@ class TestSubstitution:
     def test_keywords_are_fixed_points(self):
         e = Val(Com("p", Q))
         assert subst(e, "x", Unit(P)) == e
+
+    def test_a_subterm_without_x_is_kept_and_not_masked(self, monkeypatch):
+        # x is free only in the argument: the function, binder and mask
+        # included, is passed over
+        fn = Val(lam("y", UNIT_P, Val(Var("y")), P))
+        e = App(fn, Val(Var("x")))
+        masks = []
+
+        def counted(v, owners):
+            masks.append(owners)
+            return mask_value(v, owners)
+
+        monkeypatch.setattr(semantics, "mask_value", counted)
+        out = subst(e, "x", Unit(PQ))
+        assert out == App(fn, Val(Unit(PQ))) and out.fn is fn
+        assert subst(e, "z", Unit(PQ)) is e
+        assert masks == []
 
 
 class TestStep:
@@ -178,17 +197,11 @@ class TestRun:
             run(stuck, fuel=0)
 
     def test_deep_chain_runs_at_the_default_recursion_limit(self):
-        assert run(_chain(5000)) == Unit(parties("r"))
+        assert run(com_chain(5000)) == Unit(parties("r"))
 
-
-def _chain(hops):
-    """A chain of nested `com`s, built from the constructors: the parser
-    still recurses per level."""
-    names = ("p", "q", "r")
-    e = Val(Unit(parties("p")))
-    for i in range(hops):
-        e = App(Val(Com(names[i % 3], parties(names[(i + 1) % 3]))), e)
-    return e
+    def test_deep_let_chain_runs_at_the_default_recursion_limit(self):
+        # a traced run would print each redex, and print_expr recurses
+        assert run(let_chain(800)) == Unit(P)
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +247,32 @@ def _assert_steps_agree(e):
     return got
 
 
+def _generated_steps():
+    """Each state of instances 0-999 of both generator configurations, and
+    the result of stepping it."""
+    for cfg in (GenConfig(max_parties=4, max_depth=6), GenConfig()):
+        for n in range(1000):
+            e = gen_instance(cfg, n).expr
+            for _ in range(10 * node_count(e) + 1):
+                result = step(e)
+                yield e, result
+                if not isinstance(result, Stepped):
+                    break
+                e = result.expr
+
+
 class TestRefocusedStep:
     def test_every_state_of_generated_instances(self):
         states, kinds = 0, set()
-        for cfg in (GenConfig(max_parties=4, max_depth=6), GenConfig()):
-            for n in range(1000):
-                e = gen_instance(cfg, n).expr
-                for _ in range(10 * node_count(e) + 1):
-                    result = _assert_steps_agree(e)
-                    states += 1
-                    kinds.add(type(result))
-                    if not isinstance(result, Stepped):
-                        break
-                    e = result.expr
+        for e, result in _generated_steps():
+            assert _assert_steps_agree(e) == result
+            states += 1
+            kinds.add(type(result))
         assert states == 7660
         assert kinds == {Stepped, IsValue}
 
     def test_deep_chain_steps_at_the_default_recursion_limit(self):
-        e = _chain(5000)
+        e = com_chain(5000)
         got = step(e)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(50_000)
@@ -368,12 +389,88 @@ class TestRefocusedRun:
 
 
 # ---------------------------------------------------------------------------
+# substitution against the walk that never skips a subterm
+
+def reference_subst(m, x, v):
+    """m with v for x, rebuilding every node and masking at every lambda it
+    passes, whether x occurs below or not: the oracle for `subst`."""
+    match m:
+        case Val(inner):
+            return Val(reference_subst(inner, x, v), m.span)
+        case App(fn, arg):
+            return App(reference_subst(fn, x, v), reference_subst(arg, x, v),
+                       m.span)
+        case Lam(param, ptype, body, owners):
+            if param == x:
+                return m
+            masked = mask_value(v, owners)
+            if masked is None:
+                return m
+            return Lam(param, ptype, reference_subst(body, x, masked), owners,
+                       m.span)
+        case Pair(a, b):
+            return Pair(reference_subst(a, x, v), reference_subst(b, x, v),
+                        m.span)
+        case Inl(inner):
+            return Inl(reference_subst(inner, x, v), m.span)
+        case Inr(inner):
+            return Inr(reference_subst(inner, x, v), m.span)
+        case Var(name):
+            return v if name == x else m
+        case Unit() | Com() | Fst() | Snd() | Lookup():
+            return m
+        case Case(guards, scrut, xl, ml, xr, mr):
+            scrut2 = reference_subst(scrut, x, v)
+            masked = mask_value(v, guards)
+            if masked is None:
+                return Case(guards, scrut2, xl, ml, xr, mr, m.span)
+            ml2 = ml if xl == x else reference_subst(ml, x, masked)
+            mr2 = mr if xr == x else reference_subst(mr, x, masked)
+            return Case(guards, scrut2, xl, ml2, xr, mr2, m.span)
+        case Vec(elems):
+            return Vec(tuple(reference_subst(e, x, v) for e in elems), m.span)
+    raise TypeError(f"not an expression or value: {m!r}")
+
+
+def _substitution(redex):
+    """The body, variable and masked value that contracting redex
+    substitutes, for the rules that substitute."""
+    match redex:
+        case App(Val(Lam(param, _, body, owners)), Val(arg)):
+            return body, param, mask_value(arg, owners)
+        case Case(guards, Val(Inl(payload)), xl, ml, _, _):
+            return ml, xl, mask_value(payload, guards)
+        case Case(guards, Val(Inr(payload)), _, _, xr, mr):
+            return mr, xr, mask_value(payload, guards)
+
+
+def test_substitution_matches_the_reference_on_generated_instances(
+        monkeypatch):
+    steps = list(_generated_steps())
+    substituted = 0
+    for state, result in steps:
+        assert free_vars(state) == reference_free_vars(state)
+        if getattr(result, "rule", None) in ("APPABS", "CASEL", "CASER"):
+            body, x, v = _substitution(result.redex)
+            assert subst(body, x, v) == reference_subst(body, x, v)
+            assert subst(body, "absent$", v) is body
+            substituted += 1
+    assert substituted == 4006
+    # every result, rule and stuck reason, with each contraction's
+    # substitution made by the walk that never skips
+    monkeypatch.setattr(semantics, "subst", reference_subst)
+    assert list(_generated_steps()) == steps
+
+
+# ---------------------------------------------------------------------------
 # totality on arbitrary syntax: ill-typed terms get Stuck, never a crash
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from strategies import exprs as _exprs  # noqa: E402
+from strategies import (  # noqa: E402
+    exprs as _exprs, names as _names, values as _values,
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -396,3 +493,12 @@ def test_projection_is_total(e):
 @given(_exprs, st.one_of(st.none(), st.integers(0, 3)))
 def test_refocused_run_agrees_on_raw_terms(e, fuel):
     _assert_runs_agree(e, fuel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs | _values, _names, _values)
+def test_subst_matches_the_reference_on_raw_terms(m, x, v):
+    assert subst(m, x, v) == reference_subst(m, x, v)
+    if x not in reference_free_vars(m):
+        assert subst(m, x, v) is m
+    assert subst(m, "absent$", v) is m

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import com_chain, let_chain
 from helam.surface import desugar, parse
 from helam.syntax import (
     App, Case, Com, DProd, DSum, DUnit, DataTy, EmptyPartySet, Fst, FunTy,
-    Inl, Inr, Lam, Lookup, Pair, PartySet, Snd, TupleTy, Unit, Val, Var, Vec,
-    canonical_print, free_vars, node_count, parties, print_expr, print_type,
-    type_parties,
+    Inl, Inr, Lam, Lookup, NO_VARS, Pair, PartySet, Snd, TupleTy, Unit, Val,
+    Var, Vec, canonical_print, free_vars, node_count, parties, print_expr,
+    print_type, type_parties,
 )
 
 P = parties("p")
@@ -56,6 +57,21 @@ class TestFreeVars:
     def test_case_binders(self):
         e = Case(P, Val(Var("s")), "a", Val(Var("a")), "b", Val(Var("c")))
         assert free_vars(e) == {"s", "c"}
+
+    def test_sets_are_filled_on_first_demand_and_shared(self):
+        e = App(Val(Var("f")), Val(Pair(Unit(P), Unit(PQ))))
+        assert e._fv is None and e.fn.value._fv is None
+        assert free_vars(e) == {"f"}
+        # a node whose set equals a child's keeps the child's; every node
+        # without a free variable has the one empty set
+        assert e._fv is e.fn._fv is e.fn.value._fv
+        assert e.arg._fv is e.arg.value._fv is NO_VARS
+
+    def test_deep_terms_at_the_default_recursion_limit(self):
+        assert free_vars(com_chain(2000)) == frozenset()
+        lets = let_chain(2000)
+        assert free_vars(lets) == frozenset()
+        assert free_vars(lets.fn.value.body) == {"x0"}
 
 
 def test_type_parties_reaches_nested_components():
@@ -115,7 +131,40 @@ class TestPrinting:
 # ---------------------------------------------------------------------------
 # randomized print -> parse round trips (syntax only, types not needed)
 
-from strategies import exprs as _exprs, types as _types  # noqa: E402
+from strategies import (  # noqa: E402
+    exprs as _exprs, names as _names, types as _types, values as _values,
+)
+
+
+def reference_free_vars(e):
+    """The free variables of e by recursion, caching nothing: the oracle
+    for the cached `free_vars`."""
+    match e:
+        case Val(v) | Inl(v) | Inr(v):
+            return reference_free_vars(v)
+        case App(a, b) | Pair(a, b):
+            return reference_free_vars(a) | reference_free_vars(b)
+        case Lam(param, _, body, _):
+            return reference_free_vars(body) - {param}
+        case Var(name):
+            return frozenset({name})
+        case Vec(elems):
+            return frozenset().union(*map(reference_free_vars, elems))
+        case Case(_, scrut, xl, ml, xr, mr):
+            return (reference_free_vars(scrut)
+                    | (reference_free_vars(ml) - {xl})
+                    | (reference_free_vars(mr) - {xr}))
+        case Unit() | Com() | Fst() | Snd() | Lookup():
+            return frozenset()
+    raise TypeError(f"not an expression or value: {e!r}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs | _values)
+def test_free_vars_match_the_reference_on_raw_terms(e):
+    expected = reference_free_vars(e)
+    assert free_vars(e) == expected
+    assert free_vars(e) == expected  # read back from the cache
 
 
 @settings(max_examples=150, deadline=None)

@@ -18,9 +18,11 @@ a point where the stepper itself recurses too deep is recorded as an
 error.  `compile` is timed at
 the raised limit, since at the default one the parser fails from chain-300
 on; its token count includes the closing `eof`.  The network's step caches
-are cleared before every timed run, so each one steps from scratch.  A
-series ends at its first error or at the first point that does not finish
-within --max-seconds.
+are cleared before every timed run, so each one steps from scratch; but
+every run takes the same term, so the free-variable sets that `subst` and
+`local_subst` cache on its nodes are filled by the untimed first run, and
+a point leaves out their filling.  A series ends at its first error or at
+the first point that does not finish within --max-seconds.
 
 Stdlib only.  Each invocation adds (or replaces) one labelled run in the
 output file, so a before/after pair can be two invocations on the same
@@ -118,6 +120,19 @@ def fastest(once, caches=()) -> float:
     return best
 
 
+def steps_to_value(core) -> int:
+    """The contractions `run` makes on core, counted by driving `step` to a
+    value.  `run`'s trace prints each redex, and a let's redex holds the
+    rest of the program, which `print_expr` recurses through; each let is
+    contracted at the root, so the steps cost no descent."""
+    from helam.semantics import Stepped, step
+
+    steps = 0
+    while isinstance(result := step(core), Stepped):
+        core, steps = result.expr, steps + 1
+    return steps
+
+
 def measure_point(series: str, n: int, stage: str = "run") -> dict:
     """Time one stage on one program in this interpreter."""
     from helam import network
@@ -149,7 +164,9 @@ def measure_point(series: str, n: int, stage: str = "run") -> dict:
             return {"steps": len(out.trace), "messages": out.messages}
         if stage == "explore":
             return {"states": explore(net).states}
-        trace: list = []
+        if series == "let":
+            return {"steps": steps_to_value(core)}
+        trace: list = []  # a hop's redex prints in a few characters
         run(core, trace=trace)
         return {"steps": len(trace)}
 
