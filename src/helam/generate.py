@@ -91,13 +91,14 @@ def gen_value(rng: random.Random, theta: PartySet, t: ChorType,
     """A closed value of the given type (owner sets taken literally, except
     pair components may spread wider as long as they meet at the target)."""
     match t:
-        case DataTy(shape, owners):
-            return _gen_data_value(rng, theta, shape, owners)
-        case FunTy(arg, ret, owners):
-            body = Val(gen_value(rng, owners, ret, fresh))
-            return Lam(fresh(), arg, body, owners)
-        case TupleTy(elems):
-            return Vec(tuple(gen_value(rng, theta, e, fresh) for e in elems))
+        case DataTy():
+            return _gen_data_value(rng, theta, t.shape, t.owners)
+        case FunTy():
+            body = Val(gen_value(rng, t.owners, t.ret, fresh))
+            return Lam(fresh(), t.arg, body, t.owners)
+        case TupleTy():
+            return Vec(tuple(gen_value(rng, theta, e, fresh)
+                             for e in t.elems))
     raise TypeError(f"not a type: {t!r}")
 
 
@@ -106,14 +107,14 @@ def _gen_data_value(rng: random.Random, theta: PartySet, shape,
     match shape:
         case DUnit():
             return Unit(owners)
-        case DSum(left, right):
+        case DSum():
             if rng.random() < 0.5:
-                return Inl(_gen_data_value(rng, theta, left, owners))
-            return Inr(_gen_data_value(rng, theta, right, owners))
-        case DProd(left, right):
+                return Inl(_gen_data_value(rng, theta, shape.left, owners))
+            return Inr(_gen_data_value(rng, theta, shape.right, owners))
+        case DProd():
             o1, o2 = _split_owners(rng, theta, owners)
-            return Pair(_gen_data_value(rng, theta, left, o1),
-                        _gen_data_value(rng, theta, right, o2))
+            return Pair(_gen_data_value(rng, theta, shape.left, o1),
+                        _gen_data_value(rng, theta, shape.right, o2))
     raise TypeError(f"not a data shape: {shape!r}")
 
 

@@ -18,14 +18,14 @@ from .syntax import (
 
 def mask_type(t: ChorType, theta: PartySet) -> Optional[ChorType]:
     match t:
-        case DataTy(shape, owners):
-            inter = owners.intersect(theta)
-            return DataTy(shape, inter) if inter is not None else None
-        case FunTy(_, _, owners):
-            return t if owners.issubset(theta) else None
-        case TupleTy(elems):
+        case DataTy():
+            inter = t.owners.intersect(theta)
+            return DataTy(t.shape, inter) if inter is not None else None
+        case FunTy():
+            return t if t.owners.issubset(theta) else None
+        case TupleTy():
             masked = []
-            for elem in elems:
+            for elem in t.elems:
                 m = mask_type(elem, theta)
                 if m is None:
                     return None
@@ -38,29 +38,29 @@ def mask_value(v: ChorValue, theta: PartySet) -> Optional[ChorValue]:
     match v:
         case Var():
             return v
-        case Unit(owners):
-            inter = owners.intersect(theta)
+        case Unit():
+            inter = v.owners.intersect(theta)
             return Unit(inter) if inter is not None else None
-        case Lam(_, _, _, owners) | Fst(owners) | Snd(owners) | Lookup(_, owners):
-            return v if owners.issubset(theta) else None
-        case Com(sender, recipients):
-            ok = sender in theta and recipients.issubset(theta)
+        case Lam() | Fst() | Snd() | Lookup():
+            return v if v.owners.issubset(theta) else None
+        case Com():
+            ok = v.sender in theta and v.recipients.issubset(theta)
             return v if ok else None
-        case Inl(inner):
-            m = mask_value(inner, theta)
+        case Inl():
+            m = mask_value(v.value, theta)
             return Inl(m) if m is not None else None
-        case Inr(inner):
-            m = mask_value(inner, theta)
+        case Inr():
+            m = mask_value(v.value, theta)
             return Inr(m) if m is not None else None
-        case Pair(a, b):
-            ma = mask_value(a, theta)
-            mb = mask_value(b, theta)
+        case Pair():
+            ma = mask_value(v.first, theta)
+            mb = mask_value(v.second, theta)
             if ma is None or mb is None:
                 return None
             return Pair(ma, mb)
-        case Vec(elems):
+        case Vec():
             out = []
-            for elem in elems:
+            for elem in v.elems:
                 m = mask_value(elem, theta)
                 if m is None:
                     return None

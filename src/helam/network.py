@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Optional
 
 from .projection import bapp, bcase, local_subst
@@ -51,10 +52,10 @@ def is_data_local(l: LocalValue) -> bool:
     match l:
         case LUnit():
             return True
-        case LInl(inner) | LInr(inner):
-            return is_data_local(inner)
-        case LPair(a, b):
-            return is_data_local(a) and is_data_local(b)
+        case LInl() | LInr():
+            return is_data_local(l.value)
+        case LPair():
+            return is_data_local(l.first) and is_data_local(l.second)
         case _:
             return False
 
@@ -96,20 +97,22 @@ def next_action(b: Behavior) -> Optional[Action]:
     interleavings.
     """
     match b:
-        case BApp(fn, arg):
-            return _redex_action(fn, arg)
-        case BCase(LInl(payload), xl, bl, _, _):
-            return Silent(local_subst(bl, xl, payload), "LCASEL")
-        case BCase(LInr(payload), _, _, xr, br):
-            return Silent(local_subst(br, xr, payload), "LCASER")
+        case BApp():
+            return _redex_action(b.fn, b.arg)
+        case BCase() if isinstance(b.scrutinee, LInl):
+            return Silent(local_subst(b.left_body, b.left_var,
+                                      b.scrutinee.value), "LCASEL")
+        case BCase() if isinstance(b.scrutinee, LInr):
+            return Silent(local_subst(b.right_body, b.right_var,
+                                      b.scrutinee.value), "LCASER")
         case _:
             return None
 
 
 def _redex_action(fn: LocalValue, arg: LocalValue) -> Optional[Action]:
     match fn:
-        case LLam(param, body):
-            return Silent(local_subst(body, param, arg), "LABSAPP")
+        case LLam():
+            return Silent(local_subst(fn.body, fn.param, arg), "LABSAPP")
         case LFst():
             if isinstance(arg, LPair):
                 return Silent(arg.first, "LPROJ1")
@@ -125,24 +128,25 @@ def _redex_action(fn: LocalValue, arg: LocalValue) -> Optional[Action]:
             if isinstance(arg, Bottom):
                 return Silent(BOTTOM, "LPROJ2")
             return None
-        case LLookup(index):
+        case LLookup():
+            index = fn.index
             if isinstance(arg, LVec) and index <= len(arg.elems):
                 return Silent(arg.elems[index - 1], "LPROJN")
             if isinstance(arg, Bottom):
                 return Silent(BOTTOM, "LPROJN")
             return None
-        case Send(recipients):
+        case Send():
             if not is_data_local(arg):
                 raise SimulationFault(
                     f"cannot send non-data value {print_behavior(arg)}")
-            return SendAction(recipients, arg, BOTTOM, "LSEND")
-        case SendSelf(recipients):
+            return SendAction(fn.recipients, arg, BOTTOM, "LSEND")
+        case SendSelf():
             if not is_data_local(arg):
                 raise SimulationFault(
                     f"cannot send non-data value {print_behavior(arg)}")
-            return SendAction(recipients, arg, arg, "LSENDSELF")
-        case Recv(sender):
-            return RecvAction(sender)
+            return SendAction(fn.recipients, arg, arg, "LSENDSELF")
+        case Recv():
+            return RecvAction(fn.sender)
         case _:
             return None
 
@@ -240,12 +244,14 @@ def _focused_action(focused: Focused) -> Optional[Action]:
     redex: acceptance simulates each network many times over the same
     states."""
     redex, frame = focused
-    match next_action(redex):
-        case Silent(result, rule):
-            return Silent(focus(result, frame), rule)
-        case SendAction(recipients, payload, result, rule):
-            return SendAction(recipients, payload, focus(result, frame), rule)
-        case act:
+    act = next_action(redex)
+    match act:
+        case Silent():
+            return Silent(focus(act.result, frame), act.rule)
+        case SendAction():
+            return SendAction(act.recipients, act.payload,
+                              focus(act.result, frame), act.rule)
+        case _:
             return act
 
 
@@ -421,18 +427,20 @@ def _enumerate(net: Network) -> list[NetStep]:
     steps: list[NetStep] = []
     focused = net._parties
     for p in net.parties():
-        match _focused_action(focused[p]):
-            case Silent() | SendAction(recipients=()):
-                # a multicast to nobody carries an empty send set and is
-                # already a real step on its own
-                steps.append(_npro(p))
-            case SendAction(recipients, payload, _, _):
-                for r in recipients:
+        act = _focused_action(focused[p])
+        match act:
+            case SendAction() if act.recipients:
+                for r in act.recipients:
                     recv = _focused_action(focused[r])
                     if not (isinstance(recv, RecvAction) and recv.sender == p):
                         break
                 else:
-                    steps.append(NetStep(p, "NCOM", recipients, payload))
+                    steps.append(NetStep(p, "NCOM", act.recipients,
+                                         act.payload))
+            case Silent() | SendAction():
+                # a multicast to nobody carries an empty send set and is
+                # already a real step on its own
+                steps.append(_npro(p))
     return steps
 
 
@@ -464,13 +472,17 @@ class SimOutcome:
     deadlock: Optional[DeadlockReport]
     nondeterministic: bool
 
+    # both count in C, with no Python call per step: a bench pass reads
+    # them after each of its thousands of runs
+
     @property
     def rendezvous_steps(self) -> int:
-        return sum(1 for s in self.trace if s.rule == "NCOM")
+        return list(map(attrgetter("rule"), self.trace)).count("NCOM")
 
     @property
     def messages(self) -> int:
-        return sum(s.messages() for s in self.trace)
+        """The sum of `NetStep.messages()` over the trace."""
+        return sum(map(len, map(attrgetter("recipients"), self.trace)))
 
 
 def simulate(net: Network, seed: int = 0,

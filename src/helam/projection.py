@@ -97,20 +97,21 @@ def lvec(elems: tuple[LocalValue, ...]) -> LocalValue:
 
 def floor(b: Behavior) -> Behavior:
     match b:
-        case BApp(fn, arg):
-            return bapp(floor(fn), floor(arg))
-        case BCase(scrut, xl, bl, xr, br):
-            return bcase(floor(scrut), xl, floor(bl), xr, floor(br))
-        case LInl(inner):
-            return linl(floor(inner))
-        case LInr(inner):
-            return linr(floor(inner))
-        case LPair(first, second):
-            return lpair(floor(first), floor(second))
-        case LVec(elems):
-            return lvec(tuple(floor(e) for e in elems))
-        case LLam(param, body):
-            return LLam(param, floor(body))
+        case BApp():
+            return bapp(floor(b.fn), floor(b.arg))
+        case BCase():
+            return bcase(floor(b.scrutinee), b.left_var, floor(b.left_body),
+                         b.right_var, floor(b.right_body))
+        case LInl():
+            return linl(floor(b.value))
+        case LInr():
+            return linr(floor(b.value))
+        case LPair():
+            return lpair(floor(b.first), floor(b.second))
+        case LVec():
+            return lvec(tuple(floor(e) for e in b.elems))
+        case LLam():
+            return LLam(b.param, floor(b.body))
         case _:
             return b
 
@@ -121,47 +122,50 @@ def floor(b: Behavior) -> Behavior:
 def project(e: ChorExpr | ChorValue, p: str) -> Behavior:
     # the arms go roughly by how often the node occurs in generated terms
     match e:
-        case Val(v):
-            return project(v, p)
-        case Unit(owners):
-            return LUnit() if p in owners else BOTTOM
-        case App(fn, arg):
-            return bapp(project(fn, p), project(arg, p))
-        case Lam(param, _, body, owners):
-            if p not in owners:
+        case Val():
+            return project(e.value, p)
+        case Unit():
+            return LUnit() if p in e.owners else BOTTOM
+        case App():
+            return bapp(project(e.fn, p), project(e.arg, p))
+        case Lam():
+            if p not in e.owners:
                 return BOTTOM
-            return LLam(param, project(body, p))
-        case Pair(a, b):
-            return lpair(project(a, p), project(b, p))
-        case Inl(inner):
-            return linl(project(inner, p))
-        case Inr(inner):
-            return linr(project(inner, p))
-        case Com(sender, recipients):
-            if p == sender:
+            return LLam(e.param, project(e.body, p))
+        case Pair():
+            return lpair(project(e.first, p), project(e.second, p))
+        case Inl():
+            return linl(project(e.value, p))
+        case Inr():
+            return linr(project(e.value, p))
+        case Com():
+            recipients = e.recipients
+            if p == e.sender:
                 if p in recipients:
                     return SendSelf(recipients.without(p))
                 return Send(recipients.members)
             if p in recipients:
-                return Recv(sender)
+                return Recv(e.sender)
             return BOTTOM
-        case Var(name):
-            return LVar(name)
-        case Vec(elems):
-            return lvec(tuple(project(x, p) for x in elems))
-        case Case(guards, scrut, xl, ml, xr, mr):
-            if p in guards:
-                return bcase(project(scrut, p), xl, project(ml, p),
-                             xr, project(mr, p))
+        case Var():
+            return LVar(e.name)
+        case Vec():
+            return lvec(tuple(project(x, p) for x in e.elems))
+        case Case():
+            if p in e.guards:
+                return bcase(project(e.scrutinee, p), e.left_var,
+                             project(e.left_body, p), e.right_var,
+                             project(e.right_body, p))
             # a bystander only helps compute the guard; the branches cannot
             # mention it, so they are dropped outright
-            return bcase(project(scrut, p), xl, BOTTOM, xr, BOTTOM)
-        case Fst(owners):
-            return LFst() if p in owners else BOTTOM
-        case Snd(owners):
-            return LSnd() if p in owners else BOTTOM
-        case Lookup(index, owners):
-            return LLookup(index) if p in owners else BOTTOM
+            return bcase(project(e.scrutinee, p), e.left_var, BOTTOM,
+                         e.right_var, BOTTOM)
+        case Fst():
+            return LFst() if p in e.owners else BOTTOM
+        case Snd():
+            return LSnd() if p in e.owners else BOTTOM
+        case Lookup():
+            return LLookup(e.index) if p in e.owners else BOTTOM
     raise TypeError(f"not an expression or value: {e!r}")
 
 
@@ -210,23 +214,25 @@ def local_subst(b: Behavior, x: str, l: LocalValue) -> Behavior:
     if x not in local_fv(b):
         return b
     match b:
-        case BApp(fn, arg):
-            return bapp(local_subst(fn, x, l), local_subst(arg, x, l))
+        case BApp():
+            return bapp(local_subst(b.fn, x, l), local_subst(b.arg, x, l))
         case LVar():
             return l
-        case BCase(scrut, xl, bl, xr, br):
+        case BCase():
+            xl, bl, xr, br = b.left_var, b.left_body, b.right_var, b.right_body
             return bcase(
-                local_subst(scrut, x, l),
+                local_subst(b.scrutinee, x, l),
                 xl, bl if xl == x else local_subst(bl, x, l),
                 xr, br if xr == x else local_subst(br, x, l))
-        case LLam(param, body):
-            return LLam(param, local_subst(body, x, l))
-        case LInl(inner):
-            return linl(local_subst(inner, x, l))
-        case LInr(inner):
-            return linr(local_subst(inner, x, l))
-        case LPair(first, second):
-            return lpair(local_subst(first, x, l), local_subst(second, x, l))
-        case LVec(elems):
-            return lvec(tuple(local_subst(e, x, l) for e in elems))
+        case LLam():
+            return LLam(b.param, local_subst(b.body, x, l))
+        case LInl():
+            return linl(local_subst(b.value, x, l))
+        case LInr():
+            return linr(local_subst(b.value, x, l))
+        case LPair():
+            return lpair(local_subst(b.first, x, l),
+                         local_subst(b.second, x, l))
+        case LVec():
+            return lvec(tuple(local_subst(e, x, l) for e in b.elems))
     raise AssertionError(f"{x} free in {b!r}")  # no other node has a free x

@@ -61,35 +61,38 @@ def subst(m: ChorExpr | ChorValue, x: str,
         return m
     # the arms go roughly by how often the node occurs in generated terms
     match m:
-        case Val(inner):
-            return Val(subst(inner, x, v), m.span)
-        case App(fn, arg):
-            return App(subst(fn, x, v), subst(arg, x, v), m.span)
-        case Lam(param, ptype, body, owners):
-            masked = mask_value(v, owners)
+        case Val():
+            return Val(subst(m.value, x, v), m.span)
+        case App():
+            return App(subst(m.fn, x, v), subst(m.arg, x, v), m.span)
+        case Lam():
+            masked = mask_value(v, m.owners)
             if masked is None:
                 return m
-            return Lam(param, ptype, subst(body, x, masked), owners, m.span)
-        case Pair(a, b):
-            return Pair(subst(a, x, v), subst(b, x, v), m.span)
-        case Inl(inner):
-            return Inl(subst(inner, x, v), m.span)
-        case Inr(inner):
-            return Inr(subst(inner, x, v), m.span)
+            return Lam(m.param, m.param_type, subst(m.body, x, masked),
+                       m.owners, m.span)
+        case Pair():
+            return Pair(subst(m.first, x, v), subst(m.second, x, v), m.span)
+        case Inl():
+            return Inl(subst(m.value, x, v), m.span)
+        case Inr():
+            return Inr(subst(m.value, x, v), m.span)
         case Var():
             return v
-        case Case(guards, scrut, xl, ml, xr, mr):
+        case Case():
             # the scrutinee always receives the unmasked value; the branches
             # only see it masked to the guard set, or not at all
-            scrut2 = subst(scrut, x, v)
+            guards, xl, ml, xr, mr = (m.guards, m.left_var, m.left_body,
+                                      m.right_var, m.right_body)
+            scrut2 = subst(m.scrutinee, x, v)
             masked = mask_value(v, guards)
             if masked is None:
                 return Case(guards, scrut2, xl, ml, xr, mr, m.span)
             ml2 = ml if xl == x else subst(ml, x, masked)
             mr2 = mr if xr == x else subst(mr, x, masked)
             return Case(guards, scrut2, xl, ml2, xr, mr2, m.span)
-        case Vec(elems):
-            return Vec(tuple(subst(e, x, v) for e in elems), m.span)
+        case Vec():
+            return Vec(tuple(subst(e, x, v) for e in m.elems), m.span)
     raise AssertionError(f"{x} free in {m!r}")  # no other node has a free x
 
 
@@ -147,14 +150,15 @@ def _plug(parent: Union[App, Case], child: ChorExpr) -> ChorExpr:
 
 def _step_case(e: Case) -> StepResult:
     """Contract a case whose scrutinee is a value."""
-    match e.scrutinee.value:
-        case Inl(payload):
-            masked = mask_value(payload, e.guards)
+    scrut = e.scrutinee.value
+    match scrut:
+        case Inl():
+            masked = mask_value(scrut.value, e.guards)
             if masked is None:
                 return Stuck("case payload does not mask to the guards")
             return Stepped(subst(e.left_body, e.left_var, masked), "CASEL", e)
-        case Inr(payload):
-            masked = mask_value(payload, e.guards)
+        case Inr():
+            masked = mask_value(scrut.value, e.guards)
             if masked is None:
                 return Stuck("case payload does not mask to the guards")
             return Stepped(subst(e.right_body, e.right_var, masked), "CASER",
@@ -165,34 +169,35 @@ def _step_case(e: Case) -> StepResult:
 
 def _step_redex(fn: ChorValue, arg: ChorValue, e: App) -> StepResult:
     match fn:
-        case Lam(param, _, body, owners):
-            masked = mask_value(arg, owners)
+        case Lam():
+            masked = mask_value(arg, fn.owners)
             if masked is None:
                 return Stuck("argument does not mask to the function's owners")
-            return Stepped(subst(body, param, masked), "APPABS", e)
-        case Fst(owners):
+            return Stepped(subst(fn.body, fn.param, masked), "APPABS", e)
+        case Fst():
             if not isinstance(arg, Pair):
                 return Stuck("fst of a non-pair")
-            masked = mask_value(arg.first, owners)
+            masked = mask_value(arg.first, fn.owners)
             if masked is None:
                 return Stuck("projected component does not mask")
             return Stepped(Val(masked), "PROJ1", e)
-        case Snd(owners):
+        case Snd():
             if not isinstance(arg, Pair):
                 return Stuck("snd of a non-pair")
-            masked = mask_value(arg.second, owners)
+            masked = mask_value(arg.second, fn.owners)
             if masked is None:
                 return Stuck("projected component does not mask")
             return Stepped(Val(masked), "PROJ2", e)
-        case Lookup(index, owners):
+        case Lookup():
+            index = fn.index
             if not isinstance(arg, Vec) or index > len(arg.elems):
                 return Stuck("lookup into a non-tuple or out of range")
-            masked = mask_value(arg.elems[index - 1], owners)
+            masked = mask_value(arg.elems[index - 1], fn.owners)
             if masked is None:
                 return Stuck("projected component does not mask")
             return Stepped(Val(masked), "PROJN", e)
-        case Com(sender, recipients):
-            moved = _com_value(arg, sender, recipients)
+        case Com():
+            moved = _com_value(arg, fn.sender, fn.recipients)
             if moved is None:
                 return Stuck("com of a non-data value or non-owning sender")
             rule = {Unit: "COM1", Pair: "COMPAIR",
@@ -206,19 +211,19 @@ def _com_value(v: ChorValue, sender: str,
                recipients) -> Optional[ChorValue]:
     """Relocate a data value to the recipients, or None if unsendable."""
     match v:
-        case Unit(owners):
-            return Unit(recipients) if sender in owners else None
-        case Pair(a, b):
-            ma = _com_value(a, sender, recipients)
-            mb = _com_value(b, sender, recipients)
+        case Unit():
+            return Unit(recipients) if sender in v.owners else None
+        case Pair():
+            ma = _com_value(v.first, sender, recipients)
+            mb = _com_value(v.second, sender, recipients)
             if ma is None or mb is None:
                 return None
             return Pair(ma, mb)
-        case Inl(inner):
-            m = _com_value(inner, sender, recipients)
+        case Inl():
+            m = _com_value(v.value, sender, recipients)
             return Inl(m) if m is not None else None
-        case Inr(inner):
-            m = _com_value(inner, sender, recipients)
+        case Inr():
+            m = _com_value(v.value, sender, recipients)
             return Inr(m) if m is not None else None
         case _:
             return None

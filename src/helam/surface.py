@@ -227,9 +227,6 @@ class Parser:
         self.aliases = aliases
         self.parties: list[str] = []
         self.binders: list[str] = []
-        # a program repeats a few party lists, and a lookup costs much less
-        # than building and validating a PartySet
-        self._party_sets: dict[tuple[str, ...], PartySet] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -282,11 +279,7 @@ class Parser:
             self.next()
             names.append(self.party())
         self.expect("]")
-        key = tuple(names)
-        found = self._party_sets.get(key)
-        if found is None:
-            found = self._party_sets[key] = PartySet(names)
-        return found
+        return PartySet(names)
 
     # -- types -------------------------------------------------------------
 
@@ -570,18 +563,21 @@ class _Elab:
         match s:
             case Val() | App() | Case():
                 return s  # no sugar below: nothing to elaborate
-            case SLam(param, ptype, body, owners, span):
+            case SLam():
+                param, ptype, owners, span = (s.param, s.param_type,
+                                              s.owners, s.span)
                 inner = env.with_theta(owners).bind(param, ptype)
                 try:
-                    core = self.expr(body, inner)
+                    core = self.expr(s.body, inner)
                 except TypeErr:
                     # the check applies the lambda's rule before it types
                     # the body, so an error of that rule goes first
                     lam_scope(env, param, ptype, owners, span)
                     raise
                 return Val(Lam(param, ptype, core, owners, span=span), span)
-            case SApp(fn, arg, span):
-                return App(self.expr(fn, env), self.expr(arg, env), span)
+            case SApp():
+                return App(self.expr(s.fn, env), self.expr(s.arg, env),
+                           s.span)
             case SCons():
                 return self._construct(s, env)
             case SCase():
@@ -722,35 +718,42 @@ def uniquify(e: ChorExpr) -> ChorExpr:
              ren: dict[str, str]) -> ChorExpr | ChorValue:
         # the arms go roughly by how often the node occurs in generated terms
         match node:
-            case Val(v):
-                return Val(walk(v, ren), node.span)
+            case Val():
+                return Val(walk(node.value, ren), node.span)
             case Unit():
                 return node
-            case App(fn, arg):
-                return App(walk(fn, ren), walk(arg, ren), node.span)
-            case Lam(param, ptype, body, owners):
+            case App():
+                return App(walk(node.fn, ren), walk(node.arg, ren), node.span)
+            case Lam():
+                param = node.param
                 param2 = fresh(param)
-                return Lam(param2, ptype, walk(body, {**ren, param: param2}),
-                           owners, span=node.span)
-            case Pair(a, b):
-                return Pair(walk(a, ren), walk(b, ren), span=node.span)
-            case Inl(inner):
-                return Inl(walk(inner, ren), span=node.span)
-            case Inr(inner):
-                return Inr(walk(inner, ren), span=node.span)
-            case Var(name):
+                return Lam(param2, node.param_type,
+                           walk(node.body, {**ren, param: param2}),
+                           node.owners, span=node.span)
+            case Pair():
+                return Pair(walk(node.first, ren), walk(node.second, ren),
+                            span=node.span)
+            case Inl():
+                return Inl(walk(node.value, ren), span=node.span)
+            case Inr():
+                return Inr(walk(node.value, ren), span=node.span)
+            case Var():
+                name = node.name
                 return Var(ren.get(name, name), span=node.span)
             case Com() | Fst() | Snd() | Lookup():
                 return node
-            case Vec(elems):
-                return Vec(tuple(walk(x, ren) for x in elems), span=node.span)
-            case Case(guards, scrut, xl, ml, xr, mr):
-                scrut2 = walk(scrut, ren)
+            case Vec():
+                return Vec(tuple(walk(x, ren) for x in node.elems),
+                           span=node.span)
+            case Case():
+                xl, xr = node.left_var, node.right_var
+                scrut2 = walk(node.scrutinee, ren)
                 xl2 = fresh(xl)
-                ml2 = walk(ml, {**ren, xl: xl2})
+                ml2 = walk(node.left_body, {**ren, xl: xl2})
                 xr2 = fresh(xr)
-                mr2 = walk(mr, {**ren, xr: xr2})
-                return Case(guards, scrut2, xl2, ml2, xr2, mr2, node.span)
+                mr2 = walk(node.right_body, {**ren, xr: xr2})
+                return Case(node.guards, scrut2, xl2, ml2, xr2, mr2,
+                            node.span)
         raise TypeError(f"not an expression or value: {node!r}")
 
     return walk(e, {})

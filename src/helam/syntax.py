@@ -28,21 +28,44 @@ class BadPartyName(ValueError):
 
 
 class PartySet:
-    """Nonempty, duplicate-free set of party names with sorted iteration order."""
+    """Nonempty, duplicate-free set of party names with sorted iteration order.
 
-    __slots__ = ("members",)
+    Interned (hash-consed; Filliâtre & Conchon, "Type-Safe Modular
+    Hash-Consing", ML Workshop 2006): `PartySet(names)` returns the one
+    object that stands for its member set, so two party sets are equal
+    exactly when they are the same object, and `==` and `hash` are the
+    identity defaults.  Owner sets sit on every value, type, `com` and case
+    guard, so the checker, masking, projection and printing compare, meet
+    and print them at nearly every node, while a whole acceptance pass sees
+    only 15 distinct sets.  The constructor looks the caller's spelling up
+    in `_INTERNED` before it sorts or validates anything; the text is built
+    once, and `intersect`, `union` and `issubset` remember their result per
+    other set; threads that fill one memo at once store the same interned
+    result, so whichever write lands is right.  A hash is a per-process
+    identity, so nothing may print in the order of a set or dict keyed by
+    party sets."""
 
-    def __init__(self, names: Iterable[str]):
-        members = tuple(sorted(set(names)))
-        if not members:
-            raise EmptyPartySet("party set may not be empty")
-        for name in members:
-            if not _PARTY_RE.match(name):
-                raise BadPartyName(f"invalid party name: {name!r}")
-        object.__setattr__(self, "members", members)
+    __slots__ = ("members", "_text", "_meets", "_joins", "_subsets")
+
+    def __new__(cls, names: Iterable[str]) -> "PartySet":
+        key = names if type(names) is tuple else tuple(names)
+        found = _INTERNED.get(key)
+        if found is None:
+            members = tuple(sorted(set(key)))
+            if not members:
+                raise EmptyPartySet("party set may not be empty")
+            for name in members:
+                if not _PARTY_RE.match(name):
+                    raise BadPartyName(f"invalid party name: {name!r}")
+            found = _INTERNED.setdefault(key, _checked(members))
+        return found
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("PartySet is immutable")
+
+    def __reduce__(self):
+        # copies and unpickled sets go through the table too
+        return PartySet, (self.members,)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.members)
@@ -53,43 +76,63 @@ class PartySet:
     def __contains__(self, name: str) -> bool:
         return name in self.members
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PartySet) and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
-
     def __repr__(self) -> str:
         return f"PartySet({list(self.members)!r})"
 
     def __str__(self) -> str:
-        return "[" + ", ".join(self.members) + "]"
+        return self._text
 
     def issubset(self, other: "PartySet") -> bool:
-        for name in self.members:
-            if name not in other.members:
-                return False
-        return True
+        try:
+            return self._subsets[other]
+        except KeyError:
+            found = self._subsets[other] = all(
+                name in other.members for name in self.members)
+            return found
 
     def union(self, other: "PartySet") -> "PartySet":
-        return _checked(tuple(sorted(set(self.members + other.members))))
+        try:
+            return self._joins[other]
+        except KeyError:
+            found = self._joins[other] = _checked(
+                tuple(sorted(set(self.members + other.members))))
+            return found
 
     def intersect(self, other: "PartySet") -> Optional["PartySet"]:
         """Intersection, or None when it would be empty."""
-        common = tuple(m for m in self.members if m in other.members)
-        return _checked(common) if common else None
+        try:
+            return self._meets[other]
+        except KeyError:
+            common = tuple(m for m in self.members if m in other.members)
+            found = self._meets[other] = _checked(common) if common else None
+            return found
 
     def without(self, name: str) -> tuple[str, ...]:
         """Members minus one party; may be empty, so a plain tuple."""
         return tuple(m for m in self.members if m != name)
 
 
+# every spelling a caller has built a party set from, sorted members
+# included, to its one object; never pruned, since a program names few
+# parties (a frontend pass sees 31 sets under 114 spellings)
+_INTERNED: dict[tuple[str, ...], PartySet] = {}
+
+
 def _checked(members: tuple[str, ...]) -> PartySet:
-    """A party set of members already sorted, distinct and valid; union and
-    intersection build theirs this way, without the checks in __init__."""
-    ps = object.__new__(PartySet)
-    object.__setattr__(ps, "members", members)
-    return ps
+    """The party set of members already sorted, distinct and valid; the
+    constructor, union and intersection intern theirs here.  `setdefault`
+    publishes it, so threads that build the same set at once get one
+    object."""
+    found = _INTERNED.get(members)
+    if found is None:
+        ps = object.__new__(PartySet)
+        for slot, value in (("members", members),
+                            ("_text", "[" + ", ".join(members) + "]"),
+                            ("_meets", {}), ("_joins", {}),
+                            ("_subsets", {})):
+            object.__setattr__(ps, slot, value)
+        found = _INTERNED.setdefault(members, ps)
+    return found
 
 
 def parties(*names: str) -> PartySet:
@@ -568,12 +611,13 @@ def free_vars(e: ChorExpr | ChorValue) -> frozenset[str]:
 def type_parties(t: ChorType) -> frozenset[str]:
     """Every party named in a type, at any depth."""
     match t:
-        case DataTy(_, owners):
-            return frozenset(owners)
-        case FunTy(arg, ret, owners):
-            return frozenset(owners) | type_parties(arg) | type_parties(ret)
-        case TupleTy(elems):
-            return frozenset().union(*(type_parties(e) for e in elems))
+        case DataTy():
+            return frozenset(t.owners)
+        case FunTy():
+            return (frozenset(t.owners) | type_parties(t.arg)
+                    | type_parties(t.ret))
+        case TupleTy():
+            return frozenset().union(*(type_parties(e) for e in t.elems))
     raise TypeError(f"not a type: {t!r}")
 
 
@@ -615,11 +659,11 @@ def print_data(d: DataType, level: int = 0) -> str:
     match d:
         case DUnit():
             return "()"
-        case DSum(l, r):
-            s = f"{print_data(l, 0)} + {print_data(r, 1)}"
+        case DSum():
+            s = f"{print_data(d.left, 0)} + {print_data(d.right, 1)}"
             return f"({s})" if level > 0 else s
-        case DProd(l, r):
-            s = f"{print_data(l, 1)} * {print_data(r, 2)}"
+        case DProd():
+            s = f"{print_data(d.left, 1)} * {print_data(d.right, 2)}"
             return f"({s})" if level > 1 else s
         case DAny():
             return "_"
@@ -633,11 +677,12 @@ def _data_atom(d: DataType) -> str:
 
 def print_type(t: ChorType) -> str:
     match t:
-        case DataTy(shape, owners):
-            return f"{_data_atom(shape)}@{owners}"
-        case FunTy(arg, ret, owners):
-            return f"({print_type(arg)} -> {print_type(ret)})@{owners}"
-        case TupleTy(elems):
+        case DataTy():
+            return f"{_data_atom(t.shape)}@{t.owners}"
+        case FunTy():
+            return f"({print_type(t.arg)} -> {print_type(t.ret)})@{t.owners}"
+        case TupleTy():
+            elems = t.elems
             if len(elems) == 1:
                 return f"({print_type(elems[0])},)"
             return "(" + ", ".join(print_type(e) for e in elems) + ")"
@@ -653,73 +698,78 @@ _ATOM = 2   # argument position / constructor operand
 def print_expr(e: ChorExpr | ChorValue, level: int = _TOP) -> str:
     # the arms go roughly by how often the node occurs in generated terms
     match e:
-        case Val(v):
-            return print_expr(v, level)
-        case Unit(owners):
-            return f"()@{owners}"
-        case App(fn, arg):
-            s = f"{print_expr(fn, _FN)} {print_expr(arg, _ATOM)}"
+        case Val():
+            return print_expr(e.value, level)
+        case Unit():
+            return f"()@{e.owners}"
+        case App():
+            s = f"{print_expr(e.fn, _FN)} {print_expr(e.arg, _ATOM)}"
             return f"({s})" if level >= _ATOM else s
-        case Lam(param, ptype, body, owners):
-            return f"(fn {param}: {print_type(ptype)}. {print_expr(body)})@{owners}"
-        case Pair(a, b):
-            s = f"Pair {print_expr(a, _ATOM)} {print_expr(b, _ATOM)}"
+        case Lam():
+            return (f"(fn {e.param}: {print_type(e.param_type)}. "
+                    f"{print_expr(e.body)})@{e.owners}")
+        case Pair():
+            s = (f"Pair {print_expr(e.first, _ATOM)} "
+                 f"{print_expr(e.second, _ATOM)}")
             return f"({s})" if level >= _ATOM else s
-        case Inl(inner):
-            s = f"Inl {print_expr(inner, _ATOM)}"
+        case Inl():
+            s = f"Inl {print_expr(e.value, _ATOM)}"
             return f"({s})" if level >= _ATOM else s
-        case Inr(inner):
-            s = f"Inr {print_expr(inner, _ATOM)}"
+        case Inr():
+            s = f"Inr {print_expr(e.value, _ATOM)}"
             return f"({s})" if level >= _ATOM else s
-        case Com(sender, recipients):
-            return f"com[{sender}]{recipients}"
-        case Var(name):
-            return name
-        case Vec(elems):
+        case Com():
+            return f"com[{e.sender}]{e.recipients}"
+        case Var():
+            return e.name
+        case Vec():
+            elems = e.elems
             if len(elems) == 1:
                 return f"({print_expr(elems[0])},)"
             return "(" + ", ".join(print_expr(x) for x in elems) + ")"
-        case Case(guards, scrut, xl, ml, xr, mr):
-            s = (f"case{guards} {print_expr(scrut, _FN)} of "
-                 f"Inl {xl} => {print_expr(ml)}; "
-                 f"Inr {xr} => {print_expr(mr)}")
+        case Case():
+            s = (f"case{e.guards} {print_expr(e.scrutinee, _FN)} of "
+                 f"Inl {e.left_var} => {print_expr(e.left_body)}; "
+                 f"Inr {e.right_var} => {print_expr(e.right_body)}")
             return f"({s})" if level >= _FN else s
-        case Fst(owners):
-            return f"fst{owners}"
-        case Snd(owners):
-            return f"snd{owners}"
-        case Lookup(index, owners):
-            return f"lookup[{index}]{owners}"
+        case Fst():
+            return f"fst{e.owners}"
+        case Snd():
+            return f"snd{e.owners}"
+        case Lookup():
+            return f"lookup[{e.index}]{e.owners}"
     raise TypeError(f"not an expression or value: {e!r}")
 
 
 def print_behavior(b: Behavior, level: int = _TOP) -> str:
     match b:
-        case BApp(fn, arg):
-            s = f"{print_behavior(fn, _FN)} {print_behavior(arg, _ATOM)}"
+        case BApp():
+            s = f"{print_behavior(b.fn, _FN)} {print_behavior(b.arg, _ATOM)}"
             return f"({s})" if level >= _ATOM else s
-        case BCase(scrut, xl, bl, xr, br):
-            s = (f"case {print_behavior(scrut, _FN)} of "
-                 f"Inl {xl} => {print_behavior(bl)}; "
-                 f"Inr {xr} => {print_behavior(br)}")
+        case BCase():
+            s = (f"case {print_behavior(b.scrutinee, _FN)} of "
+                 f"Inl {b.left_var} => {print_behavior(b.left_body)}; "
+                 f"Inr {b.right_var} => {print_behavior(b.right_body)}")
             return f"({s})" if level >= _FN else s
-        case LVar(name):
-            return name
+        case LVar():
+            return b.name
         case LUnit():
             return "()"
-        case LLam(param, body):
-            s = f"fn {param}. {print_behavior(body)}"
+        case LLam():
+            s = f"fn {b.param}. {print_behavior(b.body)}"
             return f"({s})" if level >= _FN else s
-        case LInl(inner):
-            s = f"Inl {print_behavior(inner, _ATOM)}"
+        case LInl():
+            s = f"Inl {print_behavior(b.value, _ATOM)}"
             return f"({s})" if level >= _ATOM else s
-        case LInr(inner):
-            s = f"Inr {print_behavior(inner, _ATOM)}"
+        case LInr():
+            s = f"Inr {print_behavior(b.value, _ATOM)}"
             return f"({s})" if level >= _ATOM else s
-        case LPair(a, b):
-            s = f"Pair {print_behavior(a, _ATOM)} {print_behavior(b, _ATOM)}"
+        case LPair():
+            s = (f"Pair {print_behavior(b.first, _ATOM)} "
+                 f"{print_behavior(b.second, _ATOM)}")
             return f"({s})" if level >= _ATOM else s
-        case LVec(elems):
+        case LVec():
+            elems = b.elems
             if len(elems) == 1:
                 return f"({print_behavior(elems[0])},)"
             return "(" + ", ".join(print_behavior(x) for x in elems) + ")"
@@ -727,14 +777,14 @@ def print_behavior(b: Behavior, level: int = _TOP) -> str:
             return "fst"
         case LSnd():
             return "snd"
-        case LLookup(index):
-            return f"lookup[{index}]"
-        case Recv(sender):
-            return f"recv_[{sender}]"
-        case Send(recipients):
-            return "send_[" + ", ".join(recipients) + "]"
-        case SendSelf(recipients):
-            return "send*_[" + ", ".join(recipients) + "]"
+        case LLookup():
+            return f"lookup[{b.index}]"
+        case Recv():
+            return f"recv_[{b.sender}]"
+        case Send():
+            return "send_[" + ", ".join(b.recipients) + "]"
+        case SendSelf():
+            return "send*_[" + ", ".join(b.recipients) + "]"
         case Bottom():
             return "⊥"
     raise TypeError(f"not a behavior: {b!r}")

@@ -20,7 +20,6 @@ the walk synthesizes first and pushes the expectation in only on ambiguity.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
 from .masking import is_noop, mask_type, mask_value
@@ -50,14 +49,6 @@ ALL_KINDS = (
     PAIR_COMPONENTS_DISJOINT, INDEX_OUT_OF_RANGE, NOOP_VIOLATION,
     AMBIGUOUS_SUM,
 )
-
-
-@lru_cache(maxsize=1 << 10)
-def _sender_set(sender: str) -> PartySet:
-    """The party set of a `com` sender, built and validated once per name;
-    a bad name is not cached, so it raises `BadPartyName` every time, as a
-    fresh `PartySet` would."""
-    return PartySet([sender])
 
 
 class TypeErr(Exception):
@@ -363,7 +354,7 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
         case Com():
             sender, recipients = node.sender, node.recipients
             expected = want.type if want is not None else None
-            full = recipients.union(_sender_set(sender))
+            full = recipients.union(PartySet((sender,)))
             if isinstance(expected, FunTy):
                 arg = expected.arg
                 if not (isinstance(arg, DataTy) and sender in arg.owners):
@@ -374,7 +365,7 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
                 _require_subset(arg.owners.union(recipients), env.theta, here)
                 return expected
             _require_subset(full, env.theta, here)
-            t = FunTy(DataTy(DUnit(), _sender_set(sender)),
+            t = FunTy(DataTy(DUnit(), PartySet((sender,))),
                       DataTy(DUnit(), recipients), full)
             return t if want is None else _fit(t, want, here)
     raise TypeError(f"not an expression: {node!r}")
@@ -416,7 +407,7 @@ def _walk_val(env: TypeEnv, node: Val, want: Want,
 
 def _com_app(env: TypeEnv, com: Com, arg: ChorExpr, want: Optional[Want],
              span: Optional[Span]) -> ChorType:
-    full = com.recipients.union(_sender_set(com.sender))
+    full = com.recipients.union(PartySet((com.sender,)))
     if want is None:
         _require_subset(full, env.theta, span)
         got = _require_data(_walk(env, arg, None), "com argument", span)

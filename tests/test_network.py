@@ -164,6 +164,22 @@ class TestSimulate:
             simulate(net, fuel=0)
 
 
+def test_counts_match_their_per_step_definitions():
+    """`messages` and `rendezvous_steps` equal their per-step definitions on
+    every trace of generated instances 0-199, seeds 0-2."""
+    cfg = GenConfig(max_parties=4, max_depth=6)
+    rendezvous = 0
+    for n in range(200):
+        net = Network(project_all(gen_instance(cfg, n).expr))
+        for seed in range(3):
+            out = simulate(net, seed)
+            assert out.messages == sum(s.messages() for s in out.trace), n
+            assert out.rendezvous_steps == sum(
+                1 for s in out.trace if s.rule == "NCOM"), n
+            rendezvous += out.rendezvous_steps
+    assert rendezvous > 0
+
+
 def test_recipient_already_owning_the_value_still_rendezvouses():
     # com[s][r] of a value r co-owns: r's receive argument is its own copy,
     # which the incoming message simply replaces

@@ -1,5 +1,11 @@
 """Core AST invariants: party sets, free variables, canonical printing."""
 
+import copy
+import itertools
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +13,10 @@ from hypothesis import strategies as st
 from conftest import com_chain, let_chain
 from helam.surface import desugar, parse
 from helam.syntax import (
-    App, Case, Com, DProd, DSum, DUnit, DataTy, EmptyPartySet, Fst, FunTy,
-    Inl, Inr, Lam, Lookup, NO_VARS, Pair, PartySet, Snd, TupleTy, Unit, Val,
-    Var, Vec, canonical_print, free_vars, node_count, parties, print_expr,
-    print_type, type_parties,
+    _INTERNED, App, BadPartyName, Case, Com, DProd, DSum, DUnit, DataTy,
+    EmptyPartySet, Fst, FunTy, Inl, Inr, Lam, Lookup, NO_VARS, Pair,
+    PartySet, Snd, TupleTy, Unit, Val, Var, Vec, canonical_print, free_vars,
+    node_count, parties, print_expr, print_type, type_parties,
 )
 
 P = parties("p")
@@ -40,6 +46,124 @@ class TestPartySet:
     def test_construction_normalizes(self, names):
         ps = PartySet(names)
         assert list(ps) == sorted(set(names))
+
+
+UNIVERSE = ("p", "q", "r", "s", "t")
+SUBSETS = [frozenset(c) for k in range(1, 6)
+           for c in itertools.combinations(UNIVERSE, k)]
+
+
+class TestInterning:
+    """Party sets are interned: one object per member set."""
+
+    @staticmethod
+    def spellings(members: frozenset):
+        ordered = sorted(members)
+        yield ordered
+        yield tuple(reversed(ordered))
+        yield ordered + ordered[:1]  # a duplicate
+        yield tuple(ordered) + tuple(ordered)
+        yield (name for name in reversed(ordered))
+        yield PartySet(ordered)
+        for perm in itertools.islice(itertools.permutations(ordered), 6):
+            yield list(perm)
+
+    def test_every_spelling_gives_one_object(self):
+        seen = {}
+        for members in SUBSETS:
+            objs = {id(PartySet(s)) for s in self.spellings(members)}
+            assert len(objs) == 1, members
+            seen[members] = PartySet(sorted(members))
+        assert len({id(ps) for ps in seen.values()}) == len(SUBSETS) == 31
+        for members, ps in seen.items():
+            assert ps.members == tuple(sorted(members))
+
+    def test_equality_is_identity(self):
+        for a in SUBSETS:
+            for b in SUBSETS:
+                pa, pb = PartySet(a), PartySet(b)
+                assert (pa == pb) is (pa is pb) is (a == b)
+
+    @pytest.mark.parametrize("round_", ["first", "memoized"])
+    def test_operations_agree_with_frozenset(self, round_):
+        sets = [PartySet(sorted(m)) for m in SUBSETS]
+        if round_ == "first":
+            # fresh memo tables: the results below are computed, not read
+            for ps in sets:
+                ps._meets.clear()
+                ps._joins.clear()
+                ps._subsets.clear()
+        for _ in range(2 if round_ == "memoized" else 1):
+            for a, pa in zip(SUBSETS, sets):
+                assert str(pa) == "[" + ", ".join(sorted(a)) + "]"
+                assert len(pa) == len(a)
+                assert list(pa) == sorted(a)
+                for name in UNIVERSE + ("u",):
+                    assert (name in pa) == (name in a)
+                for b, pb in zip(SUBSETS, sets):
+                    meet = pa.intersect(pb)
+                    if a & b:
+                        assert meet is PartySet(sorted(a & b))
+                    else:
+                        assert meet is None
+                    assert pa.union(pb) is PartySet(sorted(a | b))
+                    assert pa.issubset(pb) == (a <= b)
+
+    def test_copies_and_pickles_are_the_interned_object(self):
+        ps = PartySet(["r", "p"])
+        assert copy.copy(ps) is ps
+        assert copy.deepcopy(ps) is ps
+        assert copy.deepcopy([ps, {"k": ps}])[1]["k"] is ps
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(ps, protocol)) is ps
+        t = DataTy(DUnit(), ps)
+        assert pickle.loads(pickle.dumps(t)).owners is ps
+
+    @pytest.mark.parametrize("names, error", [
+        (["a$1"], BadPartyName), (["1a"], BadPartyName),
+        (["p", "1a"], BadPartyName), ([], EmptyPartySet),
+        ((), EmptyPartySet),
+    ])
+    def test_bad_sets_raise_every_time_and_leave_no_entry(self, names,
+                                                          error):
+        before = dict(_INTERNED)
+        for _ in range(3):
+            with pytest.raises(error):
+                PartySet(names)
+            with pytest.raises(error):
+                PartySet(iter(names))
+        assert _INTERNED == before
+
+    def test_threads_building_one_new_set_get_one_object(self):
+        """Four threads, more than the cores CI has, build each of 50 new
+        sets at once, in different spellings, with a short switch interval;
+        every thread gets the same object for a set."""
+        rounds = [[f"th{n}_{c}" for c in "cab"] for n in range(50)]
+        assert not any(tuple(sorted(names)) in _INTERNED for names in rounds)
+        barrier = threading.Barrier(4, timeout=10)
+        found = [[] for _ in rounds]
+
+        def build(offset):
+            for names, out in zip(rounds, found):
+                barrier.wait()
+                out.append(PartySet(names[offset:] + names[:offset]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=build, args=(i % 3,))
+                       for i in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for names, out in zip(rounds, found):
+            assert len(out) == 4
+            assert all(ps is out[0] for ps in out)
+            assert PartySet(sorted(names)) is out[0]
 
 
 class TestFreeVars:
