@@ -35,7 +35,7 @@ MAX_TUPLE_LEN = 3
 MAX_DATA_DEPTH = 2
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class GenConfig:
     max_parties: int = 4
     max_depth: int = 6
@@ -240,7 +240,7 @@ def gen_well_typed(cfg: GenConfig, theta: PartySet, target: ChorType,
     return gen.expr(TypeEnv(theta), target, cfg.max_depth)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Instance:
     seed: int
     theta: PartySet

@@ -30,7 +30,7 @@ next state from a list, with no hash, no comparison and no call.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
 from typing import Optional
@@ -63,13 +63,13 @@ def is_data_local(l: LocalValue) -> bool:
 # ---------------------------------------------------------------------------
 # the action of a redex; `_focused_action` gives its result as a focused pair
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Silent:
     result: Behavior
     rule: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SendAction:
     recipients: tuple[str, ...]
     payload: LocalValue
@@ -77,7 +77,7 @@ class SendAction:
     rule: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RecvAction:
     """A receive: it becomes the payload its sender's send delivers."""
     sender: str
@@ -320,14 +320,20 @@ class Network:
                 if isinstance(self._parties[p][0], PENDING)]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NetStep:
-    """One real (fully matched) network step."""
+    """One real (fully matched) network step.  `local_rule` is the rule of
+    the origin's redex (`LABSAPP`, `LSEND`, ...; `LSEND` or `LSENDSELF` for
+    a rendezvous), kept for counting steps by rule; it is left out of
+    equality, hashing and the printed trace, and is None on a step built by
+    hand."""
 
     origin: str
     rule: str  # NPRO for a single-party step, NCOM for a rendezvous
     recipients: tuple[str, ...] = ()
     payload: Optional[LocalValue] = None
+    local_rule: Optional[str] = field(default=None, compare=False,
+                                      repr=False)
 
     def messages(self) -> int:
         return len(self.recipients)
@@ -413,14 +419,14 @@ def take(net: Network, step: NetStep) -> Network:
 
 
 @lru_cache(maxsize=None)
-def _npro(p: str) -> NetStep:
-    """The silent step of party p.  Steps are frozen, so every state shares
-    it: the 14,664 states an acceptance pass (seed 1) enumerates list
-    46,527 silent steps, which are 4 objects.  Its `wall_s` read 0.650 s
-    against 0.808 s with a new step per state (peak RSS 31.0 against 36.0
-    MB; median of 5 alternating pairs of 10-s runs, seed 1, 2-vCPU VM,
-    CPython 3.11.7; shared was faster in all 5 pairs)."""
-    return NetStep(p, "NPRO")
+def _npro(p: str, local_rule: str) -> NetStep:
+    """The silent step of party p by local_rule.  Steps are never changed,
+    so every state shares it: the 14,664 states an acceptance pass (seed 1)
+    enumerates list 46,527 silent steps, which are 28 objects.  Its
+    `wall_s` read 0.650 s against 0.808 s with a new step per state (peak
+    RSS 31.0 against 36.0 MB; median of 5 alternating pairs of 10-s runs,
+    seed 1, 2-vCPU VM, CPython 3.11.7; shared was faster in all 5 pairs)."""
+    return NetStep(p, "NPRO", local_rule=local_rule)
 
 
 def _enumerate(net: Network) -> list[NetStep]:
@@ -436,18 +442,18 @@ def _enumerate(net: Network) -> list[NetStep]:
                         break
                 else:
                     steps.append(NetStep(p, "NCOM", act.recipients,
-                                         act.payload))
+                                         act.payload, act.rule))
             case Silent() | SendAction():
                 # a multicast to nobody carries an empty send set and is
                 # already a real step on its own
-                steps.append(_npro(p))
+                steps.append(_npro(p, act.rule))
     return steps
 
 
 # ---------------------------------------------------------------------------
 # simulation
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class DeadlockReport:
     stuck: tuple[tuple[str, Behavior], ...]
 

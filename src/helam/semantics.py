@@ -17,7 +17,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Stepped:
     """One step: the result, the rule applied, and the subterm it rewrote
     (left out of equality, so a step compares by its result and rule)."""
@@ -26,12 +26,12 @@ class Stepped:
     redex: Optional[ChorExpr] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class IsValue:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Stuck:
     reason: str
 

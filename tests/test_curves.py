@@ -57,6 +57,21 @@ def test_one_compile_point_per_series(monkeypatch):
     assert chain["us_per_token"] > 0 and let["us_per_token"] > 0
 
 
+def test_one_project_point_per_series(monkeypatch):
+    curves = _load()
+    monkeypatch.setattr(curves, "MIN_SECONDS", 0.0)
+    chain = curves.measure_point("chain", 50, "project")
+    let = curves.measure_point("let", 50, "project")
+    # per hop and party an application and its function, and a leaf per
+    # party; less the first hop's bystander, whose missing value applied
+    # to a missing value collapses to one leaf
+    assert chain["behavior_nodes"] == 50 * 6 + 1
+    # alice's `(fn x_i . ...) x_{i-1}` per let: an application, a lambda
+    # and a variable; and `(fn x0 . ...) ()` around them
+    assert let["behavior_nodes"] == 50 * 3 + 4
+    assert chain["us_per_node"] > 0 and let["us_per_node"] > 0
+
+
 def test_one_par_point_per_network_stage(monkeypatch):
     curves = _load()
     monkeypatch.setattr(curves, "MIN_SECONDS", 0.0)

@@ -15,7 +15,7 @@ from helam.network import (
     DeadlockReport, Exploration, NetStep, Network, RecvAction, SendAction,
     SimOutcome, Silent, SimulationFault, _enumerate, _enumerate_cached,
     _focused_action, enumerate_net_steps, explore, focus, format_trace,
-    next_action, plug, simulate, take,
+    next_action, plug, simulate, successor, take,
 )
 from helam.projection import (
     bapp, bcase, floor, local_fv, local_subst, project, project_all, roles,
@@ -434,6 +434,30 @@ def test_the_cache_keeps_one_network_per_state():
         for seed in range(5):
             end = simulate(second, seed).network
             assert end is _enumerate_cached(end), (n, seed)
+
+
+def test_each_step_keeps_its_origins_local_rule():
+    """Every enabled step at every state the seed-0 runs of instances
+    0-199 pass carries the rule of `next_action` on its origin's redex; a
+    rendezvous is a send.  The rule is left out of equality and hashing."""
+    rules = set()
+    for n in range(200):
+        net = _enumerate_cached(
+            Network(project_all(gen_instance(GenConfig(), n).expr)))
+        for taken in simulate(net, 0).trace + [None]:
+            for step in net._steps:
+                redex = net._parties[step.origin][0]
+                assert step.local_rule == next_action(redex).rule, n
+                if step.rule == "NCOM":
+                    assert step.local_rule in ("LSEND", "LSENDSELF"), n
+                rules.add(step.local_rule)
+            if taken is not None:
+                net = successor(net, taken)
+    assert {"LABSAPP", "LCASEL", "LSEND", "LSENDSELF"} <= rules
+    bare = NetStep("p", "NPRO")
+    assert bare.local_rule is None
+    assert bare == NetStep("p", "NPRO", local_rule="LABSAPP")
+    assert hash(bare) == hash(NetStep("p", "NPRO", local_rule="LCASEL"))
 
 
 def test_party_order_does_not_depend_on_insertion_order():

@@ -1,7 +1,8 @@
-"""Scaling curves of the two steppers and of the frontend: microseconds per
-step of the central `run` and of the network `simulate`, and microseconds
-per token of `compile_text`, over chain-n (n nested `com` hops) and let-n
-(n chained `let` bindings), for n = 50, 100, 200, ... 1600; and, over
+"""Scaling curves of the two steppers, of the frontend and of projection:
+microseconds per step of the central `run` and of the network `simulate`,
+microseconds per token of `compile_text`, and microseconds per behaviour
+node of `project_all`, over chain-n (n nested `com` hops) and let-n (n
+chained `let` bindings), for n = 50, 100, 200, ... 1600; and, over
 par-n (n disjoint sender/receiver pairs, 2n parties) for n = 2, 4, ... 32,
 microseconds per step of `simulate` and per state of `explore`, with the
 steps, messages and states of each point.  Each series also reports its
@@ -15,14 +16,16 @@ and `explore` projected into a `Network`, with the recursion limit raised
 (the parser and projection still recurse once per nesting level); `run`,
 `simulate` and `explore` are timed at the interpreter's default limit, so
 a point where the stepper itself recurses too deep is recorded as an
-error.  `compile` is timed at
-the raised limit, since at the default one the parser fails from chain-300
-on; its token count includes the closing `eof`.  The network's step caches
-are cleared before every timed run, so each one steps from scratch; but
-every run takes the same term, so the free-variable sets that `subst` and
-`local_subst` cache on its nodes are filled by the untimed first run, and
-a point leaves out their filling.  A series ends at its first error or at
-the first point that does not finish within --max-seconds.
+error.  `compile` and `project` are timed at the raised limit, since at
+the default one the parser fails from chain-300 on and `project` still
+recurses once per nesting level; the token count includes the closing
+`eof`, and the node count is the size of every party's behaviour as a
+tree.  The network's step caches are cleared before every timed run, so
+each one steps from scratch; but every run takes the same term, so the
+free-variable sets that `subst` and `local_subst` cache on its nodes are
+filled by the untimed first run, and a point leaves out their filling.  A
+series ends at its first error or at the first point that does not finish
+within --max-seconds.
 
 Stdlib only.  Each invocation adds (or replaces) one labelled run in the
 output file, so a before/after pair can be two invocations on the same
@@ -53,6 +56,7 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import fields, is_dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional
@@ -63,10 +67,12 @@ SIZES = {"chain": (50, 100, 200, 400, 800, 1600),
          "par": (2, 4, 8, 16, 32)}
 # the series of each stage
 STAGES = {"run": ("chain", "let"), "simulate": ("chain", "let", "par"),
-          "compile": ("chain", "let"), "explore": ("par",)}
+          "compile": ("chain", "let"), "project": ("chain", "let"),
+          "explore": ("par",)}
 # the cost per unit of each stage, by which the growth is measured
 COST = {"run": "us_per_step", "simulate": "us_per_step",
-        "compile": "us_per_token", "explore": "us_per_state"}
+        "compile": "us_per_token", "project": "us_per_node",
+        "explore": "us_per_state"}
 COMPILE_RECURSION_LIMIT = 100_000
 # A point is timed REPEATS times and for at least MIN_SECONDS; the fastest
 # run is reported, as timeit does.
@@ -133,6 +139,19 @@ def steps_to_value(core) -> int:
     return steps
 
 
+def behavior_nodes(procs: dict) -> int:
+    """The nodes of every behaviour in procs, counted as a tree."""
+    count, stack = 0, list(procs.values())
+    while stack:
+        b = stack.pop()
+        if isinstance(b, tuple):
+            stack += b
+        elif is_dataclass(b):
+            count += 1
+            stack += (getattr(b, f.name) for f in fields(b) if f.compare)
+    return count
+
+
 def measure_point(series: str, n: int, stage: str = "run") -> dict:
     """Time one stage on one program in this interpreter."""
     from helam import network
@@ -152,6 +171,11 @@ def measure_point(series: str, n: int, stage: str = "run") -> dict:
             return {"n": n, "tokens": tokens, "compile_s": best,
                     "us_per_token": 1e6 * best / tokens}
         core = compile_text(text).core
+        if stage == "project":
+            count = behavior_nodes(project_all(core))  # warms up
+            best = fastest(lambda: project_all(core))
+            return {"n": n, "behavior_nodes": count, "project_s": best,
+                    "us_per_node": 1e6 * best / count}
         if stage in ("simulate", "explore"):
             net = Network(project_all(core))
     finally:
