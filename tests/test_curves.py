@@ -1,8 +1,13 @@
 """`tools/curves.py` measures one point of each series against helam."""
 
 import importlib.util
+import json
 import statistics
 from pathlib import Path
+
+import pytest
+
+from helam import network
 
 CURVES = Path(__file__).resolve().parent.parent / "tools" / "curves.py"
 
@@ -120,3 +125,49 @@ def test_against_times_both_trees(monkeypatch):
     (point,) = curves.curve("compile", "let", src, 60.0, against=src)
     assert point["tokens"] == point["against"]["tokens"] == 10 + 50 * 5 + 2
     assert point["ratio"] > 0
+
+
+def test_each_timed_network_run_starts_from_scratch(monkeypatch):
+    """Before a timed run the caches are cleared and the network is built
+    again, so only its parties' starting states are interned and no
+    action memoized by the untimed run carries over."""
+    curves = _load()
+    interned = []
+
+    def fake_fastest(once, reset=lambda: None):
+        reset()
+        interned.append(len(network._foci))
+        once()
+        return 1.0
+
+    monkeypatch.setattr(curves, "fastest", fake_fastest)
+    for stage in ("simulate", "explore"):
+        point = curves.measure_point("par", 2, stage)
+        assert "error" not in point
+    assert interned == [4, 4]  # p0-p3, each at its first redex
+
+
+def test_stage_names_the_stages_timed(monkeypatch, tmp_path):
+    curves = _load()
+    timed = []
+
+    def fake_curve(stage, series, src, max_seconds, against=None):
+        timed.append((stage, series))
+        return [{"n": 2, curves.COST[stage]: 1.0}]
+
+    monkeypatch.setattr(curves, "curve", fake_curve)
+    out = tmp_path / "curves.json"
+    args = ["--label", "new", "--out", str(out)]
+    assert curves.main(args + ["--stage", "simulate",
+                               "--stage", "explore"]) == 0
+    assert timed == [("simulate", "chain"), ("simulate", "let"),
+                     ("simulate", "par"), ("explore", "par")]
+    run = json.loads(out.read_text())["runs"]["new"]
+    assert list(run["series"]) == list(run["growth_per_doubling"]) == [
+        "simulate", "explore"]
+    timed.clear()
+    assert curves.main(args) == 0  # every stage by default
+    assert [stage for stage, _ in timed] == [
+        stage for stage, series in curves.STAGES.items() for _ in series]
+    with pytest.raises(SystemExit):
+        curves.main(args + ["--stage", "nonesuch"])

@@ -20,8 +20,7 @@ import pytest
 
 from helam.generate import GenConfig, gen_instance
 from helam.network import (
-    Network, _enumerate_cached, _focused_action, enumerate_net_steps,
-    next_action, simulate,
+    Network, _enumerate_cached, enumerate_net_steps, next_action, simulate,
 )
 from helam.projection import project_all
 from helam.semantics import Stepped, step
@@ -36,9 +35,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "helam"
 
 # derived data cached beside the fields, which `==` and `hash` ignore: the
 # cached hashes, the free-variable sets, a network's parties, enabled steps
-# and successor links, and a party set's memo slots
+# and successor links, a party set's memo slots, and a focus's memo slot
+# (`Focus._action`, filled the first time a step asks for its action)
 DERIVED = frozenset({"_hash", "_fv", "_parties", "_steps", "_succ",
-                     "members", "_text", "_meets", "_joins", "_subsets"})
+                     "members", "_text", "_meets", "_joins", "_subsets",
+                     "_action"})
 # the one function that fills slots through a computed name: `_checked`
 # builds each interned party set's `members`, text and memo slots
 DYNAMIC_NAME_WRITERS = frozenset({"_checked"})
@@ -239,6 +240,19 @@ def test_the_scanner_allows_derived_data_and_other_objects():
     assert violations({"ok.py": ok}, guarded) == []
 
 
+@pytest.mark.parametrize("snippet, what", [
+    ("f.redex = x", ["bad.py:2: writes field 'redex'"]),
+    ("f.frame = x", ["bad.py:2: writes field 'frame'"]),
+    ("f._action = x", []),
+])
+def test_a_focus_is_guarded_but_for_its_memo_slot(snippet, what):
+    sources = _library()
+    guarded = guarded_classes(sources)
+    assert guarded["Focus"] == {"redex", "frame", "_hash", "_action"}
+    sources["bad.py"] = f"def f(f, x):\n    {snippet}\n"
+    assert violations(sources, guarded) == what
+
+
 # ---------------------------------------------------------------------------
 # hashes and equality as `frozen=True` gave them
 
@@ -291,8 +305,8 @@ def _roots(inst) -> list:
     roots += [outcome.trace, outcome.deadlock]
     for _ in range(len(outcome.trace) + 1):
         for p, focused in net._parties.items():
-            roots += [focused[0], next_action(focused[0]),
-                      _focused_action(focused)]
+            roots += [focused.redex, next_action(focused.redex),
+                      focused.action()]
         steps = enumerate_net_steps(net)
         roots += [s for _, s in steps]
         if not steps:

@@ -14,8 +14,8 @@ from helam.generate import GenConfig, gen_instance
 from helam.network import (
     DeadlockReport, Exploration, NetStep, Network, RecvAction, SendAction,
     SimOutcome, Silent, SimulationFault, _enumerate, _enumerate_cached,
-    _focused_action, enumerate_net_steps, explore, focus, format_trace,
-    next_action, plug, simulate, successor, take,
+    enumerate_net_steps, explore, focus, format_trace, next_action, plug,
+    simulate, successor, take,
 )
 from helam.projection import (
     bapp, bcase, floor, local_fv, local_subst, project, project_all, roles,
@@ -270,7 +270,7 @@ def _reference_pairs(net):
     pairs = []
     focused = net._parties
     for p in net.parties():
-        act = _focused_action(focused[p])
+        act = focused[p].action()
         match act:
             case None | RecvAction():
                 continue
@@ -283,10 +283,10 @@ def _reference_pairs(net):
                     continue
                 updates = {p: result}
                 for r in recipients:
-                    recv = _focused_action(focused[r])
+                    recv = focused[r].action()
                     if not (isinstance(recv, RecvAction) and recv.sender == p):
                         break
-                    updates[r] = focus(payload, focused[r][1])
+                    updates[r] = focus(payload, focused[r].frame)
                 else:
                     pairs.append((net._replace(updates),
                                   NetStep(p, "NCOM", recipients, payload)))
@@ -436,6 +436,85 @@ def test_the_cache_keeps_one_network_per_state():
             assert end is _enumerate_cached(end), (n, seed)
 
 
+def test_equal_pairs_are_one_focus_while_the_table_holds_them():
+    """`focus` interns: equal behaviors built apart decompose into one
+    `Focus` object, until the table is emptied; one built after that is a
+    new object, equal to the old and of the same hash."""
+    cfg = GenConfig(max_parties=4, max_depth=6)
+    focus.cache_clear()
+    for n in range(50):
+        first = project_all(gen_instance(cfg, n).expr)
+        second = project_all(gen_instance(cfg, n).expr)
+        for p, b in first.items():
+            assert focus(b) is focus(second[p]), (n, p)
+    before = {n: focus(b) for n, b in enumerate(first.values())}
+    focus.cache_clear()
+    for n, b in enumerate(first.values()):
+        after = focus(b)
+        assert after is not before[n]
+        assert after == before[n] and hash(after) == hash(before[n])
+
+
+def test_a_three_entry_focus_table_changes_no_run(monkeypatch):
+    """With the intern table bounded at 3 entries, so that it is emptied
+    every few lookups, `simulate` (seeds 0-2) and `explore` on instances
+    0-199 still give what the eager stepper gives, and a network built
+    before the table is emptied equals, and hashes as, one built after."""
+    cfg = GenConfig(max_parties=4, max_depth=6)
+    procs = [project_all(gen_instance(cfg, n).expr) for n in range(200)]
+    expected = []
+    for p in procs:
+        net = Network(p)
+        expected.append(([_reference_simulate(net, seed) for seed in range(3)],
+                         _reference_explore(net)))
+    monkeypatch.setattr(helam.network, "_MAX_FOCI", 3)
+    _clear_step_caches()
+    try:
+        for n, p in enumerate(procs):
+            before = Network(p)
+            focus.cache_clear()
+            net = Network(p)
+            assert net == before and hash(net) == hash(before), n
+            runs, eager = expected[n]
+            for seed, out in enumerate(runs):
+                lazy = simulate(net, seed)
+                assert (lazy.trace, lazy.network, lazy.deadlock,
+                        lazy.nondeterministic) == (
+                    out.trace, out.network, out.deadlock,
+                    out.nondeterministic), (n, seed)
+            lazy = explore(net)
+            assert (lazy.states, lazy.terminals, lazy.deadlocks,
+                    lazy.complete) == (eager.states, eager.terminals,
+                                       eager.deadlocks, eager.complete), n
+            assert len(helam.network._foci) <= 3
+    finally:
+        _clear_step_caches()
+
+
+def test_each_memoized_action_is_the_one_computed_afresh(reachable):
+    """At every reachable state, each party's memoized action equals its
+    redex's `next_action` with the result refocused under its frames,
+    computed after the intern table is emptied, so that the results are
+    new objects, compared by structure."""
+    foci = {id(f): f for states in reachable.values() for net in states
+            for f in net._parties.values()}
+    focus.cache_clear()
+    fresh = 0
+    for f in foci.values():
+        act = next_action(f.redex)
+        if isinstance(act, Silent):
+            act = Silent(focus(act.result, f.frame), act.rule)
+        elif isinstance(act, SendAction):
+            act = SendAction(act.recipients, act.payload,
+                             focus(act.result, f.frame), act.rule)
+        memo = f.action()
+        assert memo == act and memo is f.action()
+        if isinstance(act, (Silent, SendAction)):
+            assert hash(memo.result) == hash(act.result)
+            fresh += memo.result is not act.result
+    assert fresh > 1000
+
+
 def test_each_step_keeps_its_origins_local_rule():
     """Every enabled step at every state the seed-0 runs of instances
     0-199 pass carries the rule of `next_action` on its origin's redex; a
@@ -446,7 +525,7 @@ def test_each_step_keeps_its_origins_local_rule():
             Network(project_all(gen_instance(GenConfig(), n).expr)))
         for taken in simulate(net, 0).trace + [None]:
             for step in net._steps:
-                redex = net._parties[step.origin][0]
+                redex = net._parties[step.origin].redex
                 assert step.local_rule == next_action(redex).rule, n
                 if step.rule == "NCOM":
                     assert step.local_rule in ("LSEND", "LSENDSELF"), n
@@ -515,7 +594,7 @@ class TestBuiltNormal:
         value = run(core)
         # cached steps from other tests would hide a call
         next_action.cache_clear()
-        _focused_action.cache_clear()
+        focus.cache_clear()
         _enumerate_cached.cache_clear()
 
         def refuse(*args):
@@ -637,10 +716,10 @@ def _outermost(frame):
 def _payloads(net, p):
     """What p's sender offers it in this state when p waits to receive, or
     a stand-in when it offers nothing yet: a receive takes what arrives."""
-    act = _focused_action(net._parties[p])
+    act = net._parties[p].action()
     if not isinstance(act, RecvAction):
         return ()
-    offer = _focused_action(net._parties.get(act.sender, (LUnit(), None)))
+    offer = net._parties.get(act.sender, focus(LUnit())).action()
     if isinstance(offer, SendAction) and p in offer.recipients:
         return (offer.payload,)
     return (LUnit(),)
@@ -653,11 +732,11 @@ def _check_focused_step(net, p, payloads):
     stored = net._parties[p]
     assert stored == focus(b) and hash(stored) == hash(focus(b))
     oracle = reference_next_action(b)
-    act = _focused_action(stored)
+    act = stored.action()
     if oracle is None:
         assert act is None
         return None
-    redex, frame = stored
+    redex, frame = stored.redex, stored.frame
     assert act.rule == next_action(redex).rule
     if frame is None:
         assert oracle.rule == act.rule
@@ -705,7 +784,7 @@ def test_focused_step_matches_next_action_on_raw_behaviors(b):
         reference_next_action(net["p"])
     except SimulationFault:
         with pytest.raises(SimulationFault):
-            _focused_action(net._parties["p"])
+            net._parties["p"].action()
         return
     _check_focused_step(net, "p", (LUnit(), LInl(LUnit()), BOTTOM))
 
@@ -731,8 +810,8 @@ def test_local_substitutions_match_the_reference(reachable):
     substituted = 0
     for states in reachable.values():
         for net in states:
-            for redex, _ in net._parties.values():
-                found = _local_substitution(redex)
+            for party in net._parties.values():
+                found = _local_substitution(party.redex)
                 if found is None:
                     continue
                 body, x, value = found
@@ -746,7 +825,7 @@ def test_local_substitutions_match_the_reference(reachable):
 
 def _clear_step_caches():
     next_action.cache_clear()
-    _focused_action.cache_clear()
+    focus.cache_clear()
     _enumerate_cached.cache_clear()
 
 

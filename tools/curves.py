@@ -20,16 +20,18 @@ error.  `compile` and `project` are timed at the raised limit, since at
 the default one the parser fails from chain-300 on and `project` still
 recurses once per nesting level; the token count includes the closing
 `eof`, and the node count is the size of every party's behaviour as a
-tree.  The network's step caches are cleared before every timed run, so
-each one steps from scratch; but every run takes the same term, so the
-free-variable sets that `subst` and `local_subst` cache on its nodes are
-filled by the untimed first run, and a point leaves out their filling.  A
-series ends at its first error or at the first point that does not finish
-within --max-seconds.
+tree.  Before every timed run the network's caches are cleared (each
+function of `helam.network` with a `cache_clear`) and the network is built
+again from its behaviours, so each run steps from scratch, with no
+action memoized on a party state; but every run takes the same term,
+so the free-variable sets that `subst` and `local_subst` cache on its
+nodes are filled by the untimed first run, and a point leaves out their
+filling.  A series ends at its first error or at the first point that does
+not finish within --max-seconds.
 
 Stdlib only.  Each invocation adds (or replaces) one labelled run in the
-output file, so a before/after pair can be two invocations on the same
-machine:
+output file, with every stage or only those named by --stage (repeatable),
+so a before/after pair can be two invocations on the same machine:
 
     python3 tools/curves.py --label before --src OLD_CHECKOUT/src \\
         --out BENCH_x.json
@@ -108,15 +110,14 @@ def par_text(n: int) -> str:
 TEXTS = {"chain": chain_text, "let": let_text, "par": par_text}
 
 
-def fastest(once, caches=()) -> float:
-    """The fastest of at least REPEATS runs of `once` and MIN_SECONDS, with
-    the caches cleared before each run and the cyclic GC off."""
+def fastest(once, reset=lambda: None) -> float:
+    """The fastest of at least REPEATS runs of `once` and MIN_SECONDS, each
+    after an untimed `reset`, with the cyclic GC off."""
     best, runs, total = float("inf"), 0, 0.0
     gc.disable()
     try:
         while runs < REPEATS or total < MIN_SECONDS:
-            for cache in caches:
-                cache.cache_clear()
+            reset()
             start = time.perf_counter()
             once()
             took = time.perf_counter() - start
@@ -177,30 +178,40 @@ def measure_point(series: str, n: int, stage: str = "run") -> dict:
             return {"n": n, "behavior_nodes": count, "project_s": best,
                     "us_per_node": 1e6 * best / count}
         if stage in ("simulate", "explore"):
-            net = Network(project_all(core))
+            procs = project_all(core)
     finally:
         sys.setrecursionlimit(default_limit)
     caches = [f for f in vars(network).values() if hasattr(f, "cache_clear")]
+    nets = []
+
+    def reset() -> None:
+        for cache in caches:
+            cache.cache_clear()
+        if stage in ("simulate", "explore"):
+            nets[:] = [Network(procs)]
+
+    reset()
 
     def counts() -> dict:
         if stage == "simulate":
-            out = simulate(net)
+            out = simulate(nets[0])
             return {"steps": len(out.trace), "messages": out.messages}
         if stage == "explore":
-            return {"states": explore(net).states}
+            return {"states": explore(nets[0]).states}
         if series == "let":
             return {"steps": steps_to_value(core)}
         trace: list = []  # a hop's redex prints in a few characters
         run(core, trace=trace)
         return {"steps": len(trace)}
 
-    once = {"simulate": lambda: simulate(net), "explore": lambda: explore(net),
+    once = {"simulate": lambda: simulate(nets[0]),
+            "explore": lambda: explore(nets[0]),
             "run": lambda: run(core)}[stage]
     try:
         point = {"n": n, **counts()}  # untimed: counts, warms up
     except RecursionError as err:
         return {"n": n, "error": f"RecursionError in {stage}: {err}"}
-    best = fastest(once, caches)
+    best = fastest(once, reset)
     unit = "states" if stage == "explore" else "steps"
     point[f"{stage}_s"] = best
     point[COST[stage]] = 1e6 * best / point[unit]
@@ -289,6 +300,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--note", default="", help="recorded with the run")
     parser.add_argument("--max-seconds", type=float, default=60.0,
                         help="cap on one point, compile and runs included")
+    parser.add_argument("--stage", action="append", choices=list(STAGES),
+                        help="time only this stage (repeatable; default: "
+                             "every stage)")
     parser.add_argument("--point", nargs=3, metavar=("STAGE", "SERIES", "N"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -314,8 +328,8 @@ def main(argv: list[str]) -> int:
                              "ratio the median of the pairs")
     record["series"] = {
         stage: {s: curve(stage, s, args.src.resolve(), args.max_seconds,
-                         against) for s in series}
-        for stage, series in STAGES.items()}
+                         against) for s in STAGES[stage]}
+        for stage in args.stage or STAGES}
     record["growth_per_doubling"] = {
         stage: {s: growth_per_doubling(stage, points)
                 for s, points in by_series.items()}
