@@ -117,37 +117,27 @@ def _redex_action(fn: LocalValue, arg: LocalValue) -> Optional[Action]:
     match fn:
         case LLam():
             return Silent(local_subst(fn.body, fn.param, arg), "LABSAPP")
-        case LFst():
-            if isinstance(arg, LPair):
-                return Silent(arg.first, "LPROJ1")
+        case LFst() | LSnd() | LLookup():
+            rule = ("LPROJ1" if isinstance(fn, LFst)
+                    else "LPROJ2" if isinstance(fn, LSnd) else "LPROJN")
             if isinstance(arg, Bottom):
                 # the whole aggregate lives elsewhere, so its component does
                 # too; without this a party that co-owns a projection keyword
                 # but none of the data would wedge
-                return Silent(BOTTOM, "LPROJ1")
+                return Silent(BOTTOM, rule)
+            if isinstance(fn, LLookup):
+                if isinstance(arg, LVec) and fn.index <= len(arg.elems):
+                    return Silent(arg.elems[fn.index - 1], rule)
+            elif isinstance(arg, LPair):
+                return Silent(arg.first if isinstance(fn, LFst)
+                              else arg.second, rule)
             return None
-        case LSnd():
-            if isinstance(arg, LPair):
-                return Silent(arg.second, "LPROJ2")
-            if isinstance(arg, Bottom):
-                return Silent(BOTTOM, "LPROJ2")
-            return None
-        case LLookup():
-            index = fn.index
-            if isinstance(arg, LVec) and index <= len(arg.elems):
-                return Silent(arg.elems[index - 1], "LPROJN")
-            if isinstance(arg, Bottom):
-                return Silent(BOTTOM, "LPROJN")
-            return None
-        case Send():
+        case Send() | SendSelf():
             if not is_data_local(arg):
                 raise SimulationFault(
                     f"cannot send non-data value {print_behavior(arg)}")
-            return SendAction(fn.recipients, arg, BOTTOM, "LSEND")
-        case SendSelf():
-            if not is_data_local(arg):
-                raise SimulationFault(
-                    f"cannot send non-data value {print_behavior(arg)}")
+            if isinstance(fn, Send):
+                return SendAction(fn.recipients, arg, BOTTOM, "LSEND")
             return SendAction(fn.recipients, arg, arg, "LSENDSELF")
         case Recv():
             return RecvAction(fn.sender)
@@ -165,8 +155,7 @@ class Frame:
     children in `rest` and the enclosing frame in `parent` (None at the
     root), so a context is a persistent stack that the states a party
     passes through share.  A frame is never changed once built.  Its hash
-    covers the whole stack and is computed once; equality walks the stack
-    iteratively."""
+    covers the whole stack and is computed once; equality is `_same`."""
 
     __slots__ = ("hole", "rest", "parent", "_hash")
 
@@ -178,14 +167,7 @@ class Frame:
         return self._hash
 
     def __eq__(self, other) -> bool:
-        a, b = self, other
-        while a is not b:
-            if not (isinstance(a, Frame) and isinstance(b, Frame)
-                    and a._hash == b._hash and a.hole == b.hole
-                    and a.rest == b.rest):
-                return False
-            a, b = a.parent, b.parent
-        return True
+        return _same([(self, other)])
 
 
 _UNSET = object()  # an action not computed yet
@@ -214,7 +196,8 @@ class Focus:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Focus) and self._hash == other._hash
-                and self.redex == other.redex and self.frame == other.frame)
+                and _same([(self.frame, other.frame),
+                           (self.redex, other.redex)]))
 
     def action(self) -> Optional[Action]:
         """The step of this focus: its redex's action with the result
@@ -231,6 +214,52 @@ class Focus:
                                      focus(act.result, self.frame), act.rule)
             self._action = act
         return act
+
+
+def _same(stack: list) -> bool:
+    """Whether the two sides of each pair on stack, of behaviors or frames,
+    are equal, by one walk over the stack, so no behavior is too deep for
+    it.  A pair that is one object is equal; a frame, an application, a
+    case and a function compare the hashes they cache before their fields.
+    The behaviors keep the dataclass `__eq__`: `next_action`'s lru runs it
+    on each of its hits, where a Python walk would cost more."""
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if cls is BApp:
+            if a._hash != b._hash:
+                return False
+            stack += ((a.fn, b.fn), (a.arg, b.arg))
+        elif cls is LLam:
+            if a._hash != b._hash or a.param != b.param:
+                return False
+            stack.append((a.body, b.body))
+        elif cls is Frame:
+            if a._hash != b._hash or a.hole != b.hole:
+                return False
+            stack += zip(a.rest, b.rest)
+            stack.append((a.parent, b.parent))
+        elif cls is BCase:
+            if (a._hash != b._hash or a.left_var != b.left_var
+                    or a.right_var != b.right_var):
+                return False
+            stack += ((a.scrutinee, b.scrutinee), (a.left_body, b.left_body),
+                      (a.right_body, b.right_body))
+        elif cls is LInl or cls is LInr:
+            stack.append((a.value, b.value))
+        elif cls is LPair:
+            stack += ((a.first, b.first), (a.second, b.second))
+        elif cls is LVec:
+            if len(a.elems) != len(b.elems):
+                return False
+            stack += zip(a.elems, b.elems)
+        elif a != b:
+            return False
+    return True
 
 
 # The intern table of `focus`, emptied when it reaches _MAX_FOCI entries,
@@ -399,23 +428,12 @@ def _enumerate_cached(net: Network) -> Network:
     Runs walk these links: after one lookup at its start, a run reads a
     step it has taken before from a list, with no hash, no comparison and
     no call, so `cache_info()` counts only run entries and first takes.
-    That pays on acceptance, which revisits states: with parties kept in
-    order and the `_randbelow` draw on both sides, its `wall_s` read 0.670
-    s walking against 0.699 s with a slot per step for the successor
-    network, looked up at every step, and its `program_p50_ms` 2.32
-    against 2.49 ms (medians of 10 alternating pairs of 10-s runs, seed 1,
-    2-vCPU VM, CPython 3.11.7; the walk was faster in all 10 pairs on
-    both; measured with the steps and links in a record beside each
-    network).
+    That pays on workloads that revisit states, such as acceptance.
 
     A link keeps its target alive, so links are bounded as the cache is:
     `_linked` holds every network that has made a link, and the link past
     _MAX_LINKS drops them all.  Unbounded, a root looked up by every run
-    kept every state of every run alive: 100 seeds of `simulate` on par-32
-    (207,870 states) peaked at 591 MB, against 72 MB with the bound.  Weak
-    links bound memory too, at the same `wall_s`, but a weak reference per
-    state is one more object for the cyclic GC to track: an acceptance
-    pass ran 188-189 collections with them against 168 with the bound."""
+    would keep every state of every run alive."""
     steps = tuple(_enumerate(net))
     object.__setattr__(net, "_steps", steps)
     object.__setattr__(net, "_succ", [None] * len(steps))
@@ -472,11 +490,8 @@ def take(net: Network, step: NetStep) -> Network:
 @lru_cache(maxsize=None)
 def _npro(p: str, local_rule: str) -> NetStep:
     """The silent step of party p by local_rule.  Steps are never changed,
-    so every state shares it: the 14,664 states an acceptance pass (seed 1)
-    enumerates list 46,527 silent steps, which are 28 objects.  Its
-    `wall_s` read 0.650 s against 0.808 s with a new step per state (peak
-    RSS 31.0 against 36.0 MB; median of 5 alternating pairs of 10-s runs,
-    seed 1, 2-vCPU VM, CPython 3.11.7; shared was faster in all 5 pairs)."""
+    so every state shares one per party and rule rather than building its
+    own: states list many silent steps, and they are few distinct ones."""
     return NetStep(p, "NPRO", local_rule=local_rule)
 
 
@@ -511,10 +526,6 @@ class DeadlockReport:
     @property
     def party(self) -> str:
         return self.stuck[0][0]
-
-    @property
-    def behavior(self) -> Behavior:
-        return self.stuck[0][1]
 
     def __str__(self) -> str:
         inner = "; ".join(f"{p} stuck at {print_behavior(b)}"

@@ -151,20 +151,14 @@ def _plug(parent: Union[App, Case], child: ChorExpr) -> ChorExpr:
 def _step_case(e: Case) -> StepResult:
     """Contract a case whose scrutinee is a value."""
     scrut = e.scrutinee.value
-    match scrut:
-        case Inl():
-            masked = mask_value(scrut.value, e.guards)
-            if masked is None:
-                return Stuck("case payload does not mask to the guards")
-            return Stepped(subst(e.left_body, e.left_var, masked), "CASEL", e)
-        case Inr():
-            masked = mask_value(scrut.value, e.guards)
-            if masked is None:
-                return Stuck("case payload does not mask to the guards")
-            return Stepped(subst(e.right_body, e.right_var, masked), "CASER",
-                           e)
-        case _:
-            return Stuck("case scrutinee is not an injection")
+    if not isinstance(scrut, (Inl, Inr)):
+        return Stuck("case scrutinee is not an injection")
+    masked = mask_value(scrut.value, e.guards)
+    if masked is None:
+        return Stuck("case payload does not mask to the guards")
+    if isinstance(scrut, Inl):
+        return Stepped(subst(e.left_body, e.left_var, masked), "CASEL", e)
+    return Stepped(subst(e.right_body, e.right_var, masked), "CASER", e)
 
 
 def _step_redex(fn: ChorValue, arg: ChorValue, e: App) -> StepResult:
@@ -174,28 +168,22 @@ def _step_redex(fn: ChorValue, arg: ChorValue, e: App) -> StepResult:
             if masked is None:
                 return Stuck("argument does not mask to the function's owners")
             return Stepped(subst(fn.body, fn.param, masked), "APPABS", e)
-        case Fst():
-            if not isinstance(arg, Pair):
-                return Stuck("fst of a non-pair")
-            masked = mask_value(arg.first, fn.owners)
+        case Fst() | Snd() | Lookup():
+            if isinstance(fn, Lookup):
+                if not isinstance(arg, Vec) or fn.index > len(arg.elems):
+                    return Stuck("lookup into a non-tuple or out of range")
+                part, rule = arg.elems[fn.index - 1], "PROJN"
+            elif not isinstance(arg, Pair):
+                return Stuck("fst of a non-pair" if isinstance(fn, Fst)
+                             else "snd of a non-pair")
+            elif isinstance(fn, Fst):
+                part, rule = arg.first, "PROJ1"
+            else:
+                part, rule = arg.second, "PROJ2"
+            masked = mask_value(part, fn.owners)
             if masked is None:
                 return Stuck("projected component does not mask")
-            return Stepped(Val(masked), "PROJ1", e)
-        case Snd():
-            if not isinstance(arg, Pair):
-                return Stuck("snd of a non-pair")
-            masked = mask_value(arg.second, fn.owners)
-            if masked is None:
-                return Stuck("projected component does not mask")
-            return Stepped(Val(masked), "PROJ2", e)
-        case Lookup():
-            index = fn.index
-            if not isinstance(arg, Vec) or index > len(arg.elems):
-                return Stuck("lookup into a non-tuple or out of range")
-            masked = mask_value(arg.elems[index - 1], fn.owners)
-            if masked is None:
-                return Stuck("projected component does not mask")
-            return Stepped(Val(masked), "PROJN", e)
+            return Stepped(Val(masked), rule, e)
         case Com():
             moved = _com_value(arg, fn.sender, fn.recipients)
             if moved is None:

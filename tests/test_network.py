@@ -12,10 +12,10 @@ from hypothesis import given, settings
 import helam
 from helam.generate import GenConfig, gen_instance
 from helam.network import (
-    DeadlockReport, Exploration, NetStep, Network, RecvAction, SendAction,
-    SimOutcome, Silent, SimulationFault, _enumerate, _enumerate_cached,
-    enumerate_net_steps, explore, focus, format_trace, next_action, plug,
-    simulate, successor, take,
+    DeadlockReport, Exploration, Focus, Frame, NetStep, Network, RecvAction,
+    SendAction, SimOutcome, Silent, SimulationFault, _enumerate,
+    _enumerate_cached, _same, enumerate_net_steps, explore, focus,
+    format_trace, next_action, plug, simulate, successor, take,
 )
 from helam.projection import (
     bapp, bcase, floor, local_fv, local_subst, project, project_all, roles,
@@ -23,8 +23,8 @@ from helam.projection import (
 from helam.semantics import run
 from helam.surface import compile_text
 from helam.syntax import (
-    App, BApp, BCase, BOTTOM, PENDING, Com, LInl, LInr, LLam, LPair, LUnit,
-    LVar, Recv, Send, SendSelf, Unit, Val, parties,
+    App, BApp, BCase, BOTTOM, PENDING, Com, LFst, LInl, LInr, LLam, LLookup,
+    LPair, LSnd, LUnit, LVar, LVec, Recv, Send, SendSelf, Unit, Val, parties,
 )
 from helam.typecheck import typecheck
 
@@ -85,8 +85,47 @@ class TestLocalStep:
         assert next_action(BOTTOM) is None
 
     def test_sending_a_function_is_a_fault(self):
-        with pytest.raises(SimulationFault):
-            next_action(BApp(Send(("q",)), LLam("x", LVar("x"))))
+        # a self-send too, with the same message
+        for keyword in (Send(("q",)), SendSelf(("q",)), SendSelf(())):
+            with pytest.raises(SimulationFault) as err:
+                next_action(BApp(keyword, LLam("x", LVar("x"))))
+            assert str(err.value) == "cannot send non-data value fn x. x"
+
+    def test_projections_take_their_component(self):
+        pair = LPair(LInl(LUnit()), LUnit())
+        vec = LVec((LUnit(), LInr(LUnit()), LUnit()))
+        assert next_action(BApp(LFst(), pair)) == Silent(LInl(LUnit()),
+                                                         "LPROJ1")
+        assert next_action(BApp(LSnd(), pair)) == Silent(LUnit(), "LPROJ2")
+        assert next_action(BApp(LLookup(2), vec)) == Silent(LInr(LUnit()),
+                                                            "LPROJN")
+        assert next_action(BApp(LLookup(3), vec)) == Silent(LUnit(),
+                                                            "LPROJN")
+
+    def test_a_projection_of_the_missing_value_is_missing(self):
+        # a silent step each, with the projection's own rule
+        for keyword, rule in ((LFst(), "LPROJ1"), (LSnd(), "LPROJ2"),
+                              (LLookup(1), "LPROJN"), (LLookup(9), "LPROJN")):
+            b = BApp(keyword, BOTTOM)
+            assert next_action(b) == Silent(BOTTOM, rule)
+            [(after, info)] = enumerate_net_steps(Network({"p": b}))
+            assert info == NetStep("p", "NPRO") and info.local_rule == rule
+            assert after == Network({"p": BOTTOM})
+
+    def test_a_projection_of_the_wrong_shape_has_no_action(self):
+        pair = LPair(LUnit(), LUnit())
+        vec = LVec((LUnit(), LUnit()))
+        fn = LLam("x", LVar("x"))
+        for keyword in (LFst(), LSnd()):
+            for arg in (LUnit(), vec, LInl(LUnit()), fn):
+                assert next_action(BApp(keyword, arg)) is None
+        for arg in (LUnit(), pair, fn):
+            assert next_action(BApp(LLookup(1), arg)) is None
+        assert next_action(BApp(LLookup(3), vec)) is None
+        net = Network({"p": BApp(LLookup(3), vec)})
+        assert enumerate_net_steps(net) == []
+        out = simulate(net)
+        assert out.deadlock.stuck == (("p", BApp(LLookup(3), vec)),)
 
 
 class TestEnumerate:
@@ -453,6 +492,64 @@ def test_equal_pairs_are_one_focus_while_the_table_holds_them():
         after = focus(b)
         assert after is not before[n]
         assert after == before[n] and hash(after) == hash(before[n])
+
+
+def _behavior_pool():
+    """Small behaviors of every kind `_same` reads itself, over leaves that
+    include LLookup(-1) and LLookup(-2): -1 and -2 hash alike in CPython,
+    so two behaviors that differ only there have the same hash."""
+    leaves = [LLookup(-1), LLookup(-2), LUnit(), BOTTOM, LVar("x")]
+    pool = list(leaves)
+    for a in leaves:
+        pool += [LLam("x", a), LLam("y", a), LInl(a), LInr(a), LVec((a,))]
+        for b in leaves:
+            pool += [BApp(a, b), BCase(a, "v", b, "w", LUnit()),
+                     LPair(a, b), LVec((a, b))]
+    return pool
+
+
+def _frame_key(frame):
+    return None if frame is None else (frame.hole, frame.rest,
+                                       _frame_key(frame.parent))
+
+
+def test_same_is_equality_on_behaviors_frames_and_foci():
+    assert hash(LLookup(-1)) == hash(LLookup(-2))
+    # built twice, so that no pair is equal by identity alone
+    pool, twin = _behavior_pool(), _behavior_pool()
+    for a in pool:
+        for b in twin:
+            assert _same([(a, b)]) == (a == b), (a, b)
+    frames = [None]
+    for b in pool[:40]:
+        frames += [Frame("fn", (b,), frames[-1]), Frame("arg", (b,), None),
+                   Frame("scrut", ("v", b, "w", LUnit()), frames[-1])]
+    for fa in frames[1:]:
+        for fb in frames:
+            rebuilt = fb and Frame(fb.hole, fb.rest, fb.parent)
+            same = _frame_key(fa) == _frame_key(rebuilt)
+            assert (fa == rebuilt) == same and (rebuilt == fa) == same
+            assert (Focus(LUnit(), fa) == Focus(LUnit(), rebuilt)) == same
+    # foci whose hashes collide at every node above where they differ
+    for redex_differs in (True, False):
+        one, other = (
+            Focus(BApp(LLam("y", LVec((LUnit(), n if redex_differs
+                                       else LUnit()))), LUnit()),
+                  Frame("fn", (LInr(LUnit() if redex_differs else n),),
+                        None))
+            for n in (LLookup(-1), LLookup(-2)))
+        assert hash(one) == hash(other)
+        assert one != other and other != one
+    # binder names and holes are compared even where the hashes collide,
+    # which is forced here, since no two strings can be made to collide
+    for one, other in ((LLam("x", LUnit()), LLam("y", LUnit())),
+                       (BCase(BOTTOM, "v", LUnit(), "w", LUnit()),
+                        BCase(BOTTOM, "v", LUnit(), "u", LUnit())),
+                       (Frame("fn", (LUnit(),), None),
+                        Frame("arg", (LUnit(),), None))):
+        other._hash = one._hash
+        assert not _same([(one, other)]) and not _same([(other, one)])
+    assert Focus(LUnit(), None) != LUnit() and Frame("fn", (), None) != ()
 
 
 def test_a_three_entry_focus_table_changes_no_run(monkeypatch):
@@ -867,6 +964,26 @@ def test_deep_let_chain_at_the_default_recursion_limit():
     _clear_step_caches()
     result = explore(net)
     assert result.complete and result.states == 802
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_deep_let_chains_build_twice_and_compare_at_the_default_limit(n):
+    # a second build finds the first one's foci in the intern table, and
+    # a build after the table is emptied compares equal to both
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(50_000)
+    try:
+        procs = [project_all(let_chain(n)) for _ in range(3)]
+    finally:
+        sys.setrecursionlimit(limit)
+    _clear_step_caches()
+    first, second = Network(procs[0]), Network(procs[1])
+    focus.cache_clear()
+    third = Network(procs[2])
+    assert first == second == third and third == first
+    assert hash(first) == hash(second) == hash(third)
+    other = Network({"p": BApp(LLam("y", LVar("y")), procs[2]["p"])})
+    assert first != other and other != third
 
 
 def test_deep_chain_steps_at_the_default_recursion_limit():

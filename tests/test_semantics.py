@@ -137,6 +137,43 @@ class TestStep:
     def test_values_do_not_step(self):
         assert isinstance(step(Val(Unit(P))), IsValue)
 
+    def test_a_redex_whose_value_does_not_mask_is_stuck(self):
+        pair = Val(Pair(Unit(Q), Unit(Q)))
+        fn = lam("x", UNIT_P, Val(Var("x")), P)
+        cases = [
+            (App(Val(fn), Val(Unit(Q))),
+             "argument does not mask to the function's owners"),
+            (App(Val(Fst(P)), pair), "projected component does not mask"),
+            (App(Val(Snd(P)), pair), "projected component does not mask"),
+            (App(Val(Lookup(2, P)), Val(Vec((Unit(P), Unit(Q))))),
+             "projected component does not mask"),
+            (Case(P, Val(Inl(Unit(Q))), "x", Val(Var("x")), "y",
+                  Val(Var("y"))), "case payload does not mask to the guards"),
+            (Case(P, Val(Inr(Unit(Q))), "x", Val(Var("x")), "y",
+                  Val(Var("y"))), "case payload does not mask to the guards"),
+        ]
+        for e, reason in cases:
+            assert step(e) == Stuck(reason)
+
+    def test_a_redex_of_the_wrong_shape_is_stuck(self):
+        vec = Val(Vec((Unit(P), Unit(P))))
+        pair = Val(Pair(Unit(P), Unit(P)))
+        cases = [
+            (App(Val(Fst(P)), vec), "fst of a non-pair"),
+            (App(Val(Fst(P)), Val(Unit(P))), "fst of a non-pair"),
+            (App(Val(Snd(P)), vec), "snd of a non-pair"),
+            (App(Val(Snd(P)), Val(Inl(Unit(P)))), "snd of a non-pair"),
+            (App(Val(Lookup(1, P)), pair),
+             "lookup into a non-tuple or out of range"),
+            (App(Val(Lookup(3, P)), vec),
+             "lookup into a non-tuple or out of range"),
+            (App(Val(Unit(P)), Val(Unit(P))), "applied a non-function value"),
+            (Case(P, pair, "x", Val(Var("x")), "y", Val(Var("y"))),
+             "case scrutinee is not an injection"),
+        ]
+        for e, reason in cases:
+            assert step(e) == Stuck(reason)
+
     def test_ill_typed_redex_is_stuck_not_a_crash(self):
         e = App(Val(Com("s", PQ)), Val(Unit(Q)))  # sender does not own it
         assert isinstance(step(e), Stuck)
