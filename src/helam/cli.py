@@ -43,6 +43,16 @@ def _party(arg: str) -> str:
     return _parties([arg]).members[0]
 
 
+def _positive(arg: str) -> int:
+    try:
+        n = int(arg)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {arg!r}")
+    return n
+
+
 def _fail(message: str, code: int) -> int:
     print(message, file=sys.stderr)
     return code
@@ -179,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fmt)
 
     p = sub.add_parser("test-metatheory", help="run the property suites")
-    p.add_argument("--instances", type=int, default=200)
+    p.add_argument("--instances", type=_positive, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", help="write a JSON summary here")
     p.set_defaults(fn=cmd_test_metatheory)

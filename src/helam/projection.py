@@ -24,8 +24,7 @@ from .syntax import (
     PENDING, App, BApp, BCase, BOTTOM, Behavior, Bottom, Case, ChorExpr,
     ChorValue, Com, Fst, Inl, Inr, LFst, LInl, LInr, LLam, LLookup, LPair,
     LSnd, LUnit, LVar, LVec, Lam, LocalValue, Lookup, Pair, PartySet, Recv,
-    Send, SendSelf, Snd, Unit, Val, Var, Vec, WRAPPER_FREE_VARS_RULE,
-    bind_var, fill_free_vars, nodes, type_parties, union_all_vars, union_vars,
+    Send, SendSelf, Snd, Unit, Val, Var, Vec, free_vars, nodes, type_parties,
 )
 
 
@@ -181,37 +180,11 @@ def project_all(e: ChorExpr,
 # ---------------------------------------------------------------------------
 # substitution in the local language (no masking; locations are gone)
 
-def local_fv(b: Behavior) -> frozenset[str]:
-    """The variables free in b, cached on each node as `free_vars` caches
-    them on the central ones, and filled the same way, without recursing."""
-    fv = getattr(b, "_fv", None)
-    if fv is None:
-        fv = fill_free_vars(b, _LOCAL_FREE_VARS_RULES)
-    return fv
-
-
-_LOCAL_FREE_VARS_RULES = {
-    BApp: (lambda b: (b.fn, b.arg),
-           lambda b: union_vars(b.fn._fv, b.arg._fv)),
-    LVar: (lambda b: (), lambda b: frozenset((b.name,))),
-    LLam: (lambda b: (b.body,), lambda b: bind_var(b.body._fv, b.param)),
-    BCase: (lambda b: (b.scrutinee, b.left_body, b.right_body),
-            lambda b: union_vars(b.scrutinee._fv, union_vars(
-                bind_var(b.left_body._fv, b.left_var),
-                bind_var(b.right_body._fv, b.right_var)))),
-    LInl: WRAPPER_FREE_VARS_RULE,
-    LInr: WRAPPER_FREE_VARS_RULE,
-    LPair: (lambda b: (b.first, b.second),
-            lambda b: union_vars(b.first._fv, b.second._fv)),
-    LVec: (lambda b: b.elems, lambda b: union_all_vars(b.elems)),
-}
-
-
 def local_subst(b: Behavior, x: str, l: LocalValue) -> Behavior:
     """b with l for x; floor-normal when b and l are.  b itself, not a copy,
     when x is not free in b: each node it passes first reads its cached set
-    (`local_fv`), so a subterm without x is not walked."""
-    if x not in local_fv(b):
+    (`free_vars`), so a subterm without x is not walked."""
+    if x not in free_vars(b):
         return b
     match b:
         case BApp():

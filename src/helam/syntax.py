@@ -391,7 +391,7 @@ def _cached_hash(self) -> int:
 
 
 class _FreeVarsSlot:
-    """A slot in which `projection.local_fv` caches a node's free variables.
+    """A slot in which `free_vars` caches a node's free variables.
     It is no dataclass field, so it stays unset until filled and building a
     node costs no more for it."""
     __slots__ = ("_fv",)
@@ -535,36 +535,9 @@ PENDING = (BApp, BCase)
 # except on the leaves that name no variable, which share one empty set from
 # the start; on `BApp`, `BCase` and `LLam` it is a slot, unset until filled.
 NO_VARS: frozenset[str] = frozenset()
-for _cls in (Val, App, Case, Var, Lam, Inl, Inr, Pair, Vec,
-             LVar, LInl, LInr, LPair, LVec):
-    _cls._fv = None
 for _cls in (Unit, Fst, Snd, Lookup, Com,
              LUnit, LFst, LSnd, LLookup, Recv, Send, SendSelf, Bottom):
     _cls._fv = NO_VARS
-
-
-def fill_free_vars(root, rules: dict) -> frozenset[str]:
-    """Fill `_fv` on root and on every unfilled node below it, and return
-    root's set.  `rules` maps each class of node that has a set to fill to
-    two functions: the node's subterms, and its set from theirs.  A walk
-    over an explicit stack lists the unfilled nodes, each before its
-    subterms, and stops at nodes already filled; the sets are then filled
-    in the reverse order, each after its subterms'.  So no term is too deep
-    for it.  The rules are looked up by class rather than matched: the walk
-    visits every node of a new term, and a class pattern tests one arm after
-    another (1.4-2.6 against 0.5 us per node on let-1000, CPython 3.11.7)."""
-    unfilled, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        if getattr(node, "_fv", None) is None:
-            rule = rules.get(type(node))
-            if rule is None:
-                raise TypeError(f"not a term: {node!r}")
-            unfilled.append(node)
-            stack += rule[0](node)
-    for node in reversed(unfilled):
-        node._fv = rules[type(node)][1](node)
-    return root._fv
 
 
 def union_vars(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
@@ -589,35 +562,59 @@ def union_all_vars(terms) -> frozenset[str]:
     return out
 
 
-# one value inside: the set of `Val`, `Inl` and `Inr`, and of `LInl`, `LInr`
-WRAPPER_FREE_VARS_RULE = (lambda e: (e.value,), lambda e: e.value._fv)
+# The one table of subterms, for both term languages: each class of node that
+# has a subterm or a free variable maps to two functions, the node's
+# subterms and its set of free variables from theirs.  Matching central and
+# local classes share one rule.  `free_vars` fills the sets through it and
+# `nodes` walks through it; a leaf without a variable is in no rule.
+_NODE_RULES: dict[type, tuple] = {}
+for _classes, _rule in (
+    ((Val, Inl, Inr, LInl, LInr),
+     (lambda e: (e.value,), lambda e: e.value._fv)),
+    ((App, BApp), (lambda e: (e.fn, e.arg),
+                   lambda e: union_vars(e.fn._fv, e.arg._fv))),
+    ((Var, LVar), (lambda e: (), lambda e: frozenset((e.name,)))),
+    ((Lam, LLam), (lambda e: (e.body,),
+                   lambda e: bind_var(e.body._fv, e.param))),
+    ((Case, BCase), (lambda e: (e.scrutinee, e.left_body, e.right_body),
+                     lambda e: union_vars(e.scrutinee._fv, union_vars(
+                         bind_var(e.left_body._fv, e.left_var),
+                         bind_var(e.right_body._fv, e.right_var))))),
+    ((Pair, LPair), (lambda e: (e.first, e.second),
+                     lambda e: union_vars(e.first._fv, e.second._fv))),
+    ((Vec, LVec), (lambda e: e.elems, lambda e: union_all_vars(e.elems))),
+):
+    _NODE_RULES.update(dict.fromkeys(_classes, _rule))
+for _cls in _NODE_RULES:
+    if not issubclass(_cls, _FreeVarsSlot):
+        _cls._fv = None
 
-_FREE_VARS_RULES = {
-    Val: WRAPPER_FREE_VARS_RULE,
-    App: (lambda e: (e.fn, e.arg),
-          lambda e: union_vars(e.fn._fv, e.arg._fv)),
-    Var: (lambda e: (), lambda e: frozenset((e.name,))),
-    Lam: (lambda e: (e.body,), lambda e: bind_var(e.body._fv, e.param)),
-    Case: (lambda e: (e.scrutinee, e.left_body, e.right_body),
-           lambda e: union_vars(e.scrutinee._fv, union_vars(
-               bind_var(e.left_body._fv, e.left_var),
-               bind_var(e.right_body._fv, e.right_var)))),
-    Pair: (lambda e: (e.first, e.second),
-           lambda e: union_vars(e.first._fv, e.second._fv)),
-    Inl: WRAPPER_FREE_VARS_RULE,
-    Inr: WRAPPER_FREE_VARS_RULE,
-    Vec: (lambda e: e.elems, lambda e: union_all_vars(e.elems)),
-}
 
-
-def free_vars(e: ChorExpr | ChorValue) -> frozenset[str]:
-    """The variables free in e, cached on each node: the first call fills
-    the sets below e without recursion (`fill_free_vars`), and a later one
-    reads e's."""
+def free_vars(e: ChorExpr | ChorValue | Behavior) -> frozenset[str]:
+    """The variables free in e, an expression, value or behavior, cached on
+    each node: a later call reads e's set.  The first call fills the sets
+    of e and of every unfilled node below it.  A walk over an explicit stack
+    lists the unfilled nodes, each before its subterms, and stops at nodes
+    already filled; the sets are then filled in the reverse order, each
+    after its subterms'.  So no term is too deep for it.  The rules are
+    looked up by class rather than matched: the walk visits every node of a
+    new term, and a class pattern tests one arm after another (1.4-2.6
+    against 0.5 us per node on let-1000, CPython 3.11.7)."""
     fv = getattr(e, "_fv", None)
-    if fv is None:
-        fv = fill_free_vars(e, _FREE_VARS_RULES)
-    return fv
+    if fv is not None:
+        return fv
+    unfilled, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if getattr(node, "_fv", None) is None:
+            rule = _NODE_RULES.get(type(node))
+            if rule is None:
+                raise TypeError(f"not a term: {node!r}")
+            unfilled.append(node)
+            stack += rule[0](node)
+    for node in reversed(unfilled):
+        node._fv = _NODE_RULES[type(node)][1](node)
+    return e._fv
 
 
 def type_parties(t: ChorType) -> frozenset[str]:
@@ -633,29 +630,20 @@ def type_parties(t: ChorType) -> frozenset[str]:
     raise TypeError(f"not a type: {t!r}")
 
 
-def nodes(e: ChorExpr) -> Iterator:
-    """Every expression and value node in e.  Iterative, so a deep term
-    cannot exhaust the recursion limit."""
+def nodes(e: ChorExpr | ChorValue | Behavior) -> Iterator:
+    """Every node of e, an expression, value or behavior, each before its
+    subterms, which come from `_NODE_RULES` and are visited last one first.
+    Iterative, so a deep term cannot exhaust the recursion limit."""
     stack = [e]
     while stack:
         node = stack.pop()
         yield node
-        match node:
-            case Val() | Inl() | Inr():
-                stack.append(node.value)
-            case App():
-                stack += (node.fn, node.arg)
-            case Case():
-                stack += (node.scrutinee, node.left_body, node.right_body)
-            case Lam():
-                stack.append(node.body)
-            case Pair():
-                stack += (node.first, node.second)
-            case Vec():
-                stack += node.elems
+        rule = _NODE_RULES.get(type(node))
+        if rule is not None:
+            stack += rule[0](node)
 
 
-def node_count(e: ChorExpr) -> int:
+def node_count(e: ChorExpr | ChorValue | Behavior) -> int:
     return sum(1 for _ in nodes(e))
 
 

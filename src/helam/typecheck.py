@@ -486,14 +486,12 @@ def _lookup_app(env: TypeEnv, kw: Lookup, arg: ChorExpr,
         if n != kw.index and not _masks(env, elem, kw.owners, span):
             raise TypeErr(MASK_UNDEFINED, f"tuple element {n} does not mask "
                           f"to {kw.owners}", span)
+    # under a mask, got already fits want.type masked to kw.owners & mask, so
+    # it masks to kw.owners and the result masked to want.mask is want.type
     result = mask_type(got, kw.owners)
-    if want.open and result is None:
+    if result is None:
         raise TypeErr(MASK_UNDEFINED, f"element owned by {got.owners} does "
                       f"not mask to {kw.owners}", span)
-    if not want.open and (result is None or not _same(
-            mask_type(result, want.mask), want.type)):
-        raise TypeErr(ARG_MISMATCH, "lookup result does not fit "
-                      f"{print_type(want.type)}", span)
     return result
 
 

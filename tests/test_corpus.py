@@ -391,6 +391,15 @@ class TestCli:
         assert all(entry["instances"] and not entry["failures"]
                    for entry in summary.values())
 
+    @pytest.mark.parametrize("count", ["0", "-1", "two"])
+    def test_non_positive_instances_is_a_usage_error(self, capsys, count):
+        # at zero instances every property would report ok, having checked
+        # nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["test-metatheory", "--instances", count])
+        assert exc.value.code == 2
+        assert f"not a positive integer: {count!r}" in capsys.readouterr().err
+
     def test_theta_flag(self, corpus_dir):
         result = self.run_cli("check", str(corpus_dir / "multicast.hll"),
                               "--theta", "p,q,s,t")

@@ -18,13 +18,14 @@ from helam.network import (
     format_trace, next_action, plug, simulate, successor, take,
 )
 from helam.projection import (
-    bapp, bcase, floor, local_fv, local_subst, project, project_all, roles,
+    bapp, bcase, floor, local_subst, project, project_all, roles,
 )
 from helam.semantics import run
 from helam.surface import compile_text
 from helam.syntax import (
     App, BApp, BCase, BOTTOM, PENDING, Com, LFst, LInl, LInr, LLam, LLookup,
-    LPair, LSnd, LUnit, LVar, LVec, Recv, Send, SendSelf, Unit, Val, parties,
+    LPair, LSnd, LUnit, LVar, LVec, Recv, Send, SendSelf, Unit, Val,
+    free_vars, parties,
 )
 from helam.typecheck import typecheck
 
@@ -912,7 +913,7 @@ def test_local_substitutions_match_the_reference(reachable):
                 if found is None:
                     continue
                 body, x, value = found
-                assert local_fv(body) == reference_local_fv(body)
+                assert free_vars(body) == reference_local_fv(body)
                 assert local_subst(body, x, value) == \
                     reference_local_subst(body, x, value)
                 assert local_subst(body, "absent", value) is body

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helam.projection import (
-    EmptyRoles, floor, local_fv, local_subst, project, project_all, roles,
+    EmptyRoles, floor, local_subst, project, project_all, roles,
 )
 from helam.syntax import (
     App, BApp, BCase, BOTTOM, Case, Com, DUnit, DataTy, Inl,
     LInl, LInr, LLam, LPair, LUnit, LVar, LVec, NO_VARS, Pair, Recv, Send,
-    SendSelf, Unit, Val, Var, parties, print_behavior,
+    SendSelf, Unit, Val, Var, free_vars, parties, print_behavior,
 )
 
 P = parties("p")
@@ -261,7 +261,7 @@ def test_substitution_keeps_normal_terms_normal(b, l):
     # every name, and the missing value besides l: a drawn name and value
     # make a collapse in fewer than 1 in 100 examples, these in about 1 in 6
     b, l = floor(b), floor(l)
-    assert local_fv(b) == reference_local_fv(b)
+    assert free_vars(b) == reference_local_fv(b)
     for x in ("x", "y", "z"):
         for value in (l, BOTTOM):
             assert local_subst(b, x, value) == \
@@ -275,6 +275,6 @@ def test_local_sets_are_filled_on_first_demand():
     lam = LLam("y", BApp(LVar("y"), LVar("x")))
     b = BApp(lam, LPair(LVar("x"), LUnit()))
     assert not hasattr(b, "_fv") and not hasattr(lam, "_fv")
-    assert local_fv(b) == {"x"}
+    assert free_vars(b) == {"x"}
     assert b._fv is lam._fv and b.arg._fv is b.arg.first._fv
     assert b.arg.second._fv is NO_VARS

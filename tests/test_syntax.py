@@ -16,7 +16,7 @@ from helam.syntax import (
     _INTERNED, App, BadPartyName, Case, Com, DProd, DSum, DUnit, DataTy,
     EmptyPartySet, Fst, FunTy, Inl, Inr, Lam, Lookup, NO_VARS, Pair,
     PartySet, Snd, TupleTy, Unit, Val, Var, Vec, canonical_print, free_vars,
-    node_count, parties, print_expr, print_type, type_parties,
+    node_count, nodes, parties, print_expr, print_type, type_parties,
 )
 
 P = parties("p")
@@ -315,3 +315,92 @@ def _parse_type(text):
     t = parser.type_()
     parser.expect("eof")
     return t
+
+
+# ---------------------------------------------------------------------------
+# `nodes` and `node_count` read each node's subterms from the one table of
+# `syntax`; the walks they replaced are the oracles
+
+from dataclasses import fields, is_dataclass  # noqa: E402
+
+from helam.generate import GenConfig, gen_instance  # noqa: E402
+from helam.projection import project_all  # noqa: E402
+from helam.surface import compile_text  # noqa: E402
+
+from test_curves import _load as load_curves  # noqa: E402
+from test_projection import reference_local_fv  # noqa: E402
+
+
+def reference_nodes(e):
+    """Every expression and value node in e, by a `match` on its class: the
+    oracle for `nodes` on central terms."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        match node:
+            case Val() | Inl() | Inr():
+                stack.append(node.value)
+            case App():
+                stack += (node.fn, node.arg)
+            case Case():
+                stack += (node.scrutinee, node.left_body, node.right_body)
+            case Lam():
+                stack.append(node.body)
+            case Pair():
+                stack += (node.first, node.second)
+            case Vec():
+                stack += node.elems
+
+
+def reference_behavior_nodes(b) -> int:
+    """The nodes of behavior b counted as a tree by dataclass reflection:
+    every compared field that holds a node or a tuple of nodes is walked.
+    The oracle for `node_count` on behaviors."""
+    count, stack = 0, [b]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            stack += node
+        elif is_dataclass(node):
+            count += 1
+            stack += (getattr(node, f.name) for f in fields(node)
+                      if f.compare)
+    return count
+
+
+def _same_walk(e):
+    found, expected = list(nodes(e)), list(reference_nodes(e))
+    assert len(found) == len(expected) == node_count(e)
+    assert all(a is b for a, b in zip(found, expected))
+
+
+@pytest.mark.parametrize("cfg", [GenConfig(), GenConfig(2, 8)],
+                         ids=["4-6", "2-8"])
+def test_nodes_and_node_count_match_the_references_on_instances(cfg):
+    behaviors = 0
+    for seed in range(1000):
+        e = gen_instance(cfg, seed).expr
+        _same_walk(e)
+        for b in project_all(e).values():
+            assert node_count(b) == reference_behavior_nodes(b)
+            assert free_vars(b) == reference_local_fv(b)
+            behaviors += 1
+    assert behaviors > 1500  # most instances have two parties or more
+
+
+def test_node_count_matches_the_reference_on_long_programs():
+    par_8 = compile_text(load_curves().par_text(8)).core
+    for core in (let_chain(200), com_chain(200), par_8):
+        _same_walk(core)
+        procs = project_all(core)
+        assert sum(map(node_count, procs.values())) == \
+            sum(map(reference_behavior_nodes, procs.values()))
+    # a deep term at the default recursion limit
+    assert node_count(com_chain(5000)) == 2 + 3 * 5000
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs | _values)
+def test_nodes_match_the_reference_on_raw_terms(e):
+    _same_walk(e)

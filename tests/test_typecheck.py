@@ -340,3 +340,149 @@ def test_typecheck_is_total(e, expected):
         typecheck(theta, e, expected)
     except TypeErr as err:
         assert err.kind in ALL_KINDS
+
+
+# ---------------------------------------------------------------------------
+# diagnostics that only a particular program reaches: one row per site of the
+# checker, each found by tracing the lines that run
+
+@pytest.mark.parametrize("text, record", [
+    # _walk: a synthesized non-function applied
+    pytest.param(
+        "(fn x : ()@[p] . x x)@[p]",
+        "NotAFunction\t1:18\tapplied expression of type ()@[p]",
+        id="applied-expression"),
+    # _walk: a tuple literal checked against a longer tuple type
+    pytest.param(
+        "(fn f : (()@[p] -> ((() + ())@[p], ()@[p]))@[p] . f)@[p] (fn x : "
+        "()@[p] . (Inl ()@[p],))@[p]",
+        "ArgMismatch\t1:75\ttuple does not fit ((() + ())@[p], ()@[p])",
+        id="tuple-does-not-fit"),
+    # _walk: a lambda checked against another parameter type
+    pytest.param(
+        "(fn f : ((() + ())@[p] -> (() + ())@[p])@[p] . f)@[p] (fn x : ()@[p] "
+        ". Inl ()@[p])@[p]",
+        "ArgMismatch\t1:55\tfunction literal does not fit ((() + ())@[p] -> "
+        "(() + ())@[p])@[p]",
+        id="function-literal"),
+    # _walk: a lookup keyword checked against a function on data
+    pytest.param(
+        "(fn f : (()@[p] -> ()@[p])@[p] . f)@[p] lookup[1][p]",
+        "ArgMismatch\t1:41\tlookup[1] does not fit (()@[p] -> ()@[p])@[p]",
+        id="lookup-keyword"),
+    # _walk_val: a function argument wider than the mask
+    pytest.param(
+        "(fn f : ((()@[p] -> (() + ())@[p])@[p, q] -> ()@[p])@[p] . f (fn x : "
+        "()@[p] . Inl ()@[p])@[p])@[p]",
+        "ArgMismatch\t1:62\t(()@[p] -> (() + ())@[p])@[p, q] cannot be masked "
+        "to [p]",
+        id="cannot-be-masked"),
+    # _walk_val: a non-tuple for a tuple parameter
+    pytest.param(
+        "(fn t : (()@[p],) . t)@[p] (Inl ()@[p])",
+        "ArgMismatch\t1:29\ttuple value expected for (()@[p],)",
+        id="tuple-value-expected"),
+    # _walk_val: the re-walk that finds an owner error
+    pytest.param(
+        "(fn y : ()@[p] . (fn x : (() + ())@[p] . x)@[p] (Inl ()@[q]))@[p]",
+        "PartiesNotSubset\t1:50\tparties [q] not all present in [p]",
+        id="owner-error-rewalk"),
+    # _walk_val: data owned too narrowly for its parameter
+    pytest.param(
+        "(fn x : (() + ())@[p, q] . x)@[p, q] (Inl ()@[p])",
+        "ArgMismatch\t1:39\tdata value owned by [p] does not fit (() + "
+        "())@[p, q]",
+        id="data-value-owned-by"),
+    # _proj_app: a projection at the wrong owners
+    pytest.param(
+        "(fn x : ()@[p] . x)@[p, q] (fst[p, q] (Pair (Inl ()@[p, q]) ()@[p, "
+        "q]))",
+        "ArgMismatch\t1:29\tprojection at [p, q] cannot produce ()@[p]",
+        id="projection-cannot-produce"),
+    # _lookup_app: a tuple type that does not mask
+    pytest.param(
+        "(fn t : (()@[p], ()@[q]) . lookup[1][r] t)@[p, q, r]",
+        "MaskUndefined\t1:28\t(()@[p], ()@[q]) does not mask to [r]",
+        id="does-not-mask"),
+    # _lookup_app: a lookup owned apart from the mask
+    pytest.param(
+        "(fn x : (() + ())@[p] . x)@[p] (lookup[1][q] (Inl ()@[q],))",
+        "ArgMismatch\t1:33\tlookup at [q] cannot mask to (() + ())@[p]",
+        id="lookup-cannot-mask"),
+    # _lookup_app: an open element that does not mask
+    pytest.param(
+        "(fn x : (() + ())@[q] . x)@[p, q] (com[p][q] (lookup[1][q] (Inl "
+        "()@[p],)))",
+        "MaskUndefined\t1:47\telement owned by [p] does not mask to [q]",
+        id="element-does-not-mask"),
+    # _masks: an element that does not type
+    pytest.param(
+        "(fn x : (() + ())@[p] . x)@[p] (lookup[1][p] (Inl ()@[p], Pair "
+        "()@[p] ()@[q]))",
+        "MaskUndefined\t1:33\ttuple element 2 does not mask to [p]",
+        id="masks-rejects-element"),
+    # _masks: a nested tuple that cannot synthesize
+    pytest.param(
+        "(fn x : (() + ())@[p] . x)@[p] (lookup[1][p] (Inl ()@[p], (Inl "
+        "()@[q],)))",
+        "MaskUndefined\t1:33\ttuple element 2 does not mask to [p]",
+        id="masks-tuple-element"),
+    # _masks: a keyword that cannot synthesize
+    pytest.param(
+        "(fn x : (() + ())@[p] . x)@[p] (lookup[1][p] (Inl ()@[p], fst[q]))",
+        "MaskUndefined\t1:33\ttuple element 2 does not mask to [p]",
+        id="masks-keyword-element"),
+    # _same and _fill: tuple branches, one with a hole
+    pytest.param(
+        "(case[p] Inl ()@[p] of Inl a => (a,); Inr b => (b,)) ()@[p]",
+        "NotAFunction\t1:2\tapplied expression of type (()@[p],)",
+        id="tuple-branches"),
+    # has_hole: a let bound to a tuple
+    pytest.param(
+        "let t = (()@[p],); t ()@[p]",
+        "NotAFunction\t1:20\tapplied expression of type (()@[p],)",
+        id="tuple-let"),
+    # _walk: an applied application that cannot synthesize
+    pytest.param(
+        "(fn x : ()@[p] . x)@[p] ((fst[p] (Pair (Inl ()@[p]) ()@[p])) ()@[p])",
+        "AmbiguousSum\t1:27\tcannot determine the type; annotate it",
+        id="cannot-determine"),
+    # _walk: a pair checked against a non-product
+    pytest.param(
+        "(fn x : (() + ())@[p] . x)@[p] (Inl (Pair ()@[p] ()@[p]))",
+        "ArgMismatch\t1:33\tpair checked against ()",
+        id="pair-checked-against"),
+    # _require_data: a function sent by com
+    pytest.param(
+        "com[p][q] (fn x : ()@[p] . x)@[p]",
+        "ArgMismatch\t1:1\tcom argument must be data, got (()@[p] -> "
+        "()@[p])@[p]",
+        id="must-be-data"),
+    # _walk: an injection checked against a unit parameter
+    pytest.param(
+        "(fn x : ()@[p] . x)@[p] (Inl ()@[p])",
+        "ArgMismatch\t1:26\tinjection checked against a type that is not "
+        "a sum",
+        id="injection-not-a-sum"),
+    # _com_app: a com checked, with no mask, against other owners
+    pytest.param(
+        "case[p, q] Inl ()@[p, q] of Inl a => com[p][q] (Inl ()@[p]); "
+        "Inr b => ()@[p, q]",
+        "ArgMismatch\t1:38\tcom to [q] cannot produce ()@[p, q]",
+        id="com-cannot-produce"),
+    # _proj_app: a projection of a unit
+    pytest.param(
+        "fst[p] ()@[p]",
+        "ArgMismatch\t1:1\tfst/snd needs a product, got ()@[p]",
+        id="needs-a-product"),
+    # _lookup_app: a lookup into a unit
+    pytest.param(
+        "lookup[1][p] ()@[p]",
+        "ArgMismatch\t1:1\tlookup needs a tuple, got ()@[p]",
+        id="needs-a-tuple"),
+])
+def test_diagnostic_sites(text, record):
+    prog = compile_text(text)
+    with pytest.raises(TypeErr) as exc:
+        typecheck(prog.theta, prog.core)
+    assert exc.value.record() == record

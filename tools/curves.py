@@ -58,7 +58,6 @@ import statistics
 import subprocess
 import sys
 import time
-from dataclasses import fields, is_dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional
@@ -140,19 +139,6 @@ def steps_to_value(core) -> int:
     return steps
 
 
-def behavior_nodes(procs: dict) -> int:
-    """The nodes of every behaviour in procs, counted as a tree."""
-    count, stack = 0, list(procs.values())
-    while stack:
-        b = stack.pop()
-        if isinstance(b, tuple):
-            stack += b
-        elif is_dataclass(b):
-            count += 1
-            stack += (getattr(b, f.name) for f in fields(b) if f.compare)
-    return count
-
-
 def measure_point(series: str, n: int, stage: str = "run") -> dict:
     """Time one stage on one program in this interpreter."""
     from helam import network
@@ -160,6 +146,7 @@ def measure_point(series: str, n: int, stage: str = "run") -> dict:
     from helam.projection import project_all
     from helam.semantics import run
     from helam.surface import compile_text, tokenize
+    from helam.syntax import node_count
 
     text = TEXTS[series](n)
     default_limit = sys.getrecursionlimit()
@@ -173,7 +160,8 @@ def measure_point(series: str, n: int, stage: str = "run") -> dict:
                     "us_per_token": 1e6 * best / tokens}
         core = compile_text(text).core
         if stage == "project":
-            count = behavior_nodes(project_all(core))  # warms up
+            procs = project_all(core)  # warms up
+            count = sum(map(node_count, procs.values()))
             best = fastest(lambda: project_all(core))
             return {"n": n, "behavior_nodes": count, "project_s": best,
                     "us_per_node": 1e6 * best / count}
