@@ -19,7 +19,7 @@ from .network import Network, SimulationFault, format_trace, simulate
 from .projection import EmptyRoles, project, project_all
 from .semantics import FuelExhausted, StuckError, run
 from .surface import CompiledProgram, DesugarError, ParseError, compile_text
-from .syntax import PartySet, print_behavior, print_expr, print_type
+from .syntax import PartySet, print_expr, print_type
 from .typecheck import TypeErr, typecheck
 
 
@@ -81,7 +81,7 @@ def cmd_project(args) -> int:
     prog = _load(args.file, args.theta)
     typecheck(prog.theta, prog.core)
     if args.party:
-        print(print_behavior(project(prog.core, args.party)))
+        print(print_expr(project(prog.core, args.party)))
         return 0
     procs = project_all(prog.core)
     if args.out:
@@ -89,11 +89,11 @@ def cmd_project(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for party, behavior in sorted(procs.items()):
             path = outdir / f"{party}.hlp"
-            path.write_text(print_behavior(behavior) + "\n", encoding="utf-8")
+            path.write_text(print_expr(behavior) + "\n", encoding="utf-8")
             print(path)
     else:
         for party, behavior in sorted(procs.items()):
-            print(f"{party}: {print_behavior(behavior)}")
+            print(f"{party}: {print_expr(behavior)}")
     return 0
 
 
@@ -117,7 +117,7 @@ def cmd_simulate(args) -> int:
         Path(args.trace).write_text(format_trace(outcome.trace),
                                     encoding="utf-8")
     for party in outcome.network.parties():
-        print(f"{party}: {print_behavior(outcome.network[party])}")
+        print(f"{party}: {print_expr(outcome.network[party])}")
     print(f"steps: {len(outcome.trace)}  messages: {outcome.messages}")
     if outcome.deadlock is not None:
         return _fail(str(outcome.deadlock), 1)
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--budget", type=_positive, default=100_000)
     p.add_argument("--trace", help="write the step trace to a file")
     p.set_defaults(fn=cmd_simulate)
 

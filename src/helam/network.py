@@ -44,7 +44,7 @@ from .semantics import FuelExhausted
 from .syntax import (
     BOTTOM, PENDING, BApp, BCase, Behavior, Bottom, LFst, LInl, LInr, LLam,
     LLookup, LPair, LSnd, LUnit, LVec, LocalValue, Recv, Send, SendSelf,
-    print_behavior,
+    print_expr,
 )
 
 
@@ -135,7 +135,7 @@ def _redex_action(fn: LocalValue, arg: LocalValue) -> Optional[Action]:
         case Send() | SendSelf():
             if not is_data_local(arg):
                 raise SimulationFault(
-                    f"cannot send non-data value {print_behavior(arg)}")
+                    f"cannot send non-data value {print_expr(arg)}")
             if isinstance(fn, Send):
                 return SendAction(fn.recipients, arg, BOTTOM, "LSEND")
             return SendAction(fn.recipients, arg, arg, "LSENDSELF")
@@ -389,7 +389,7 @@ class Network:
         return self._hash
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{p}[{print_behavior(self[p])}]"
+        inner = ", ".join(f"{p}[{print_expr(self[p])}]"
                           for p in self.parties())
         return f"Network({inner})"
 
@@ -528,7 +528,7 @@ class DeadlockReport:
         return self.stuck[0][0]
 
     def __str__(self) -> str:
-        inner = "; ".join(f"{p} stuck at {print_behavior(b)}"
+        inner = "; ".join(f"{p} stuck at {print_expr(b)}"
                           for p, b in self.stuck)
         return f"deadlock: {inner}"
 
@@ -622,7 +622,7 @@ def explore(net: Network, budget: int = 100_000) -> Exploration:
 def format_trace(trace: list[NetStep]) -> str:
     lines = []
     for n, s in enumerate(trace, start=1):
-        payload = print_behavior(s.payload) if s.payload is not None else "-"
+        payload = print_expr(s.payload) if s.payload is not None else "-"
         recipients = ", ".join(s.recipients)
         lines.append(f"step {n}: {s.origin} -> [{recipients}] : {payload}")
     return "\n".join(lines) + ("\n" if lines else "")

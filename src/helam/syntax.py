@@ -695,34 +695,37 @@ _FN = 1     # function position of an application
 _ATOM = 2   # argument position / constructor operand
 
 
-def print_expr(e: ChorExpr | ChorValue, level: int = _TOP) -> str:
-    # the arms go roughly by how often the node occurs in generated terms
+def print_expr(e: ChorExpr | ChorValue | Behavior, level: int = _TOP) -> str:
+    """Canonical text of an expression, value or behavior.  Matching central
+    and local classes share one arm.  The central arms come first, roughly
+    by how often the node occurs in generated terms, then the local-only
+    arms by how often they occur in projected behaviors."""
     match e:
         case Val():
             return print_expr(e.value, level)
         case Unit():
             return f"()@{e.owners}"
-        case App():
+        case App() | BApp():
             s = f"{print_expr(e.fn, _FN)} {print_expr(e.arg, _ATOM)}"
             return f"({s})" if level >= _ATOM else s
         case Lam():
             return (f"(fn {e.param}: {print_type(e.param_type)}. "
                     f"{print_expr(e.body)})@{e.owners}")
-        case Pair():
+        case Pair() | LPair():
             s = (f"Pair {print_expr(e.first, _ATOM)} "
                  f"{print_expr(e.second, _ATOM)}")
             return f"({s})" if level >= _ATOM else s
-        case Inl():
+        case Inl() | LInl():
             s = f"Inl {print_expr(e.value, _ATOM)}"
             return f"({s})" if level >= _ATOM else s
-        case Inr():
+        case Inr() | LInr():
             s = f"Inr {print_expr(e.value, _ATOM)}"
             return f"({s})" if level >= _ATOM else s
         case Com():
             return f"com[{e.sender}]{e.recipients}"
-        case Var():
+        case Var() | LVar():
             return e.name
-        case Vec():
+        case Vec() | LVec():
             elems = e.elems
             if len(elems) == 1:
                 return f"({print_expr(elems[0])},)"
@@ -738,65 +741,38 @@ def print_expr(e: ChorExpr | ChorValue, level: int = _TOP) -> str:
             return f"snd{e.owners}"
         case Lookup():
             return f"lookup[{e.index}]{e.owners}"
-    raise TypeError(f"not an expression or value: {e!r}")
-
-
-def print_behavior(b: Behavior, level: int = _TOP) -> str:
-    match b:
-        case BApp():
-            s = f"{print_behavior(b.fn, _FN)} {print_behavior(b.arg, _ATOM)}"
-            return f"({s})" if level >= _ATOM else s
-        case BCase():
-            s = (f"case {print_behavior(b.scrutinee, _FN)} of "
-                 f"Inl {b.left_var} => {print_behavior(b.left_body)}; "
-                 f"Inr {b.right_var} => {print_behavior(b.right_body)}")
-            return f"({s})" if level >= _FN else s
-        case LVar():
-            return b.name
         case LUnit():
             return "()"
         case LLam():
-            s = f"fn {b.param}. {print_behavior(b.body)}"
+            s = f"fn {e.param}. {print_expr(e.body)}"
             return f"({s})" if level >= _FN else s
-        case LInl():
-            s = f"Inl {print_behavior(b.value, _ATOM)}"
-            return f"({s})" if level >= _ATOM else s
-        case LInr():
-            s = f"Inr {print_behavior(b.value, _ATOM)}"
-            return f"({s})" if level >= _ATOM else s
-        case LPair():
-            s = (f"Pair {print_behavior(b.first, _ATOM)} "
-                 f"{print_behavior(b.second, _ATOM)}")
-            return f"({s})" if level >= _ATOM else s
-        case LVec():
-            elems = b.elems
-            if len(elems) == 1:
-                return f"({print_behavior(elems[0])},)"
-            return "(" + ", ".join(print_behavior(x) for x in elems) + ")"
-        case LFst():
-            return "fst"
-        case LSnd():
-            return "snd"
-        case LLookup():
-            return f"lookup[{b.index}]"
-        case Recv():
-            return f"recv_[{b.sender}]"
-        case Send():
-            return "send_[" + ", ".join(b.recipients) + "]"
-        case SendSelf():
-            return "send*_[" + ", ".join(b.recipients) + "]"
         case Bottom():
             return "⊥"
-    raise TypeError(f"not a behavior: {b!r}")
+        case BCase():
+            s = (f"case {print_expr(e.scrutinee, _FN)} of "
+                 f"Inl {e.left_var} => {print_expr(e.left_body)}; "
+                 f"Inr {e.right_var} => {print_expr(e.right_body)}")
+            return f"({s})" if level >= _FN else s
+        case Recv():
+            return f"recv_[{e.sender}]"
+        case SendSelf():
+            return "send*_[" + ", ".join(e.recipients) + "]"
+        case LLookup():
+            return f"lookup[{e.index}]"
+        case LSnd():
+            return "snd"
+        case LFst():
+            return "fst"
+        case Send():
+            return "send_[" + ", ".join(e.recipients) + "]"
+    raise TypeError(f"not an expression, value or behavior: {e!r}")
 
 
 def canonical_print(x) -> str:
-    """Render an expression, value, type, data shape, or local behavior as
+    """Render a type, a data shape, or an expression, value or behavior as
     canonical text."""
-    if isinstance(x, (ChorExpr, ChorValue)):
-        return print_expr(x)
     if isinstance(x, ChorType):
         return print_type(x)
     if isinstance(x, DataType):
         return print_data(x)
-    return print_behavior(x)
+    return print_expr(x)

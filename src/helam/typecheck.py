@@ -204,11 +204,30 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
             head = fn.value if isinstance(fn, Val) else None
             if isinstance(head, Com):
                 return _com_app(env, head, arg, want, node.span)
-            if want is not None and isinstance(head, Lam):
+            if isinstance(head, Lam):
+                # a directly applied lambda, as every let is; its errors go
+                # in `surface._Elab._let`'s order: rule, argument, body
                 inner = lam_scope(env, head.param, head.param_type,
                                   head.owners, node.span)
+                if want is not None:
+                    check_arg(env, arg, head.param_type, head.owners)
+                    return _walk(inner, head.body, want, node.span)
+                # synthesis types the body first, since a caller checks an
+                # ambiguous body again (with the argument first, nested lets
+                # would check theirs 2 ** depth times); another error of the
+                # body waits for the argument's, unless that is ambiguous
+                try:
+                    t = _walk(inner, head.body, None)
+                except TypeErr as err:
+                    if err.kind != AMBIGUOUS_SUM:
+                        try:
+                            check_arg(env, arg, head.param_type, head.owners)
+                        except TypeErr as first:
+                            if first.kind != AMBIGUOUS_SUM:
+                                raise
+                    raise
                 check_arg(env, arg, head.param_type, head.owners)
-                return _walk(inner, head.body, want, node.span)
+                return t
             if want is not None and want.exact:
                 _synth_first(env, node, want, node.span,
                              Want(want.type, env.theta))

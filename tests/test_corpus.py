@@ -184,6 +184,14 @@ def test_projection_matches_golden(corpus_dir, capsys, name):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_canonical_print_matches_golden(corpus_dir, capsys, name):
+    # `fmt` does not check, so the ill-typed program is pinned too
+    assert main(["fmt", str(corpus_dir / f"{name}.hll")]) == 0
+    golden = corpus_dir / "golden" / f"{name}.fmt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run(
@@ -399,6 +407,18 @@ class TestCli:
             main(["test-metatheory", "--instances", count])
         assert exc.value.code == 2
         assert f"not a positive integer: {count!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_non_positive_budget_is_a_usage_error(self, capsys, corpus_dir,
+                                                  budget):
+        # a budget below one explores nothing, and would report a budget
+        # hit (exit 3) rather than the bad flag
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(corpus_dir / "multicast.hll"),
+                  "--exhaustive", "--budget", budget])
+        assert exc.value.code == 2
+        assert f"not a positive integer: {budget!r}" in \
+            capsys.readouterr().err
 
     def test_theta_flag(self, corpus_dir):
         result = self.run_cli("check", str(corpus_dir / "multicast.hll"),

@@ -77,6 +77,19 @@ def test_one_project_point_per_series(monkeypatch):
     assert chain["us_per_node"] > 0 and let["us_per_node"] > 0
 
 
+def test_one_print_point_per_series(monkeypatch):
+    curves = _load()
+    monkeypatch.setattr(curves, "MIN_SECONDS", 0.0)
+    chain = curves.measure_point("chain", 50, "print")
+    let = curves.measure_point("let", 50, "print")
+    # per hop an application, a value and its `com`; and `()@[alice]`
+    assert chain["nodes"] == 50 * 3 + 2
+    # per let, x0 included, an application, the lambda and its value, and
+    # the argument and its value; then the last variable and its value
+    assert let["nodes"] == 51 * 5 + 2
+    assert chain["us_per_node"] > 0 and let["us_per_node"] > 0
+
+
 def test_one_par_point_per_network_stage(monkeypatch):
     curves = _load()
     monkeypatch.setattr(curves, "MIN_SECONDS", 0.0)

@@ -10,7 +10,7 @@ from helam.projection import (
 from helam.syntax import (
     App, BApp, BCase, BOTTOM, Case, Com, DUnit, DataTy, Inl,
     LInl, LInr, LLam, LPair, LUnit, LVar, LVec, NO_VARS, Pair, Recv, Send,
-    SendSelf, Unit, Val, Var, free_vars, parties, print_behavior,
+    SendSelf, Unit, Val, Var, free_vars, parties, print_expr,
 )
 
 P = parties("p")
@@ -132,7 +132,7 @@ class TestProjectAll:
     def test_kvs_primary_sends_to_itself_once(self, corpus):
         prog = corpus("kvs")
         net = project_all(prog.core)
-        text = print_behavior(net["primary"])
+        text = print_expr(net["primary"])
         assert text.count("send*_") == 1
 
 

@@ -179,6 +179,23 @@ class TestDesugar:
         assert capsys.readouterr().err.split("\t")[:2] == ["NoopViolation",
                                                             "1:18"]
 
+    @pytest.mark.parametrize("annot, spans", [("", ("1:27", "1:44")),
+                                              (" : ()@[p]", ("1:36", "1:53"))])
+    def test_bound_expression_goes_before_an_error_in_the_body(
+            self, annot, spans, tmp_path, capsys):
+        # a let's diagnostics come in the elaborator's order, lambda rule,
+        # bound expression, body, in synthesis mode too: the unbound `nope`
+        # in the bound goes before the body's misapplied `y`, with the let
+        # inside the bound annotated or not, at the top level and in a
+        # lambda's body
+        let = f"let y : ()@[p] = (let z{annot} = nope; z);\ny y"
+        source = tmp_path / "let.hll"
+        for text, span in zip((let, f"(fn x : ()@[p] . {let})@[p]"), spans):
+            source.write_text(text + "\n")
+            assert main(["check", str(source)]) == 1
+            assert capsys.readouterr().err.split("\t")[:2] == ["UnboundVar",
+                                                                span]
+
 
 class TestUniquify:
     def test_second_binder_renamed(self):

@@ -404,3 +404,174 @@ def test_node_count_matches_the_reference_on_long_programs():
 @given(_exprs | _values)
 def test_nodes_match_the_reference_on_raw_terms(e):
     _same_walk(e)
+
+
+# ---------------------------------------------------------------------------
+# `print_expr` prints both term languages; the two printers it replaced, one
+# per language, are the oracles
+
+from helam.network import Network, format_trace, simulate  # noqa: E402
+from helam.semantics import Stepped, step  # noqa: E402
+from helam.syntax import (  # noqa: E402
+    _ATOM, _FN, _TOP, BApp, BCase, Bottom, LFst, LInl, LInr, LLam, LLookup,
+    LPair, LSnd, LUnit, LVar, LVec, Recv, Send, SendSelf,
+)
+
+from test_projection import _behaviors  # noqa: E402
+
+
+def reference_print_expr(e, level=_TOP):
+    # the arms go roughly by how often the node occurs in generated terms
+    match e:
+        case Val():
+            return reference_print_expr(e.value, level)
+        case Unit():
+            return f"()@{e.owners}"
+        case App():
+            s = (f"{reference_print_expr(e.fn, _FN)} "
+                 f"{reference_print_expr(e.arg, _ATOM)}")
+            return f"({s})" if level >= _ATOM else s
+        case Lam():
+            return (f"(fn {e.param}: {print_type(e.param_type)}. "
+                    f"{reference_print_expr(e.body)})@{e.owners}")
+        case Pair():
+            s = (f"Pair {reference_print_expr(e.first, _ATOM)} "
+                 f"{reference_print_expr(e.second, _ATOM)}")
+            return f"({s})" if level >= _ATOM else s
+        case Inl():
+            s = f"Inl {reference_print_expr(e.value, _ATOM)}"
+            return f"({s})" if level >= _ATOM else s
+        case Inr():
+            s = f"Inr {reference_print_expr(e.value, _ATOM)}"
+            return f"({s})" if level >= _ATOM else s
+        case Com():
+            return f"com[{e.sender}]{e.recipients}"
+        case Var():
+            return e.name
+        case Vec():
+            elems = e.elems
+            if len(elems) == 1:
+                return f"({reference_print_expr(elems[0])},)"
+            return ("(" + ", ".join(reference_print_expr(x) for x in elems)
+                    + ")")
+        case Case():
+            s = (f"case{e.guards} {reference_print_expr(e.scrutinee, _FN)} of "
+                 f"Inl {e.left_var} => {reference_print_expr(e.left_body)}; "
+                 f"Inr {e.right_var} => {reference_print_expr(e.right_body)}")
+            return f"({s})" if level >= _FN else s
+        case Fst():
+            return f"fst{e.owners}"
+        case Snd():
+            return f"snd{e.owners}"
+        case Lookup():
+            return f"lookup[{e.index}]{e.owners}"
+    raise TypeError(f"not an expression or value: {e!r}")
+
+
+def reference_print_behavior(b, level=_TOP):
+    match b:
+        case BApp():
+            s = (f"{reference_print_behavior(b.fn, _FN)} "
+                 f"{reference_print_behavior(b.arg, _ATOM)}")
+            return f"({s})" if level >= _ATOM else s
+        case BCase():
+            s = (f"case {reference_print_behavior(b.scrutinee, _FN)} of "
+                 f"Inl {b.left_var} => {reference_print_behavior(b.left_body)}"
+                 f"; Inr {b.right_var} => "
+                 f"{reference_print_behavior(b.right_body)}")
+            return f"({s})" if level >= _FN else s
+        case LVar():
+            return b.name
+        case LUnit():
+            return "()"
+        case LLam():
+            s = f"fn {b.param}. {reference_print_behavior(b.body)}"
+            return f"({s})" if level >= _FN else s
+        case LInl():
+            s = f"Inl {reference_print_behavior(b.value, _ATOM)}"
+            return f"({s})" if level >= _ATOM else s
+        case LInr():
+            s = f"Inr {reference_print_behavior(b.value, _ATOM)}"
+            return f"({s})" if level >= _ATOM else s
+        case LPair():
+            s = (f"Pair {reference_print_behavior(b.first, _ATOM)} "
+                 f"{reference_print_behavior(b.second, _ATOM)}")
+            return f"({s})" if level >= _ATOM else s
+        case LVec():
+            elems = b.elems
+            if len(elems) == 1:
+                return f"({reference_print_behavior(elems[0])},)"
+            return ("(" + ", ".join(reference_print_behavior(x)
+                                    for x in elems) + ")")
+        case LFst():
+            return "fst"
+        case LSnd():
+            return "snd"
+        case LLookup():
+            return f"lookup[{b.index}]"
+        case Recv():
+            return f"recv_[{b.sender}]"
+        case Send():
+            return "send_[" + ", ".join(b.recipients) + "]"
+        case SendSelf():
+            return "send*_[" + ", ".join(b.recipients) + "]"
+        case Bottom():
+            return "⊥"
+    raise TypeError(f"not a behavior: {b!r}")
+
+
+def reference_format_trace(trace):
+    """`format_trace` with the behavior printer it used."""
+    return "".join(
+        f"step {n}: {s.origin} -> [{', '.join(s.recipients)}] : "
+        + ("-" if s.payload is None else reference_print_behavior(s.payload))
+        + "\n" for n, s in enumerate(trace, start=1))
+
+
+def _prints_as_the_references(e, behaviors):
+    for level in (_TOP, _FN, _ATOM):
+        assert print_expr(e, level) == reference_print_expr(e, level)
+    for b in behaviors:
+        for level in (_TOP, _FN, _ATOM):
+            assert print_expr(b, level) == reference_print_behavior(b, level)
+
+
+def test_print_expr_matches_the_references_on_instances():
+    states = behaviors = steps = 0
+    for seed in range(1000):
+        e = gen_instance(GenConfig(), seed).expr
+        procs = project_all(e)
+        _prints_as_the_references(e, procs.values())
+        behaviors += len(procs)
+        out = simulate(Network(procs), seed=0)
+        assert format_trace(out.trace) == reference_format_trace(out.trace)
+        _prints_as_the_references(e, map(out.network.__getitem__,
+                                         out.network.parties()))
+        steps += len(out.trace)
+        for _ in range(10 * node_count(e) + 1):
+            states += 1
+            result = step(e)
+            if not isinstance(result, Stepped):
+                break
+            e = result.expr
+            _prints_as_the_references(e, ())
+    assert (states, behaviors) == (3830, 2694)
+    assert steps > 1000
+
+
+def test_print_expr_matches_the_references_on_long_programs():
+    for core in (let_chain(200), com_chain(150)):
+        _prints_as_the_references(core, project_all(core).values())
+
+
+def test_let_300_prints_at_the_default_recursion_limit():
+    # print_expr recurses three frames per let (application, value, lambda)
+    assert sys.getrecursionlimit() == 1000
+    text = print_expr(let_chain(300))
+    assert text.count("(fn x") == 301
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs | _values, _behaviors)
+def test_print_expr_matches_the_references_on_raw_terms(e, b):
+    _prints_as_the_references(e, (b,))

@@ -1,5 +1,7 @@
 """Typing rules: acceptance, rejection kinds, and bidirectional checking."""
 
+import sys
+
 import pytest
 
 from helam.surface import compile_text
@@ -486,3 +488,43 @@ def test_diagnostic_sites(text, record):
     with pytest.raises(TypeErr) as exc:
         typecheck(prog.theta, prog.core)
     assert exc.value.record() == record
+
+
+# Nested lets in argument position, each one's argument the next let: the
+# first program is well typed, each body an injection that cannot
+# synthesize; in the second each body names an unbound variable and the
+# innermost argument is ambiguous even against its parameter type.
+_AMBIGUOUS_ARG = ("(((fn z : ()@[p] . (fn w : ()@[p] . Inl ()@[p])@[p])@[p] "
+                  "()@[p]) ()@[p])")
+
+
+def _nested_lets(depth, annot, inner, body):
+    e = inner
+    for i in range(depth):
+        e = f"(let x{i} : {annot} = {e}; {body.format(i)})"
+    return f"let r : {annot} = {e}; r"
+
+
+@pytest.mark.parametrize("text, kind", [
+    (_nested_lets(12, "(() + ())@[p]", "Inl ()@[p]", "Inl ()@[p]"), None),
+    (_nested_lets(12, "()@[p]", _AMBIGUOUS_ARG, "nope{}"), UNBOUND_VAR),
+], ids=["ambiguous-bodies", "unbound-bodies"])
+def test_each_let_argument_is_checked_once(monkeypatch, text, kind):
+    # a synthesizing caller checks an ambiguous let again against its
+    # expectation; a let whose argument it had checked before the body
+    # would be checked twice at every level, 2 ** 13 - 1 times in all
+    checker = sys.modules[TypeErr.__module__]  # `helam.typecheck` is shadowed
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_arg(*args)
+
+    check_arg = checker.check_arg
+    monkeypatch.setattr(checker, "check_arg", counted)
+    prog = compile_text(text)
+    if kind is None:
+        typecheck(prog.theta, prog.core)
+    else:
+        expect_kind(kind, prog.theta, prog.core)
+    assert len(calls) == 13  # once per let, the outermost `r` included

@@ -1,8 +1,9 @@
 """Scaling curves of the two steppers, of the frontend and of projection:
 microseconds per step of the central `run` and of the network `simulate`,
-microseconds per token of `compile_text`, and microseconds per behaviour
-node of `project_all`, over chain-n (n nested `com` hops) and let-n (n
-chained `let` bindings), for n = 50, 100, 200, ... 1600; and, over
+microseconds per token of `compile_text`, microseconds per behaviour
+node of `project_all`, and microseconds per node of `print_expr` on the
+compiled core, over chain-n (n nested `com` hops) and let-n (n chained
+`let` bindings), for n = 50, 100, 200, ... 1600; and, over
 par-n (n disjoint sender/receiver pairs, 2n parties) for n = 2, 4, ... 32,
 microseconds per step of `simulate` and per state of `explore`, with the
 steps, messages and states of each point.  Each series also reports its
@@ -16,11 +17,12 @@ and `explore` projected into a `Network`, with the recursion limit raised
 (the parser and projection still recurse once per nesting level); `run`,
 `simulate` and `explore` are timed at the interpreter's default limit, so
 a point where the stepper itself recurses too deep is recorded as an
-error.  `compile` and `project` are timed at the raised limit, since at
-the default one the parser fails from chain-300 on and `project` still
-recurses once per nesting level; the token count includes the closing
-`eof`, and the node count is the size of every party's behaviour as a
-tree.  Before every timed run the network's caches are cleared (each
+error.  `compile`, `project` and `print` are timed at the raised limit,
+since at the default one the parser fails from chain-300 on, and
+`project` and `print_expr` still recurse once per nesting level; the
+token count includes the closing `eof`, and the node counts, by
+`node_count`, are the size of the core and of every party's behaviour as
+a tree.  Before every timed run the network's caches are cleared (each
 function of `helam.network` with a `cache_clear`) and the network is built
 again from its behaviours, so each run steps from scratch, with no
 action memoized on a party state; but every run takes the same term,
@@ -69,11 +71,11 @@ SIZES = {"chain": (50, 100, 200, 400, 800, 1600),
 # the series of each stage
 STAGES = {"run": ("chain", "let"), "simulate": ("chain", "let", "par"),
           "compile": ("chain", "let"), "project": ("chain", "let"),
-          "explore": ("par",)}
+          "print": ("chain", "let"), "explore": ("par",)}
 # the cost per unit of each stage, by which the growth is measured
 COST = {"run": "us_per_step", "simulate": "us_per_step",
         "compile": "us_per_token", "project": "us_per_node",
-        "explore": "us_per_state"}
+        "print": "us_per_node", "explore": "us_per_state"}
 COMPILE_RECURSION_LIMIT = 100_000
 # A point is timed REPEATS times and for at least MIN_SECONDS; the fastest
 # run is reported, as timeit does.
@@ -146,7 +148,7 @@ def measure_point(series: str, n: int, stage: str = "run") -> dict:
     from helam.projection import project_all
     from helam.semantics import run
     from helam.surface import compile_text, tokenize
-    from helam.syntax import node_count
+    from helam.syntax import node_count, print_expr
 
     text = TEXTS[series](n)
     default_limit = sys.getrecursionlimit()
@@ -159,6 +161,12 @@ def measure_point(series: str, n: int, stage: str = "run") -> dict:
             return {"n": n, "tokens": tokens, "compile_s": best,
                     "us_per_token": 1e6 * best / tokens}
         core = compile_text(text).core
+        if stage == "print":
+            print_expr(core)  # warms up
+            count = node_count(core)
+            best = fastest(lambda: print_expr(core))
+            return {"n": n, "nodes": count, "print_s": best,
+                    "us_per_node": 1e6 * best / count}
         if stage == "project":
             procs = project_all(core)  # warms up
             count = sum(map(node_count, procs.values()))
