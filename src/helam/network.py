@@ -21,7 +21,10 @@ Behaviors are taken floor-normal, as projection and every step build them
 
 A party state is a `Focus`, interned by `focus` (Filliatre & Conchon,
 "Type-Safe Modular Hash-Consing", ML Workshop 2006), which memoizes its
-action, so a step reads a slot instead of hashing party states.
+action, so a step reads a slot instead of hashing party states.  It also
+memoizes the step it offers each party whose state it is (`Focus.offer`),
+so a new network state lists its enabled steps by reading one offer per
+party, with no lru of silent steps beside it (`_npro` is gone).
 
 A network's enabled steps are enumerated, and cached, without the networks
 they reach: the cache keeps one network per state and stores its steps on
@@ -173,23 +176,29 @@ class Frame:
 _UNSET = object()  # an action not computed yet
 
 
+# the offers of a focus not asked yet: shared, so never written
+_NOT_OFFERED: dict = {}
+
+
 @dataclass(slots=True, eq=False)
 class Focus:
     """A behavior as its next redex, or its finished value, and the frames
     around it.  `focus` interns it, so equal pairs are one object while its
     table holds them; equality still compares the pair, so a state built
     after the table was emptied equals one built before.  A focus memoizes
-    its action: derived data, with the cached hash, that `==` and `hash`
-    ignore."""
+    its action, and in `_offers` the step it offers each party (`offer`):
+    derived data, with the cached hash, that `==` and `hash` ignore."""
 
     redex: Behavior
     frame: Optional[Frame]
     _hash: int = field(init=False, repr=False, compare=False)
     _action: object = field(default=_UNSET, init=False, repr=False,
                             compare=False)
+    _offers: Optional[dict] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._hash = hash((self.redex, self.frame))
+        self._offers = _NOT_OFFERED
 
     def __hash__(self) -> int:
         return self._hash
@@ -214,6 +223,35 @@ class Focus:
                                      focus(act.result, self.frame), act.rule)
             self._action = act
         return act
+
+    def offer(self, party: str) -> Optional[tuple[NetStep, tuple[str, ...]]]:
+        """The step this focus offers as party's state, with the recipients
+        it waits on (none for a silent step), or None when it offers none.
+        Built once per focus and party and kept in `_offers`: interned foci
+        are shared between parties, so the memo is keyed by party, and a
+        focus that offers no step keeps None for every party."""
+        offers = self._offers
+        if offers is None:
+            return None
+        offered = offers.get(party)
+        if offered is None:
+            act = self.action()
+            match act:
+                case SendAction() if act.recipients:
+                    offered = (NetStep(party, "NCOM", act.recipients,
+                                       act.payload, act.rule), act.recipients)
+                case Silent() | SendAction():
+                    # a multicast to nobody carries an empty send set and
+                    # is already a real step on its own
+                    offered = (NetStep(party, "NPRO", local_rule=act.rule),
+                               ())
+                case _:
+                    self._offers = None
+                    return None
+            if offers is _NOT_OFFERED:
+                self._offers = offers = {}
+            offers[party] = offered
+        return offered
 
 
 def _same(stack: list) -> bool:
@@ -263,11 +301,11 @@ def _same(stack: list) -> bool:
 
 
 # The intern table of `focus`, emptied when it reaches _MAX_FOCI entries,
-# which bounds the party states it keeps alive.  Only a new network, a new
-# action and a receive look it up:
+# which bounds the party states it keeps alive, and the offers memoized on
+# them.  Only a new network, a new action and a receive look it up:
 # the 7,149 runs of an acceptance pass (instances 0-119, 100 seeds each
 # when nondeterministic) make 1,371 lookups for 938 entries, and read a
-# memoized action 79,881 times out of 80,819.
+# memoized offer 54,629 times out of 55,464.
 _MAX_FOCI = 1 << 16
 _foci: dict[Focus, Focus] = {}
 
@@ -344,11 +382,15 @@ class Network:
     step cache work on the interned foci: equality is the dict's, which
     tries identity first, and the hash combines the party names with the
     hashes the foci cache, read without a call per party.  `net[p]` plugs
-    the focus back together.
+    the focus back together.  Its enabled steps are the steps its foci
+    offer their parties (`Focus.offer`, built once per focus and party;
+    `_npro` is gone).
 
-    Immutable as a value.  `_hash`, and `_steps` and `_succ` on the network
-    `_enumerate_cached` keeps for a state, hold derived data that `==` and
-    `hash` ignore.
+    Immutable by contract, as syntax nodes are: only `network.py` writes
+    its slots, which a static scan in `tests/test_immutability.py`
+    enforces, and it writes them directly, with no guard to get past.
+    `_hash`, and `_steps` and `_succ` on the network `_enumerate_cached`
+    keeps for a state, hold derived data that `==` and `hash` ignore.
     """
 
     __slots__ = ("_parties", "_hash", "_steps", "_succ")
@@ -358,12 +400,8 @@ class Network:
             raise ValueError("a network needs at least one party")
         # kept in party order: `_replace` only overwrites keys, so every
         # network a step reaches keeps it too
-        object.__setattr__(self, "_parties",
-                           {p: focus(procs[p]) for p in sorted(procs)})
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Network is immutable")
+        self._parties = {p: focus(procs[p]) for p in sorted(procs)}
+        self._hash = None
 
     def __getitem__(self, party: str) -> Behavior:
         return plug(self._parties[party])
@@ -374,8 +412,8 @@ class Network:
     def _replace(self, updates: dict[str, Focus]) -> "Network":
         # a step's results are focused already
         net = object.__new__(Network)
-        object.__setattr__(net, "_parties", {**self._parties, **updates})
-        object.__setattr__(net, "_hash", None)
+        net._parties = {**self._parties, **updates}
+        net._hash = None
         return net
 
     def __eq__(self, other) -> bool:
@@ -384,8 +422,7 @@ class Network:
     def __hash__(self) -> int:
         if self._hash is None:
             parties = self._parties
-            object.__setattr__(self, "_hash", hash(
-                (*parties, *map(_focus_hash, parties.values()))))
+            self._hash = hash((*parties, *map(_focus_hash, parties.values())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -422,8 +459,8 @@ def _enumerate_cached(net: Network) -> Network:
     """The network the cache keeps for net's state, with its enabled steps
     in `_steps`, in party order, and in `_succ` a slot per step for the
     network it reaches, filled the first time a run takes it (`_after`).
-    `_enumerate` reads each party's action off its `Focus`, which computes
-    it once, so a new state costs no lookup per party.
+    `_enumerate` reads each party's offered step off its `Focus`, which
+    builds it once, so a new state costs no lookup per party.
 
     Runs walk these links: after one lookup at its start, a run reads a
     step it has taken before from a list, with no hash, no comparison and
@@ -434,9 +471,8 @@ def _enumerate_cached(net: Network) -> Network:
     `_linked` holds every network that has made a link, and the link past
     _MAX_LINKS drops them all.  Unbounded, a root looked up by every run
     would keep every state of every run alive."""
-    steps = tuple(_enumerate(net))
-    object.__setattr__(net, "_steps", steps)
-    object.__setattr__(net, "_succ", [None] * len(steps))
+    net._steps = steps = tuple(_enumerate(net))
+    net._succ = [None] * len(steps)
     return net
 
 
@@ -487,32 +523,22 @@ def take(net: Network, step: NetStep) -> Network:
     return net._replace(updates)
 
 
-@lru_cache(maxsize=None)
-def _npro(p: str, local_rule: str) -> NetStep:
-    """The silent step of party p by local_rule.  Steps are never changed,
-    so every state shares one per party and rule rather than building its
-    own: states list many silent steps, and they are few distinct ones."""
-    return NetStep(p, "NPRO", local_rule=local_rule)
-
-
 def _enumerate(net: Network) -> list[NetStep]:
+    """The step each party offers, in party order, a send kept only when
+    every recipient waits to receive from its sender."""
     steps: list[NetStep] = []
     focused = net._parties
     for p, party in focused.items():
-        act = party.action()
-        match act:
-            case SendAction() if act.recipients:
-                for r in act.recipients:
-                    recv = focused[r].action()
-                    if not (isinstance(recv, RecvAction) and recv.sender == p):
-                        break
-                else:
-                    steps.append(NetStep(p, "NCOM", act.recipients,
-                                         act.payload, act.rule))
-            case Silent() | SendAction():
-                # a multicast to nobody carries an empty send set and is
-                # already a real step on its own
-                steps.append(_npro(p, act.rule))
+        offered = party.offer(p)
+        if offered is None:
+            continue
+        step, waits = offered
+        for r in waits:
+            recv = focused[r].action()
+            if not (isinstance(recv, RecvAction) and recv.sender == p):
+                break
+        else:
+            steps.append(step)
     return steps
 
 
@@ -556,9 +582,9 @@ class SimOutcome:
 def simulate(net: Network, seed: int = 0,
              fuel: int = 100_000) -> SimOutcome:
     """Run to quiescence under a seeded uniform scheduler."""
-    # `_randbelow(n)` is what `randrange(n)` returns for n >= 1, from the
-    # same bits, without its argument checks
-    draw = random.Random(seed)._randbelow
+    # each draw is `randrange(n)`'s for n >= 1, from the same bits: k-bit
+    # numbers until one is below n, with no Python call but getrandbits's
+    getrandbits = random.Random(seed).getrandbits
     trace: list[NetStep] = []
     nondet = False
     net = _enumerate_cached(net)
@@ -571,7 +597,10 @@ def simulate(net: Network, seed: int = 0,
             return SimOutcome(net, trace, report, nondet)
         if n > 1:
             nondet = True
-        i = draw(n)
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
         trace.append(steps[i])
         net = net._succ[i] or _after(net, i)
     raise FuelExhausted(f"network still active after {fuel} steps")

@@ -6,8 +6,10 @@ library's own code stands in for the runtime guard: nothing in
 `src/helam` may assign, augment or delete a field of a hashable dataclass,
 or set one through `setattr`/`object.__setattr__`, except the class's own
 `__init__`/`__post_init__` on `self`.  The derived data a node or network
-caches beside its fields (`DERIVED`) is exempt.  A second test checks that
-every hash is still the one `frozen=True` gave."""
+caches beside its fields (`DERIVED`) is exempt.  A `Network` is no
+dataclass and has no runtime guard either: only `network.py` may write its
+slots (`NETWORK_SLOTS`).  A second test checks that every hash is still
+the one `frozen=True` gave."""
 
 from __future__ import annotations
 
@@ -35,11 +37,15 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "helam"
 
 # derived data cached beside the fields, which `==` and `hash` ignore: the
 # cached hashes, the free-variable sets, a network's parties, enabled steps
-# and successor links, a party set's memo slots, and a focus's memo slot
-# (`Focus._action`, filled the first time a step asks for its action)
+# and successor links, a party set's memo slots, and a focus's memo slots
+# (`Focus._action`, filled the first time a step asks for its action, and
+# `Focus._offers`, the step it offers each party it is the state of)
 DERIVED = frozenset({"_hash", "_fv", "_parties", "_steps", "_succ",
                      "members", "_text", "_meets", "_joins", "_subsets",
-                     "_action"})
+                     "_action", "_offers"})
+# a network's slots, which no module but the one that defines it writes
+NETWORK_SLOTS = frozenset({"_parties", "_hash", "_steps", "_succ"})
+NETWORK_MODULE = "network.py"
 # the one function that fills slots through a computed name: `_checked`
 # builds each interned party set's `members`, text and memo slots
 DYNAMIC_NAME_WRITERS = frozenset({"_checked"})
@@ -138,6 +144,8 @@ class _Scanner(ast.NodeVisitor):
             return
         if attr in self.names:
             self._report(node, f"field {attr!r}")
+        elif attr in NETWORK_SLOTS and self.filename != NETWORK_MODULE:
+            self._report(node, f"Network.{attr}")
 
     def _report(self, node, what: str) -> None:
         self.found.append(f"{self.filename}:{node.lineno}: writes {what}")
@@ -232,23 +240,45 @@ def test_the_scanner_flags_seeded_writes(snippet, what):
 
 def test_the_scanner_allows_derived_data_and_other_objects():
     guarded = guarded_classes({"lib.py": LIBRARY_CLASSES})
-    ok = ("def f(e, net, node, x):\n"
+    ok = ("def f(e, node, x):\n"
           "    node._fv = x\n"
-          "    object.__setattr__(net, '_steps', x)\n"
           "    e.name = x\n"
           "    e.body[0] = x\n")
-    assert violations({"ok.py": ok}, guarded) == []
+    network = ("def f(net, x):\n"
+               "    net._parties = x\n"
+               "    object.__setattr__(net, '_steps', x)\n"
+               "    net._succ[0] = x\n")
+    assert violations({"ok.py": ok, NETWORK_MODULE: network}, guarded) == []
+
+
+@pytest.mark.parametrize("snippet, what", [
+    ("net._parties = x", "Network._parties"),
+    ("net._hash = None", "Network._hash"),
+    ("object.__setattr__(net, '_steps', x)", "Network._steps"),
+    ("setattr(net, '_succ', x)", "Network._succ"),
+    ("del net._hash", "Network._hash"),
+])
+def test_a_network_is_written_only_by_its_module(snippet, what):
+    # no runtime guard stops these writes, so the scan must
+    sources = _library()
+    guarded = guarded_classes(sources)
+    bad = f"def f(net, x):\n    {snippet}\n"
+    assert violations({**sources, "bad.py": bad}, guarded) == [
+        f"bad.py:2: writes {what}"]
+    assert violations({**sources, NETWORK_MODULE: bad}, guarded) == []
 
 
 @pytest.mark.parametrize("snippet, what", [
     ("f.redex = x", ["bad.py:2: writes field 'redex'"]),
     ("f.frame = x", ["bad.py:2: writes field 'frame'"]),
     ("f._action = x", []),
+    ("f._offers = x", []),
 ])
 def test_a_focus_is_guarded_but_for_its_memo_slot(snippet, what):
     sources = _library()
     guarded = guarded_classes(sources)
-    assert guarded["Focus"] == {"redex", "frame", "_hash", "_action"}
+    assert guarded["Focus"] == {"redex", "frame", "_hash", "_action",
+                                "_offers"}
     sources["bad.py"] = f"def f(f, x):\n    {snippet}\n"
     assert violations(sources, guarded) == what
 

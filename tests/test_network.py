@@ -397,14 +397,22 @@ def test_lazy_successors_match_the_eager_stepper():
 
 
 def test_the_scheduler_draw_is_randrange():
-    """`simulate` draws with `Random._randbelow`, which must give the same
+    """`simulate` draws inline from `getrandbits`, which must give the same
     numbers as `randrange`, bits consumed included, or every recorded
-    trace would move."""
-    for seed in range(100):
-        fast, slow = random.Random(seed), random.Random(seed)
-        for _ in range(3):
-            for n in range(1, 41):
-                assert fast._randbelow(n) == slow.randrange(n), (seed, n)
+    trace would move: from a first state with exactly n enabled steps, one
+    silent step per party, the first step taken is `randrange(n)`'s, and
+    the whole trace is the eager stepper's, which draws by `randrange`."""
+    redex = BApp(LLam("x", LVar("x")), LUnit())
+    for n in range(1, 41):
+        names = [f"p{i:02d}" for i in range(n)]
+        net = Network({p: redex for p in names})
+        assert len(enumerate_net_steps(net)) == n
+        for seed in range(100):
+            out = simulate(net, seed)
+            first = random.Random(seed).randrange(n)
+            assert out.trace[0] == NetStep(names[first], "NPRO"), (n, seed)
+            assert out.trace == _reference_simulate(net, seed).trace, \
+                (n, seed)
 
 
 def test_a_repeated_run_walks_the_cached_records(monkeypatch):
@@ -611,6 +619,95 @@ def test_each_memoized_action_is_the_one_computed_afresh(reachable):
             assert hash(memo.result) == hash(act.result)
             fresh += memo.result is not act.result
     assert fresh > 1000
+
+
+def _offer_afresh(f, party):
+    """The step f offers as party's state, and the recipients it waits on,
+    built from its redex's `next_action`, as `Focus.offer` builds it."""
+    act = next_action(f.redex)
+    if isinstance(act, SendAction) and act.recipients:
+        return (NetStep(party, "NCOM", act.recipients, act.payload,
+                        act.rule), act.recipients)
+    if isinstance(act, (Silent, SendAction)):
+        return NetStep(party, "NPRO", local_rule=act.rule), ()
+    return None
+
+
+def test_each_memoized_offer_is_the_one_computed_afresh(reachable):
+    """At every reachable state, each party's memoized offer equals the one
+    built from its redex after the intern table is emptied, local rule
+    included, and reading it again gives the same object."""
+    pairs = {(p, id(f)): (p, f) for states in reachable.values()
+             for net in states for p, f in net._parties.items()}
+    memos = {key: f.offer(p) for key, (p, f) in pairs.items()}
+    focus.cache_clear()
+    offered = silent = 0
+    for key, (p, f) in pairs.items():
+        memo, fresh = memos[key], _offer_afresh(f, p)
+        assert memo == fresh and memo is f.offer(p), key
+        if memo is not None:
+            assert memo[0].origin == p
+            assert memo[0].local_rule == fresh[0].local_rule, key
+            offered += 1
+            silent += memo[0].rule == "NPRO"
+        else:
+            assert f._offers is None
+    assert offered > 1000 and 0 < silent < offered
+
+
+def par_net(n):
+    """n disjoint pairs, each sending one value from p{2i} to p{2i+1}."""
+    text = "".join(f"let x{i} = com[p{2 * i}][p{2 * i + 1}] ()@[p{2 * i}];\n"
+                   for i in range(n))
+    everyone = ", ".join(f"p{i}" for i in range(2 * n))
+    return Network(project_all(compile_text(text + f"()@[{everyone}]").core))
+
+
+def test_parties_that_share_a_focus_each_offer_their_own_step():
+    """In par-4 the parties past their own `com` share one interned focus at
+    each `let` they pass, and the finished ones share `()`; at every state
+    of seeded runs each party lists its own step, with itself as origin,
+    in party order, as the eager stepper does."""
+    net = par_net(4)
+    shared_steps = shared_finished = 0
+    for seed in range(10):
+        cur = net
+        for taken in simulate(net, seed).trace + [None]:
+            steps = [s for _, s in enumerate_net_steps(cur)]
+            assert steps == [s for _, s in _reference_pairs(cur)]
+            assert [s.origin for s in steps] == sorted(
+                s.origin for s in steps)
+            for s in steps:
+                assert s is cur._parties[s.origin].offer(s.origin)[0]
+            by_focus = {}
+            for p, f in cur._parties.items():
+                by_focus.setdefault(id(f), []).append(p)
+            for sharing in by_focus.values():
+                if len(sharing) < 2:
+                    continue
+                f = cur._parties[sharing[0]]
+                if f.action() is None:
+                    shared_finished += 1
+                    assert f._offers is None
+                else:
+                    shared_steps += 1
+                    for p in sharing:
+                        assert f.offer(p)[0].origin == p
+                        assert f._offers[p] is f.offer(p)
+            if taken is not None:
+                cur = successor(cur, taken)
+    assert shared_steps > 0 and shared_finished > 0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_par_simulations_are_the_eager_steppers(n):
+    net = par_net(n)
+    for seed in range(50):
+        lazy, eager = simulate(net, seed), _reference_simulate(net, seed)
+        assert (lazy.trace, lazy.network, lazy.deadlock,
+                lazy.nondeterministic) == (eager.trace, eager.network,
+                                           eager.deadlock,
+                                           eager.nondeterministic), seed
 
 
 def test_each_step_keeps_its_origins_local_rule():
