@@ -42,6 +42,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Optional
 
+from . import caches
 from .projection import bapp, bcase, local_subst
 from .semantics import FuelExhausted
 from .syntax import (
@@ -114,6 +115,10 @@ def next_action(b: Behavior) -> Optional[Action]:
                                       b.scrutinee.value), "LCASER")
         case _:
             return None
+
+
+caches.register("network.next_action", next_action.cache_clear,
+                lambda: next_action.cache_info()._asdict())
 
 
 def _redex_action(fn: LocalValue, arg: LocalValue) -> Optional[Action]:
@@ -316,8 +321,7 @@ def focus(b: Behavior, frame: Optional[Frame] = None) -> Focus:
     before argument.  A finished value is put back into its innermost
     frame through `bapp`/`bcase`, so the collapse rules apply (a value under
     a missing function becomes `BOTTOM`), and the search goes on from the
-    node it gives.  The pair is interned; `focus.cache_clear()` empties the
-    table, as an `lru_cache`'s does."""
+    node it gives.  The pair is interned in `_foci`."""
     while True:
         if isinstance(b, BApp):
             if isinstance(b.fn, PENDING):
@@ -347,7 +351,10 @@ def focus(b: Behavior, frame: Optional[Frame] = None) -> Focus:
     return _foci.setdefault(new, new)
 
 
-focus.cache_clear = _foci.clear
+caches.register("network.foci", _foci.clear, lambda: {
+    "currsize": len(_foci), "maxsize": _MAX_FOCI,
+    "actions": sum(f._action is not _UNSET for f in _foci),
+    "offers": sum(f._offers is not _NOT_OFFERED for f in _foci)})
 
 
 def plug(focused: Focus) -> Behavior:
@@ -476,8 +483,21 @@ def _enumerate_cached(net: Network) -> Network:
     return net
 
 
+caches.register("network.enumerate", _enumerate_cached.cache_clear,
+                lambda: _enumerate_cached.cache_info()._asdict())
+
 _MAX_LINKS = 1 << 14  # the cache's own bound
 _linked: list[Network] = []  # every network that linked since the last drop
+
+
+def _drop_links() -> None:
+    for linked in _linked:
+        linked._succ[:] = [None] * len(linked._succ)
+    _linked.clear()
+
+
+caches.register("network.links", _drop_links,
+                lambda: {"currsize": len(_linked), "maxsize": _MAX_LINKS})
 
 
 def _after(net: Network, i: int) -> Network:
@@ -486,9 +506,7 @@ def _after(net: Network, i: int) -> Network:
     if nxt is None:
         nxt = _enumerate_cached(take(net, net._steps[i]))
         if len(_linked) >= _MAX_LINKS:
-            for linked in _linked:
-                linked._succ[:] = [None] * len(linked._succ)
-            _linked.clear()
+            _drop_links()
         _linked.append(net)
         net._succ[i] = nxt
     return nxt

@@ -26,6 +26,8 @@ import re
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Optional, Union
 
+from . import caches
+
 # ---------------------------------------------------------------------------
 # parties
 
@@ -146,6 +148,12 @@ def _checked(members: tuple[str, ...]) -> PartySet:
             object.__setattr__(ps, slot, value)
         found = _INTERNED.setdefault(members, ps)
     return found
+
+
+caches.register("syntax.party_sets", None, lambda: {
+    "currsize": len(_INTERNED), "sets": len(set(_INTERNED.values())),
+    "memos": sum(len(ps._meets) + len(ps._joins) + len(ps._subsets)
+                 for ps in set(_INTERNED.values()))})
 
 
 def parties(*names: str) -> PartySet:

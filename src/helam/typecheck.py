@@ -16,6 +16,9 @@ Shapes may contain holes (`DAny`) where the context leaves them open, and
 from the other branch's (`_fill`).  Injections and the keyword functions
 cannot synthesize; where the context could also offer a synthesized type,
 the walk synthesizes first and pushes the expectation in only on ambiguity.
+An ambiguity that a let's own argument raised against its parameter type
+is final (`TypeErr.final_for`): walking the let again would check that
+argument first and raise it again, so no caller walks the let again.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ class TypeErr(Exception):
         self.kind = kind
         self.detail = detail
         self.span = span
+        # the let (or case) for which this ambiguity is final: walking that
+        # node again, against any expectation, raises it again
+        self.final_for = None
         super().__init__(f"{kind}: {detail}")
 
     def record(self) -> str:
@@ -176,11 +182,12 @@ def _synth_first(env: TypeEnv, e: ChorExpr, want: Want,
 
 
 def _try_synth(env: TypeEnv, e) -> Optional[ChorType]:
-    """The synthesized type, or None when synthesis is ambiguous."""
+    """The synthesized type, or None when synthesis is ambiguous and not
+    final for e."""
     try:
         return _walk(env, e, None)
     except TypeErr as err:
-        if err.kind != AMBIGUOUS_SUM:
+        if err.kind != AMBIGUOUS_SUM or err.final_for is e:
             raise
         return None
 
@@ -226,7 +233,14 @@ def _walk(env: TypeEnv, node: ChorExpr | ChorValue, want: Optional[Want],
                             if first.kind != AMBIGUOUS_SUM:
                                 raise
                     raise
-                check_arg(env, arg, head.param_type, head.owners)
+                try:
+                    check_arg(env, arg, head.param_type, head.owners)
+                except TypeErr as err:
+                    # a check of this let checks its argument first, and
+                    # would raise this again
+                    if err.kind == AMBIGUOUS_SUM:
+                        err.final_for = node
+                    raise
                 return t
             if want is not None and want.exact:
                 _synth_first(env, node, want, node.span,
@@ -574,10 +588,17 @@ def _case(env: TypeEnv, e: Case, want: Optional[Want]) -> ChorType:
         wl = _walk(env_l, e.left_body, want, e.span)
         wr = _walk(env_r, e.right_body, want, e.span)
     else:
-        # a branch that cannot synthesize checks against the other one
-        wl = _try_synth(env_l, e.left_body)
-        if wl is None:
+        # a branch that cannot synthesize checks against the other one; a
+        # final ambiguity of the left one still waits for the right one
+        try:
+            wl = _walk(env_l, e.left_body, None)
+        except TypeErr as err:
+            if err.kind != AMBIGUOUS_SUM:
+                raise
             wr = _walk(env_r, e.right_body, None)
+            if err.final_for is e.left_body:
+                err.final_for = e  # a check walks the left branch first
+                raise
             _walk(env_l, e.left_body, Want(wr))
             return wr
         wr = _try_synth(env_r, e.right_body)

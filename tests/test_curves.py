@@ -3,11 +3,12 @@
 import importlib.util
 import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
 
-from helam import network
+from helam import caches
 
 CURVES = Path(__file__).resolve().parent.parent / "tools" / "curves.py"
 
@@ -55,11 +56,15 @@ def test_one_compile_point_per_series(monkeypatch):
     monkeypatch.setattr(curves, "MIN_SECONDS", 0.0)
     chain = curves.measure_point("chain", 50, "compile")
     let = curves.measure_point("let", 50, "compile")
+    lnest = curves.measure_point("lnest", 50, "compile")
     # `com [ a ] [ b ] ( ... )` per hop, `( ) @ [ alice ]`, and eof
     assert chain["tokens"] == 50 * 9 + 6 + 1
     # `let x0 = ( ) @ [ alice ] ;`, `let x = x ;` per let, `x50` and eof
     assert let["tokens"] == 10 + 50 * 5 + 2
+    # `let x = ( ... ) ; x` per let around `( ) @ [ alice ]`, and eof
+    assert lnest["tokens"] == 50 * 7 + 6 + 1
     assert chain["us_per_token"] > 0 and let["us_per_token"] > 0
+    assert lnest["us_per_token"] > 0
 
 
 def test_one_project_point_per_series(monkeypatch):
@@ -149,7 +154,7 @@ def test_each_timed_network_run_starts_from_scratch(monkeypatch):
 
     def fake_fastest(once, reset=lambda: None):
         reset()
-        interned.append(len(network._foci))
+        interned.append(caches.counts()["network.foci"]["currsize"])
         once()
         return 1.0
 
@@ -184,3 +189,29 @@ def test_stage_names_the_stages_timed(monkeypatch, tmp_path):
         stage for stage, series in curves.STAGES.items() for _ in series]
     with pytest.raises(SystemExit):
         curves.main(args + ["--stage", "nonesuch"])
+
+
+def test_against_records_the_other_trees_commit(monkeypatch, tmp_path):
+    """`--against` records the other tree's commit, not its path, and
+    null for a tree outside a git checkout."""
+    curves = _load()
+    monkeypatch.setattr(curves, "curve", lambda *args: [])
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t",
+           "-c", "user.email=t@example.com"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "old"],
+                   check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    (tmp_path / "src").mkdir()
+    elsewhere = tmp_path.parent / f"{tmp_path.name}-not-git"
+    elsewhere.mkdir()
+    out = tmp_path / "curves.json"
+    for label, tree, recorded in (("git", tmp_path / "src", head),
+                                  ("bare", elsewhere, None)):
+        assert curves.main(["--label", label, "--out", str(out),
+                            "--stage", "explore", "--against",
+                            str(tree)]) == 0
+        assert json.loads(out.read_text())["runs"][label]["against"] == \
+            recorded
+    assert len(head) == 40 and str(tmp_path) not in out.read_text()

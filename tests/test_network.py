@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 import helam
+from helam import caches
 from helam.generate import GenConfig, gen_instance
 from helam.network import (
     DeadlockReport, Exploration, Focus, Frame, NetStep, Network, RecvAction,
@@ -446,24 +447,32 @@ def test_a_repeated_run_walks_the_cached_records(monkeypatch):
 def test_links_between_records_are_bounded(monkeypatch):
     """A link keeps the network it points to alive, so links are bounded:
     the link past _MAX_LINKS drops them all.  A network the cache keeps
-    then keeps at most that many others alive, and runs are unchanged."""
+    then reaches at most that many others by links, and runs are
+    unchanged; once every cache is emptied it keeps none alive."""
     text = "".join(f"let x{i} = com[u{2 * i}][u{2 * i + 1}] ()@[u{2 * i}];\n"
                    for i in range(3)) + "()@[u0, u1, u2, u3, u4, u5]"
     net = Network(project_all(compile_text(text).core))
     expected = [_reference_simulate(net, seed) for seed in range(10)]
     monkeypatch.setattr(helam.network, "_MAX_LINKS", 3)
-    monkeypatch.setattr(helam.network, "_linked", [])
-    _enumerate_cached.cache_clear()
+    caches.clear()
     root = _enumerate_cached(net)
     for seed, out in enumerate(expected):
         again = simulate(net, seed)
-        assert len(helam.network._linked) <= 3
+        assert caches.counts()["network.links"]["currsize"] <= 3
         assert again.trace == out.trace and again.network == out.network
-    _enumerate_cached.cache_clear()
+    linked, todo = {id(root)}, [root]
+    while todo:
+        for nxt in todo.pop()._succ:
+            if nxt is not None and id(nxt) not in linked:
+                linked.add(id(nxt))
+                todo.append(nxt)
+    assert len(linked) <= 1 + 2 * 3, len(linked)
+    del again
+    caches.clear()
     gc.collect()
     live = [o for o in gc.get_objects() if isinstance(o, Network)
             and hasattr(o, "_succ") and o.parties() == root.parties()]
-    assert len(live) <= 1 + 2 * 3, len(live)
+    assert len(live) == 1, len(live)
 
 
 def test_the_cache_keeps_one_network_per_state():
@@ -471,7 +480,7 @@ def test_the_cache_keeps_one_network_per_state():
     that network, and the steps and links kept on it take no part in
     equality or hashing."""
     cfg = GenConfig(max_parties=4, max_depth=6)
-    _enumerate_cached.cache_clear()
+    caches.clear()
     for n in range(20):
         procs = project_all(gen_instance(cfg, n).expr)
         first, second = Network(procs), Network(procs)
@@ -489,14 +498,14 @@ def test_equal_pairs_are_one_focus_while_the_table_holds_them():
     `Focus` object, until the table is emptied; one built after that is a
     new object, equal to the old and of the same hash."""
     cfg = GenConfig(max_parties=4, max_depth=6)
-    focus.cache_clear()
+    caches.clear()
     for n in range(50):
         first = project_all(gen_instance(cfg, n).expr)
         second = project_all(gen_instance(cfg, n).expr)
         for p, b in first.items():
             assert focus(b) is focus(second[p]), (n, p)
     before = {n: focus(b) for n, b in enumerate(first.values())}
-    focus.cache_clear()
+    caches.clear()
     for n, b in enumerate(first.values()):
         after = focus(b)
         assert after is not before[n]
@@ -574,11 +583,11 @@ def test_a_three_entry_focus_table_changes_no_run(monkeypatch):
         expected.append(([_reference_simulate(net, seed) for seed in range(3)],
                          _reference_explore(net)))
     monkeypatch.setattr(helam.network, "_MAX_FOCI", 3)
-    _clear_step_caches()
+    caches.clear()
     try:
         for n, p in enumerate(procs):
             before = Network(p)
-            focus.cache_clear()
+            caches.clear()
             net = Network(p)
             assert net == before and hash(net) == hash(before), n
             runs, eager = expected[n]
@@ -592,9 +601,9 @@ def test_a_three_entry_focus_table_changes_no_run(monkeypatch):
             assert (lazy.states, lazy.terminals, lazy.deadlocks,
                     lazy.complete) == (eager.states, eager.terminals,
                                        eager.deadlocks, eager.complete), n
-            assert len(helam.network._foci) <= 3
+            assert caches.counts()["network.foci"]["currsize"] <= 3
     finally:
-        _clear_step_caches()
+        caches.clear()
 
 
 def test_each_memoized_action_is_the_one_computed_afresh(reachable):
@@ -604,7 +613,7 @@ def test_each_memoized_action_is_the_one_computed_afresh(reachable):
     new objects, compared by structure."""
     foci = {id(f): f for states in reachable.values() for net in states
             for f in net._parties.values()}
-    focus.cache_clear()
+    caches.clear()
     fresh = 0
     for f in foci.values():
         act = next_action(f.redex)
@@ -640,7 +649,7 @@ def test_each_memoized_offer_is_the_one_computed_afresh(reachable):
     pairs = {(p, id(f)): (p, f) for states in reachable.values()
              for net in states for p, f in net._parties.items()}
     memos = {key: f.offer(p) for key, (p, f) in pairs.items()}
-    focus.cache_clear()
+    caches.clear()
     offered = silent = 0
     for key, (p, f) in pairs.items():
         memo, fresh = memos[key], _offer_afresh(f, p)
@@ -740,7 +749,7 @@ def test_party_order_does_not_depend_on_insertion_order():
         procs = project_all(gen_instance(cfg, n).expr)
         built = []
         for order in (sorted(procs), sorted(procs, reverse=True)):
-            _enumerate_cached.cache_clear()
+            caches.clear()
             net = Network({p: procs[p] for p in order})
             built.append((hash(net), net.parties(), enumerate_net_steps(net)))
         assert built[0] == built[1], n
@@ -788,9 +797,7 @@ class TestBuiltNormal:
         members = roles(core)
         value = run(core)
         # cached steps from other tests would hide a call
-        next_action.cache_clear()
-        focus.cache_clear()
-        _enumerate_cached.cache_clear()
+        caches.clear()
 
         def refuse(*args):
             raise AssertionError("floor called on a built behavior")
@@ -1018,12 +1025,6 @@ def test_local_substitutions_match_the_reference(reachable):
     assert substituted > 10_000
 
 
-def _clear_step_caches():
-    next_action.cache_clear()
-    focus.cache_clear()
-    _enumerate_cached.cache_clear()
-
-
 def test_simulations_are_the_reference_substitutions(monkeypatch):
     """Instances 0-999 simulate to the same traces and networks, and
     explore to the same states, with each substitution made by the walk
@@ -1033,7 +1034,7 @@ def test_simulations_are_the_reference_substitutions(monkeypatch):
             for n in range(1000)]
 
     def outcomes():
-        _clear_step_caches()
+        caches.clear()
         runs = [simulate(net, seed) for net in nets for seed in range(3)]
         explored = [explore(net) for net in nets]
         return ([(r.trace, r.network, r.deadlock) for r in runs],
@@ -1044,7 +1045,7 @@ def test_simulations_are_the_reference_substitutions(monkeypatch):
     try:
         assert outcomes() == expected
     finally:
-        _clear_step_caches()
+        caches.clear()
 
 
 def test_deep_let_chain_at_the_default_recursion_limit():
@@ -1055,11 +1056,11 @@ def test_deep_let_chain_at_the_default_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     net = Network(procs)
-    _clear_step_caches()
+    caches.clear()
     out = simulate(net)
     assert out.deadlock is None and len(out.trace) == 801
     assert out.network == Network({"p": LUnit()})
-    _clear_step_caches()
+    caches.clear()
     result = explore(net)
     assert result.complete and result.states == 802
 
@@ -1074,9 +1075,9 @@ def test_deep_let_chains_build_twice_and_compare_at_the_default_limit(n):
         procs = [project_all(let_chain(n)) for _ in range(3)]
     finally:
         sys.setrecursionlimit(limit)
-    _clear_step_caches()
+    caches.clear()
     first, second = Network(procs[0]), Network(procs[1])
-    focus.cache_clear()
+    caches.clear()
     third = Network(procs[2])
     assert first == second == third and third == first
     assert hash(first) == hash(second) == hash(third)

@@ -469,21 +469,27 @@ class TestLexerOracle:
         """Delete, insert or replace one character of each corpus file:
         the program, or its diagnostic with its span, is the one the
         reference lexer and the two-tree frontend give (see below)."""
-        rng = random.Random(0)
         failed = 0
-        for path in sorted(corpus_dir.glob("*.hll")):
-            text = path.read_text(encoding="utf-8")
-            for _ in range(50):
-                at = rng.randrange(len(text) + 1)
-                char = rng.choice(_LEX_ALPHABET)
-                edit = rng.choice((text[:at] + text[at + 1:],
-                                   text[:at] + char + text[at:],
-                                   text[:at] + char + text[at + 1:]))
-                expected = _compile_outcome(_two_tree_compile, edit)
-                assert (_compile_outcome(compile_text, edit)
-                        == expected), (path.stem, edit)
-                failed += not isinstance(expected[0], str)
+        for stem, edit in one_character_edits(corpus_dir):
+            expected = _compile_outcome(_two_tree_compile, edit)
+            assert _compile_outcome(compile_text, edit) == expected, (stem,
+                                                                      edit)
+            failed += not isinstance(expected[0], str)
         assert failed > 0  # the edits reach the diagnostics too
+
+
+def one_character_edits(corpus_dir):
+    """50 seeded edits of each corpus file, each deleting, inserting or
+    replacing one character, as (stem, edited text)."""
+    rng = random.Random(0)
+    for path in sorted(corpus_dir.glob("*.hll")):
+        text = path.read_text(encoding="utf-8")
+        for _ in range(50):
+            at = rng.randrange(len(text) + 1)
+            char = rng.choice(_LEX_ALPHABET)
+            yield path.stem, rng.choice((text[:at] + text[at + 1:],
+                                         text[:at] + char + text[at:],
+                                         text[:at] + char + text[at + 1:]))
 
 
 # Types as token lists, well formed or with one token edited: a `(` opens

@@ -1,14 +1,17 @@
 """Typing rules: acceptance, rejection kinds, and bidirectional checking."""
 
+import hashlib
 import sys
+from collections import Counter
 
 import pytest
 
-from helam.surface import compile_text
+from helam.generate import GenConfig, gen_instance
+from helam.surface import DesugarError, ParseError, compile_text
 from helam.syntax import (
     App, Case, Com, DProd, DSum, DUnit, DataTy, Fst, FunTy, Inl, Inr, Lam,
     BadPartyName, Lookup, Pair, Snd, TupleTy, Unit, Val, Var, Vec, parties,
-    print_type,
+    print_expr, print_type,
 )
 from helam.typecheck import (
     AMBIGUOUS_SUM, ARG_MISMATCH, GUARD_NOT_SUM, INDEX_OUT_OF_RANGE,
@@ -16,6 +19,8 @@ from helam.typecheck import (
     PARTIES_NOT_SUBSET, SENDER_NOT_OWNER, UNBOUND_VAR, TypeEnv, TypeErr,
     synth, typecheck,
 )
+
+from test_surface import one_character_edits
 
 P = parties("p")
 Q = parties("q")
@@ -528,3 +533,63 @@ def test_each_let_argument_is_checked_once(monkeypatch, text, kind):
     else:
         expect_kind(kind, prog.theta, prog.core)
     assert len(calls) == 13  # once per let, the outermost `r` included
+
+
+# The innermost argument is ambiguous even against its parameter type, so
+# the ambiguity is final: a checker that walked each let again on it made
+# 2 ** (d + 1) - 1 `check_arg` calls at depth d.
+_FINAL_AMBIGUITY = "AmbiguousSum\t{}\tcannot determine the type; annotate it"
+
+
+@pytest.mark.parametrize("depth, span", [
+    (4, "1:95"), (8, "1:171"), (10, "1:209"), (12, "1:249")])
+def test_a_final_ambiguity_is_reported_where_it_arises(depth, span):
+    prog = compile_text(_nested_lets(depth, "()@[p]", _AMBIGUOUS_ARG[1:-1],
+                                     "x{}"))
+    with pytest.raises(TypeErr) as exc:
+        typecheck(prog.theta, prog.core)
+    assert exc.value.record() == _FINAL_AMBIGUITY.format(span)
+
+
+def test_a_final_ambiguity_checks_each_let_argument_once(monkeypatch):
+    checker = sys.modules[TypeErr.__module__]
+    calls = []
+    check_arg = checker.check_arg
+    monkeypatch.setattr(checker, "check_arg",
+                        lambda *args: calls.append(args) or check_arg(*args))
+    for depth in (12, 24):
+        calls.clear()
+        prog = compile_text(_nested_lets(depth, "()@[p]",
+                                         _AMBIGUOUS_ARG[1:-1], "x{}"))
+        expect_kind(AMBIGUOUS_SUM, prog.theta, prog.core)
+        assert len(calls) == depth + 1
+
+
+def _verdict(text):
+    try:
+        prog = compile_text(text)
+        return "ok\t" + print_type(typecheck(prog.theta, prog.core))
+    except (ParseError, DesugarError, TypeErr) as err:
+        return f"{type(err).__name__}\t{err.span}\t{err}"
+
+
+def verdicts(corpus_dir):
+    """The verdict on each corpus file, generated program 0-999 and
+    one-character edit of the corpus: a type, or a diagnostic's kind, span
+    and message."""
+    cfg = GenConfig(max_parties=4, max_depth=6)
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted(corpus_dir.glob("*.hll"))]
+    texts += [print_expr(gen_instance(cfg, n).expr) for n in range(1000)]
+    texts += [edit for _, edit in one_character_edits(corpus_dir)]
+    return [_verdict(text) for text in texts]
+
+
+def test_final_ambiguities_change_no_verdict(corpus_dir):
+    # pinned while the checker still walked a let again on every ambiguity
+    found = verdicts(corpus_dir)
+    kinds = Counter(line.split("\t")[0] for line in found)
+    assert kinds == {"ok": 871, "TypeErr": 502, "ParseError": 341}, kinds
+    digest = hashlib.sha256("\n".join(found).encode()).hexdigest()
+    assert digest == ("1817849001511f3a08fa4e76ebdb6458"
+                      "82a6662cb4ab5db91328aec36bf6d345")

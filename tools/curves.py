@@ -3,7 +3,10 @@ microseconds per step of the central `run` and of the network `simulate`,
 microseconds per token of `compile_text`, microseconds per behaviour
 node of `project_all`, and microseconds per node of `print_expr` on the
 compiled core, over chain-n (n nested `com` hops) and let-n (n chained
-`let` bindings), for n = 50, 100, 200, ... 1600; and, over
+`let` bindings), for n = 50, 100, 200, ... 1600; microseconds per token
+of `compile_text` over lnest-n (n left-nested unannotated lets, each
+binding the one before it inside its bound expression), for n = 25, 50,
+... 800; and, over
 par-n (n disjoint sender/receiver pairs, 2n parties) for n = 2, 4, ... 32,
 microseconds per step of `simulate` and per state of `explore`, with the
 steps, messages and states of each point.  Each series also reports its
@@ -22,9 +25,10 @@ since at the default one the parser fails from chain-300 on, and
 `project` and `print_expr` still recurse once per nesting level; the
 token count includes the closing `eof`, and the node counts, by
 `node_count`, are the size of the core and of every party's behaviour as
-a tree.  Before every timed run the network's caches are cleared (each
-function of `helam.network` with a `cache_clear`) and the network is built
-again from its behaviours, so each run steps from scratch, with no
+a tree.  Before every timed `simulate` or `explore` run every cache is
+emptied (`helam.caches.clear()`, so a tree from before that registry
+reports an error there) and the network is built again from its
+behaviours, so each run steps from scratch, with no
 action memoized on a party state; but every run takes the same term,
 so the free-variable sets that `subst` and `local_subst` cache on its
 nodes are filled by the untimed first run, and a point leaves out their
@@ -45,7 +49,9 @@ OLD_CHECKOUT/src`, one invocation times each point on both trees instead:
 ROUNDS pairs of fresh interpreters, which tree goes first alternating from
 pair to pair.  The point keeps this tree's fastest run, adds the other
 tree's fastest under "against", and the median over the pairs of this
-tree's cost over the other's as "ratio".
+tree's cost over the other's as "ratio".  The run records the other
+tree's commit (`git rev-parse HEAD` in OLD_SRC), or null outside a git
+checkout.
 """
 
 from __future__ import annotations
@@ -67,10 +73,11 @@ from typing import Optional
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = {"chain": (50, 100, 200, 400, 800, 1600),
          "let": (50, 100, 200, 400, 800, 1600),
+         "lnest": (25, 50, 100, 200, 400, 800),
          "par": (2, 4, 8, 16, 32)}
 # the series of each stage
 STAGES = {"run": ("chain", "let"), "simulate": ("chain", "let", "par"),
-          "compile": ("chain", "let"), "project": ("chain", "let"),
+          "compile": ("chain", "let", "lnest"), "project": ("chain", "let"),
           "print": ("chain", "let"), "explore": ("par",)}
 # the cost per unit of each stage, by which the growth is measured
 COST = {"run": "us_per_step", "simulate": "us_per_step",
@@ -100,6 +107,14 @@ def let_text(n: int) -> str:
     return "\n".join(lines) + f"\nx{n}"
 
 
+def lnest_text(n: int) -> str:
+    """n left-nested unannotated lets: `let x{i} = (<previous>); x{i}`."""
+    text = "()@[alice]"
+    for i in range(n):
+        text = f"let x{i} = ({text}); x{i}"
+    return text
+
+
 def par_text(n: int) -> str:
     """n disjoint pairs, each sending one value from p{2i} to p{2i+1}."""
     lines = [f"let x{i} = com[p{2 * i}][p{2 * i + 1}] ()@[p{2 * i}];"
@@ -108,7 +123,8 @@ def par_text(n: int) -> str:
     return "\n".join(lines) + f"\n()@[{everyone}]"
 
 
-TEXTS = {"chain": chain_text, "let": let_text, "par": par_text}
+TEXTS = {"chain": chain_text, "let": let_text, "lnest": lnest_text,
+         "par": par_text}
 
 
 def fastest(once, reset=lambda: None) -> float:
@@ -143,7 +159,6 @@ def steps_to_value(core) -> int:
 
 def measure_point(series: str, n: int, stage: str = "run") -> dict:
     """Time one stage on one program in this interpreter."""
-    from helam import network
     from helam.network import Network, explore, simulate
     from helam.projection import project_all
     from helam.semantics import run
@@ -174,16 +189,15 @@ def measure_point(series: str, n: int, stage: str = "run") -> dict:
             return {"n": n, "behavior_nodes": count, "project_s": best,
                     "us_per_node": 1e6 * best / count}
         if stage in ("simulate", "explore"):
+            from helam import caches
             procs = project_all(core)
     finally:
         sys.setrecursionlimit(default_limit)
-    caches = [f for f in vars(network).values() if hasattr(f, "cache_clear")]
     nets = []
 
     def reset() -> None:
-        for cache in caches:
-            cache.cache_clear()
         if stage in ("simulate", "explore"):
+            caches.clear()
             nets[:] = [Network(procs)]
 
     reset()
@@ -318,7 +332,10 @@ def main(argv: list[str]) -> int:
     }
     against = args.against and args.against.resolve()
     if against:
-        record["against"] = str(args.against)
+        commit = subprocess.run(["git", "-C", str(against), "rev-parse",
+                                 "HEAD"], capture_output=True, text=True)
+        record["against"] = (commit.stdout.strip()
+                             if commit.returncode == 0 else None)
         record["timing"] += (f"; {ROUNDS} pairs of interpreters alternating "
                              "with the other tree, fastest of each side, "
                              "ratio the median of the pairs")
